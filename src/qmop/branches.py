@@ -137,16 +137,21 @@ def _pool_windows(bundle: FeatureBundle, params: PoolParams) -> np.ndarray:
 
 def pool_local(bundle: FeatureBundle, params: PoolParams,
                cache: dict | None = None) -> CompressedTokens:
-    """Each query cell attends only to its own s x s spatial window."""
+    """Each query cell attends only to its own s x s spatial window.
+
+    Keys and values are linear maps of the window cells, so both projections
+    fold onto the M rows instead of the N cells: q.(phi_k x) = (q phi_k).x
+    and sum_w a_w (phi_v x_w) = phi_v (sum_w a_w x_w). The branch is then
+    two M x C x C GEMMs plus O(N*C) window work.
+    """
     win = _pool_windows(bundle, params)               # M x s^2 x C
     c = bundle.c_vis
-    phi_k = params.phi_k
     phi_v = params.phi_k if params.shared_phi else params.phi_v
-    k = win @ phi_k.T                                  # M x s^2 x C
-    v = win @ phi_v.T
-    scores = np.einsum("mc,mwc->mw", params.q2d, k) / math.sqrt(c)
+    qk = params.q2d @ params.phi_k                     # M x C
+    scores = np.einsum("mwc,mc->mw", win, qk) / math.sqrt(c)
     attn = softmax_rows(scores)                        # M x s^2
-    out = np.einsum("mw,mwc->mc", attn, v)
+    pooled = np.einsum("mw,mwc->mc", attn, win)        # M x C
+    out = pooled @ phi_v.T
     if cache is not None:
-        cache.update(windows=win, k=k, v=v, attn=attn)
+        cache.update(windows=win, qk=qk, pooled=pooled, attn=attn)
     return CompressedTokens(out, "pool")

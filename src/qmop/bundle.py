@@ -63,6 +63,9 @@ class FeatureBundle:
             raise ValidationError("eos_token length mismatch")
         if self.cls_attention.shape != (n,):
             raise ValidationError("cls_attention length mismatch")
+        for what in ("patches", "cls_token", "eos_token", "cls_attention"):
+            if not np.isfinite(getattr(self, what)).all():
+                raise ValidationError(f"{what} has non-finite entries")
         if np.any(self.cls_attention < 0):
             raise ValidationError("cls_attention has negative entries")
         s = float(self.cls_attention.sum())

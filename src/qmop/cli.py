@@ -17,7 +17,8 @@ import click
 import numpy as np
 
 from . import costmodel, pipeline as pl, trainer
-from .bundle import FeatureBundle, read_bundle, synth_bundle, write_bundle
+from .bundle import (FormatError, TruncatedFileError, ValidationError,
+                     read_bundle, synth_bundle, write_bundle)
 from .config import ConfigError, PipelineConfig, load_config, parse_mode
 from .linalg import seeded_fill
 
@@ -112,10 +113,14 @@ def cmd_compress(features, config_path, mode_spec, out, no_timing,
     params = build_params(cfg)
 
     def run_one(path: str) -> dict:
-        bundle = read_bundle(path)
+        try:
+            bundle = read_bundle(path)
+        except (FormatError, TruncatedFileError, ValidationError) as exc:
+            raise _RunError(EXIT_USAGE, f"bad bundle {path}: {exc}") from exc
         if (bundle.grid_h, bundle.grid_w) != (cfg.grid_h, cfg.grid_w) or \
                 (bundle.c_vis, bundle.c_txt) != (cfg.c_vis, cfg.c_txt):
-            raise _DimMismatch(
+            raise _RunError(
+                EXIT_DIMS,
                 f"bundle dims grid={bundle.grid_h}x{bundle.grid_w} "
                 f"c_vis={bundle.c_vis} c_txt={bundle.c_txt} vs config "
                 f"grid={cfg.grid_h}x{cfg.grid_w} "
@@ -165,13 +170,17 @@ def cmd_compress(features, config_path, mode_spec, out, no_timing,
                 runs = list(pool.map(run_one, features))
         else:
             runs = [run_one(p) for p in features]
-    except _DimMismatch as exc:
-        _fail(EXIT_DIMS, str(exc))
+    except _RunError as exc:
+        _fail(exc.code, str(exc))
     _emit({"config": cfg.as_dict(), "runs": runs}, out)
 
 
-class _DimMismatch(Exception):
-    pass
+class _RunError(Exception):
+    """A per-bundle failure that ends `compress` with the given exit code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 @main.command("gradcheck")

@@ -76,14 +76,15 @@ def kv_cache(n_tokens: float, m_per_token: float = KV_M_PER_TOKEN) -> float:
 
 def projector_flops(
     n_in: int, m_out: int, c_vis: int, c_txt: int, d_llm: int,
-    router_hidden: int | None = None, query_len: int = 51,
+    router_hidden: int | None = None,
     active: tuple[str, ...] = ("pool", "resample", "prune"),
 ) -> dict[str, float]:
     """Per-branch, router, and output-MLP GFLOPs (2 FLOPs per MAC).
 
-    query_len is carried for report context; the text encoder that consumes
-    the query is outside this model, so only the gate MLP itself is counted.
-    Branch terms are reported separately so top-k skipping is visible.
+    The text encoder that produces the query is outside this model, so only
+    the gate MLP itself is counted. Pool folds its K/V projections onto the M
+    queries, so its C^2 terms scale with M, not N. Branch terms are reported
+    separately so top-k skipping is visible.
     """
     if min(n_in, m_out) <= 0:
         zero = {b: 0.0 for b in ("pool", "resample", "prune")}
@@ -94,8 +95,9 @@ def projector_flops(
     flops = {
         # K/V projections over all N tokens + M queries attending to N keys
         "resample": 2 * 2 * n * c * c + 2 * 2 * m * n * c,
-        # window K/V projections + per-window attention (M windows of s^2 = N/M)
-        "pool": 2 * 2 * n * c * c + 2 * 2 * n * c,
+        # q2d @ phi_k and pooled @ phi_v.T on the M rows + per-window
+        # scores and weighted sum over the raw cells (M windows of s^2 = N/M)
+        "pool": 2 * 2 * m * c * c + 2 * 2 * n * c,
         # relevance projection to text space + cosine dot/norms
         "prune": 2 * n * c2 * c + 2 * 3 * n * c2,
         # shared output MLP on the fused M tokens

@@ -85,6 +85,25 @@ def loss_mse(output: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(d * d))
 
 
+class _Grads(dict):
+    """Gradient accumulators keyed by tensor name. Each is allocated on first
+    use, so the keys are exactly the tensors a backward pass reaches."""
+
+    def __init__(self, params: pl.ProjectorParams):
+        super().__init__()
+        self._params = dict(params.named_tensors())
+
+    def __missing__(self, name: str) -> np.ndarray:
+        acc = self[name] = np.zeros_like(self._params[name])
+        return acc
+
+    def complete(self) -> dict[str, np.ndarray]:
+        """A gradient for every tensor; unreached ones are read-only zeros."""
+        return {name: self[name] if name in self
+                else np.broadcast_to(np.zeros((), arr.dtype), arr.shape)
+                for name, arr in self._params.items()}
+
+
 def _mlp_backward(mlp: pl.Mlp, mcache: dict, d_y: np.ndarray,
                   grads: dict, prefix: str) -> np.ndarray:
     _, act_grad = ACTIVATIONS[mlp.activation]
@@ -119,17 +138,19 @@ def _resample_backward(params: pl.ProjectorParams, rcache: dict,
 
 def _pool_backward(params: pl.ProjectorParams, pcache: dict,
                    d_out: np.ndarray, grads: dict) -> None:
-    win, k, v, attn = (pcache["windows"], pcache["k"],
-                       pcache["v"], pcache["attn"])
+    win, qk, pooled, attn = (pcache["windows"], pcache["qk"],
+                             pcache["pooled"], pcache["attn"])
+    pool = params.pool
     scale = 1.0 / math.sqrt(win.shape[2])
-    d_v = attn[:, :, None] * d_out[:, None, :]          # M x s^2 x C
-    d_attn = np.einsum("mc,mwc->mw", d_out, v)
+    phi_v = pool.phi_k if pool.shared_phi else pool.phi_v
+    d_phi_v = d_out.T @ pooled
+    d_pooled = d_out @ phi_v                           # M x C
+    d_attn = np.einsum("mc,mwc->mw", d_pooled, win)
     d_s = _softmax_backward(attn, d_attn) * scale
-    grads["pool.q2d"] += np.einsum("mw,mwc->mc", d_s, k)
-    d_k = d_s[:, :, None] * params.pool.q2d[:, None, :]  # M x s^2 x C
-    d_phi_k = np.einsum("mwo,mwi->oi", d_k, win)
-    d_phi_v = np.einsum("mwo,mwi->oi", d_v, win)
-    if params.pool.shared_phi:
+    d_qk = np.einsum("mw,mwc->mc", d_s, win)           # M x C
+    grads["pool.q2d"] += d_qk @ pool.phi_k.T
+    d_phi_k = pool.q2d.T @ d_qk
+    if pool.shared_phi:
         grads["pool.phi_k"] += d_phi_k + d_phi_v
     else:
         grads["pool.phi_k"] += d_phi_k
@@ -151,7 +172,9 @@ def backward(bundle: FeatureBundle, params: pl.ProjectorParams,
     """Loss and analytic gradients for every learnable tensor.
 
     mode is ("stage1",) or ("train", tau, gumbel_scale, seed). Returns
-    (loss, grads, aux) where aux carries the forward gate for inspection.
+    (loss, grads, aux) where aux carries the forward gate for inspection and
+    "reached", the names of the tensors the mode trains. The other tensors'
+    gradients are exactly zero and come back as read-only views.
     """
     cache: dict = {}
     if mode[0] == "stage1":
@@ -165,7 +188,7 @@ def backward(bundle: FeatureBundle, params: pl.ProjectorParams,
     diff = out.tokens - target
     loss = float(np.mean(diff * diff))
     d_y = 2.0 * diff / diff.size
-    grads = {name: np.zeros_like(arr) for name, arr in params.named_tensors()}
+    grads = _Grads(params)
     c = bundle.c_vis
 
     if mode[0] == "stage1":
@@ -174,7 +197,7 @@ def backward(bundle: FeatureBundle, params: pl.ProjectorParams,
         for i, name in enumerate(("pool", "resample", "prune")):
             _branch_backward(params, cache, name,
                              d_concat[:, i * c:(i + 1) * c], grads)
-        return loss, grads, {"gate": None}
+        return loss, grads.complete(), {"gate": None, "reached": tuple(grads)}
 
     d_fused = _mlp_backward(params.out_mlp, cache["mlp"], d_y, grads, "out_mlp")
     gate = cache["gate"]
@@ -196,7 +219,7 @@ def backward(bundle: FeatureBundle, params: pl.ProjectorParams,
     d_h1 = d_a1 * act_grad(gc["h1"])
     grads["router.w1"] += np.outer(d_h1, gc["f"])
     grads["router.b1"] += d_h1
-    return loss, grads, {"gate": gate}
+    return loss, grads.complete(), {"gate": gate, "reached": tuple(grads)}
 
 
 def gradcheck_params(bundle: FeatureBundle, params: pl.ProjectorParams,
@@ -230,8 +253,12 @@ def gradcheck_params(bundle: FeatureBundle, params: pl.ProjectorParams,
 
 
 def params_digest(params: pl.ProjectorParams) -> str:
-    vec, _ = pl.params_to_vector(params)
-    return hashlib.sha256(vec.astype("<f4").tobytes()).hexdigest()
+    """sha256 of every tensor as little-endian float32, in `named_tensors`
+    order: the bytes of the flat parameter vector, hashed tensor by tensor."""
+    digest = hashlib.sha256()
+    for _, arr in params.named_tensors():
+        digest.update(np.ascontiguousarray(arr, dtype="<f4"))
+    return digest.hexdigest()
 
 
 def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
@@ -250,7 +277,7 @@ def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
             gscale = gumbel_scale_at(config.schedule, step)
             tau_trace.append(tau)
             gumbel_trace.append(gscale)
-        total = {name: np.zeros_like(a) for name, a in params.named_tensors()}
+        total: dict[str, np.ndarray] = {}
         step_loss = 0.0
         step_entropy = 0.0
         for i, (bundle, target) in enumerate(batch):
@@ -261,8 +288,11 @@ def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
                 mode = ("train", tau, gscale, noise_seed)
             loss, grads, aux = backward(bundle, params, target, mode)
             step_loss += loss
-            for name in total:
-                total[name] += grads[name]
+            if i == 0:   # accumulate into the first sample's gradients
+                total = {name: grads[name] for name in aux["reached"]}
+            else:
+                for name, acc in total.items():
+                    acc += grads[name]
             if aux["gate"] is not None:
                 step_entropy += gate_entropy(aux["gate"].alpha)
         step_loss /= len(batch)
@@ -274,8 +304,11 @@ def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
             if step == 0:
                 first_entropy = step_entropy
             final_entropy = step_entropy
-        for name, arr in params.named_tensors():
-            arr -= config.lr * total[name] / len(batch)
+        tensors = dict(params.named_tensors())
+        for name, acc in total.items():
+            acc *= config.lr
+            acc /= len(batch)
+            tensors[name] -= acc
 
     gc_err = None
     if config.final_grad_check:

@@ -214,6 +214,23 @@ def masked_attention_oracle(bundle, params):
     return out
 
 
+def project_then_attend_oracle(bundle, params):
+    """Pool as first defined: project every window cell to a key and a value,
+    then attend over the window's keys."""
+    s, c = params.stride, bundle.c_vis
+    phi_v = params.phi_k if params.shared_phi else params.phi_v
+    x2d = bundle.patches.reshape(bundle.grid_h, bundle.grid_w, c)
+    out = np.zeros((params.grid_h * params.grid_w, c))
+    for i in range(params.grid_h):
+        for j in range(params.grid_w):
+            m = i * params.grid_w + j
+            cells = x2d[s * i:s * (i + 1), s * j:s * (j + 1)].reshape(s * s, c)
+            keys, vals = cells @ params.phi_k.T, cells @ phi_v.T
+            scores = keys @ params.q2d[m] / math.sqrt(c)
+            out[m] = softmax_rows(scores[None, :])[0] @ vals
+    return out
+
+
 class TestPoolLocal:
     def test_identical_window_tokens_ignore_query(self):
         b = synth_bundle(0, 2, 2, 4, 3)
@@ -244,6 +261,17 @@ class TestPoolLocal:
         out = pool_local(b, p)
         assert np.max(np.abs(out.tokens
                              - masked_attention_oracle(b, p))) <= 1e-9
+
+    @pytest.mark.parametrize("grid,stride,shared", [
+        ((4, 4), 2, False), ((6, 6), 3, False), ((6, 9), 3, False),
+        ((4, 8), 2, False), ((6, 6), 3, True), ((4, 6), 2, True)])
+    def test_equals_project_then_attend(self, grid, stride, shared):
+        gh, gw = grid
+        b = synth_bundle(5, gh, gw, 7, 3)
+        p = pool_params(gh, gw, stride, 7, seed=4, shared=shared)
+        out = pool_local(b, p)
+        assert np.max(np.abs(out.tokens
+                             - project_then_attend_oracle(b, p))) <= 1e-12
 
     def test_nondivisible_grid(self):
         b = synth_bundle(0, 4, 4, 5, 3)

@@ -137,6 +137,33 @@ class TestValidate:
         with pytest.raises(ValidationError):
             b.validate()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("what", ["patches", "cls_token", "eos_token",
+                                      "cls_attention"])
+    def test_non_finite_entry(self, what, bad):
+        b = synth_bundle(0, 2, 2, 4, 3)
+        arr = getattr(b, what).copy()
+        arr.flat[1] = bad
+        setattr(b, what, arr)
+        with pytest.raises(ValidationError, match="non-finite"):
+            b.validate()
+
+    def test_all_nan_attention(self):
+        # NaN fails every comparison, so the sign and sum checks alone pass it
+        b = synth_bundle(0, 2, 2, 4, 3)
+        b.cls_attention = np.full(4, np.nan)
+        with pytest.raises(ValidationError, match="non-finite"):
+            b.validate()
+
+    def test_non_finite_payload_on_disk(self, tmp_path):
+        path = tmp_path / "b.qmop"
+        write_bundle(synth_bundle(0, 2, 2, 4, 3), path)
+        raw = bytearray(path.read_bytes())
+        raw[28:32] = np.array([np.inf], "<f4").tobytes()  # patches[0, 0]
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValidationError, match="patches"):
+            read_bundle(path)
+
 
 def test_hundred_random_round_trips(tmp_path):
     rng = np.random.default_rng(0)

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from referencing import Registry, Resource
@@ -131,6 +132,24 @@ class TestCompress:
                                    str(tmp / "nope.qmop"),
                                    "--config", str(cfg)])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("damage", ["truncate", "magic", "nan"])
+    def test_bad_bundle_exit_2(self, runner, workspace, damage):
+        tmp, cfg, features = workspace
+        raw = bytearray(features.read_bytes())
+        if damage == "truncate":
+            raw = raw[:40]
+        elif damage == "magic":
+            raw[:8] = b"QMOPFT00"
+        else:
+            raw[28:32] = np.array([np.nan], "<f4").tobytes()
+        features.write_bytes(bytes(raw))
+        res = runner.invoke(main, ["compress", "--features", str(features),
+                                   "--config", str(cfg)])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert len(res.output.strip().splitlines()) == 1
+        assert str(features) in res.output
 
     def test_unknown_config_key_rejected(self, runner, workspace, tmp_path):
         tmp, _, features = workspace

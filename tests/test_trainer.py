@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from qmop import init_projector_params, stage1_forward, synth_bundle
 from qmop.linalg import seeded_fill
+from qmop.pipeline import params_to_vector
 from qmop.trainer import (
     AnnealSchedule,
     DivergenceError,
@@ -135,6 +138,15 @@ class TestBackward:
                                   ("train", 1.0, 0.0, 0))
         assert max(report.values()) <= TOL
 
+    @pytest.mark.parametrize("mode", [("stage1",), ("train", 1.3, 0.7, 6)])
+    def test_gradcheck_stride3(self, mode):
+        # 6x6 grid at stride 3: nine cells per pool window
+        params = init_projector_params(6, 6, 8, 6, 8, 4, 3, seed=6)
+        bundle = synth_bundle(6, 6, 6, 8, 6)
+        target = seeded_fill(506, 4, 8)
+        report = gradcheck_params(bundle, params, target, mode)
+        assert max(report.values()) <= TOL
+
     def test_gradcheck_relu(self):
         params = init_projector_params(4, 4, 8, 6, 8, 4, 2, seed=2,
                                        activation="relu")
@@ -195,6 +207,22 @@ class TestTrainToy:
         for a, b in zip(router_before, router_after):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("stage,untrained", [
+        (1, ("router.", "out_mlp.", "relevance.")),
+        (2, ("stage1_mlp.", "relevance."))])
+    def test_untrained_tensors_bit_identical(self, stage, untrained):
+        params = make_params(6)
+        before = {n: t.copy() for n, t in params.named_tensors()}
+        bundles, targets = make_batch(6, n=3)
+        train_toy(params, TrainConfig(
+            stage=stage, steps=4, lr=0.1, seed=6, bundles=bundles,
+            targets=targets, final_grad_check=False))
+        for name, arr in params.named_tensors():
+            if name.startswith(untrained):
+                assert arr.tobytes() == before[name].tobytes(), name
+            else:
+                assert not np.array_equal(arr, before[name]), name
+
     def test_stage2_tau_trace_matches_schedule(self):
         bundles, targets = make_batch(1)
         sched = AnnealSchedule()
@@ -237,3 +265,10 @@ def test_params_digest_changes_with_params(tiny_params):
     before = params_digest(tiny_params)
     tiny_params.router.b2[0] += 1.0
     assert params_digest(tiny_params) != before
+
+
+def test_params_digest_hashes_the_float32_vector(tiny_params):
+    tiny_params.pool.phi_k = np.asfortranarray(tiny_params.pool.phi_k)
+    vec, _ = params_to_vector(tiny_params)
+    expected = hashlib.sha256(vec.astype("<f4").tobytes()).hexdigest()
+    assert params_digest(tiny_params) == expected
