@@ -106,17 +106,21 @@ def prune_select(tokens: np.ndarray, scores: np.ndarray,
 
 def resample(tokens: np.ndarray, params: ResamplerParams,
              cache: dict | None = None) -> CompressedTokens:
-    """Cross-attention of M learnable queries over projected keys/values."""
+    """Cross-attention of M learnable queries over projected keys/values.
+
+    As in pool, both projections fold onto the M query rows instead of the N
+    tokens: q.(w_k x) = (q w_k).x and sum_n a_n (w_v x_n) = w_v (sum_n a_n x_n).
+    The branch is then two M x C x C GEMMs plus two M x N x C ones.
+    """
     c = params.queries.shape[1]
     if tokens.shape[1] != c:
         raise ShapeError(f"token width {tokens.shape[1]} != query width {c}")
-    k = tokens @ params.w_k.T
-    v = tokens @ params.w_v.T
-    scores = params.queries @ k.T / math.sqrt(c)
-    attn = softmax_rows(scores)
-    out = attn @ v
+    qk = params.queries @ params.w_k                   # M x C
+    attn = softmax_rows(qk @ tokens.T / math.sqrt(c))  # M x N
+    pooled = attn @ tokens                             # M x C
+    out = pooled @ params.w_v.T
     if cache is not None:
-        cache.update(x=tokens, k=k, v=v, attn=attn)
+        cache.update(x=tokens, qk=qk, pooled=pooled, attn=attn)
     return CompressedTokens(out, "resample")
 
 

@@ -9,6 +9,8 @@ float64.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
 
@@ -99,7 +101,13 @@ def write_bundle(bundle: FeatureBundle, path) -> None:
 
 
 def _read_exact(fh, nbytes: int, what: str) -> bytes:
-    buf = fh.read(nbytes)
+    # Cap the read at the bytes a regular file has left, so a corrupt header
+    # cannot make read() allocate the size it claims.
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode):
+        buf = fh.read(min(nbytes, max(st.st_size - fh.tell(), 0)))
+    else:
+        buf = fh.read(nbytes)
     if len(buf) != nbytes:
         raise TruncatedFileError(
             f"truncated {what}: expected {nbytes} bytes, got {len(buf)}"
@@ -129,7 +137,10 @@ def read_bundle(path) -> FeatureBundle:
         text = None
         if flags & FLAG_TEXT:
             (tlen,) = struct.unpack("<I", _read_exact(fh, 4, "text length"))
-            text = _read_exact(fh, tlen, "text").decode("utf-8")
+            try:
+                text = _read_exact(fh, tlen, "text").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"text is not UTF-8: {exc}") from exc
     bundle = FeatureBundle(gh, gw, cv, ct, patches, cls_token,
                            eos_token, cls_attention, text)
     bundle.validate(attn_tol=1e-3)

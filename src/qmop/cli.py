@@ -20,7 +20,7 @@ from . import costmodel, pipeline as pl, trainer
 from .bundle import (FormatError, TruncatedFileError, ValidationError,
                      read_bundle, synth_bundle, write_bundle)
 from .config import ConfigError, PipelineConfig, load_config, parse_mode
-from .linalg import seeded_fill
+from .linalg import NumericError, seeded_fill
 
 EXIT_USAGE = 2
 EXIT_DIMS = 3
@@ -133,7 +133,10 @@ def cmd_compress(features, config_path, mode_spec, out, no_timing,
             result = pl.train_forward(bundle, params, tau=1.0,
                                       gumbel_scale=0.0, seed=cfg.seed)
         else:
-            result = pl.infer_forward(bundle, params, mode)
+            try:
+                result = pl.infer_forward(bundle, params, mode)
+            except NumericError as exc:
+                raise _RunError(EXIT_USAGE, f"bad bundle {path}: {exc}") from exc
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         active_names = result.active.members if result.active else None
         cost = costmodel.cost_report(

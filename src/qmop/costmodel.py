@@ -82,9 +82,9 @@ def projector_flops(
     """Per-branch, router, and output-MLP GFLOPs (2 FLOPs per MAC).
 
     The text encoder that produces the query is outside this model, so only
-    the gate MLP itself is counted. Pool folds its K/V projections onto the M
-    queries, so its C^2 terms scale with M, not N. Branch terms are reported
-    separately so top-k skipping is visible.
+    the gate MLP itself is counted. Pool and resample fold their K/V
+    projections onto the M queries, so their C^2 terms scale with M, not N.
+    Branch terms are reported separately so top-k skipping is visible.
     """
     if min(n_in, m_out) <= 0:
         zero = {b: 0.0 for b in ("pool", "resample", "prune")}
@@ -93,8 +93,9 @@ def projector_flops(
     n, m = n_in, m_out
 
     flops = {
-        # K/V projections over all N tokens + M queries attending to N keys
-        "resample": 2 * 2 * n * c * c + 2 * 2 * m * n * c,
+        # queries @ w_k and pooled @ w_v.T on the M rows + M queries
+        # attending over the N raw tokens (scores and weighted sum)
+        "resample": 2 * 2 * m * c * c + 2 * 2 * m * n * c,
         # q2d @ phi_k and pooled @ phi_v.T on the M rows + per-window
         # scores and weighted sum over the raw cells (M windows of s^2 = N/M)
         "pool": 2 * 2 * m * c * c + 2 * 2 * n * c,

@@ -19,7 +19,7 @@ import numpy as np
 from . import branches as br
 from . import router as rt
 from .bundle import FeatureBundle
-from .linalg import ACTIVATIONS, ShapeError, seeded_fill
+from .linalg import ACTIVATIONS, NumericError, ShapeError, seeded_fill
 
 
 @dataclass
@@ -250,6 +250,8 @@ def infer_forward(bundle: FeatureBundle, params: ProjectorParams,
         weights[rt.BRANCHES.index(name)] = wgt
     fused = fuse(outs, weights)
     tokens = _mlp_forward(params.out_mlp, fused)
+    if not np.isfinite(tokens).all():
+        raise NumericError("inference produced non-finite tokens")
     return ProjectedTokens(tokens, "infer", gate=gate, active=active)
 
 

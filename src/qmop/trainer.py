@@ -86,16 +86,20 @@ def loss_mse(output: np.ndarray, target: np.ndarray) -> float:
 
 
 class _Grads(dict):
-    """Gradient accumulators keyed by tensor name. Each is allocated on first
-    use, so the keys are exactly the tensors a backward pass reaches."""
+    """Gradients keyed by tensor name. A tensor's first contribution is stored
+    as is and later ones add into it in place, so the keys are exactly the
+    tensors a backward pass reaches. A contribution must be a fresh array
+    that nothing else holds, since the caller may accumulate into it."""
 
     def __init__(self, params: pl.ProjectorParams):
         super().__init__()
         self._params = dict(params.named_tensors())
 
-    def __missing__(self, name: str) -> np.ndarray:
-        acc = self[name] = np.zeros_like(self._params[name])
-        return acc
+    def add(self, name: str, contrib: np.ndarray) -> None:
+        if name in self:
+            self[name] += contrib
+        else:
+            self[name] = contrib
 
     def complete(self) -> dict[str, np.ndarray]:
         """A gradient for every tensor; unreached ones are read-only zeros."""
@@ -105,15 +109,15 @@ class _Grads(dict):
 
 
 def _mlp_backward(mlp: pl.Mlp, mcache: dict, d_y: np.ndarray,
-                  grads: dict, prefix: str) -> np.ndarray:
+                  grads: _Grads, prefix: str) -> np.ndarray:
     _, act_grad = ACTIVATIONS[mlp.activation]
     x, h, a = mcache["x"], mcache["h"], mcache["a"]
-    grads[f"{prefix}.w_out"] += d_y.T @ a
-    grads[f"{prefix}.b_out"] += d_y.sum(axis=0)
+    grads.add(f"{prefix}.w_out", d_y.T @ a)
+    grads.add(f"{prefix}.b_out", d_y.sum(axis=0))
     d_a = d_y @ mlp.w_out
     d_h = d_a * act_grad(h)
-    grads[f"{prefix}.w_in"] += d_h.T @ x
-    grads[f"{prefix}.b_in"] += d_h.sum(axis=0)
+    grads.add(f"{prefix}.w_in", d_h.T @ x)
+    grads.add(f"{prefix}.b_in", d_h.sum(axis=0))
     return d_h @ mlp.w_in
 
 
@@ -124,20 +128,20 @@ def _softmax_backward(p: np.ndarray, d_p: np.ndarray) -> np.ndarray:
 
 
 def _resample_backward(params: pl.ProjectorParams, rcache: dict,
-                       d_out: np.ndarray, grads: dict) -> None:
-    x, k, v, attn = rcache["x"], rcache["k"], rcache["v"], rcache["attn"]
-    scale = 1.0 / math.sqrt(k.shape[1])
-    d_v = attn.T @ d_out
-    d_attn = d_out @ v.T
+                       d_out: np.ndarray, grads: _Grads) -> None:
+    x, pooled, attn = rcache["x"], rcache["pooled"], rcache["attn"]
+    res = params.resampler
+    scale = 1.0 / math.sqrt(x.shape[1])
+    grads.add("resampler.w_v", d_out.T @ pooled)
+    d_attn = (d_out @ res.w_v) @ x.T                   # M x N
     d_s = _softmax_backward(attn, d_attn) * scale
-    grads["resampler.queries"] += d_s @ k
-    d_k = d_s.T @ params.resampler.queries
-    grads["resampler.w_k"] += d_k.T @ x
-    grads["resampler.w_v"] += d_v.T @ x
+    d_qk = d_s @ x                                     # M x C
+    grads.add("resampler.queries", d_qk @ res.w_k.T)
+    grads.add("resampler.w_k", res.queries.T @ d_qk)
 
 
 def _pool_backward(params: pl.ProjectorParams, pcache: dict,
-                   d_out: np.ndarray, grads: dict) -> None:
+                   d_out: np.ndarray, grads: _Grads) -> None:
     win, qk, pooled, attn = (pcache["windows"], pcache["qk"],
                              pcache["pooled"], pcache["attn"])
     pool = params.pool
@@ -148,17 +152,17 @@ def _pool_backward(params: pl.ProjectorParams, pcache: dict,
     d_attn = np.einsum("mc,mwc->mw", d_pooled, win)
     d_s = _softmax_backward(attn, d_attn) * scale
     d_qk = np.einsum("mw,mwc->mc", d_s, win)           # M x C
-    grads["pool.q2d"] += d_qk @ pool.phi_k.T
+    grads.add("pool.q2d", d_qk @ pool.phi_k.T)
     d_phi_k = pool.q2d.T @ d_qk
     if pool.shared_phi:
-        grads["pool.phi_k"] += d_phi_k + d_phi_v
+        grads.add("pool.phi_k", d_phi_k + d_phi_v)
     else:
-        grads["pool.phi_k"] += d_phi_k
-        grads["pool.phi_v"] += d_phi_v
+        grads.add("pool.phi_k", d_phi_k)
+        grads.add("pool.phi_v", d_phi_v)
 
 
 def _branch_backward(params, cache, name: str, d_out: np.ndarray,
-                     grads: dict) -> None:
+                     grads: _Grads) -> None:
     if name == "resample":
         _resample_backward(params, cache["resample"], d_out, grads)
     elif name == "pool":
@@ -212,13 +216,13 @@ def backward(bundle: FeatureBundle, params: pl.ProjectorParams,
     # gate: alpha = softmax((base_logits + noise)/tau), noise constant
     gc = cache["gate_cache"]
     d_logits = _softmax_backward(gate.alpha, d_alpha) / gate.tau_used
-    grads["router.w2"] += np.outer(d_logits, gc["a1"])
-    grads["router.b2"] += d_logits
+    grads.add("router.w2", np.outer(d_logits, gc["a1"]))
+    grads.add("router.b2", d_logits)
     d_a1 = params.router.w2.T @ d_logits
     _, act_grad = ACTIVATIONS[params.router.activation]
     d_h1 = d_a1 * act_grad(gc["h1"])
-    grads["router.w1"] += np.outer(d_h1, gc["f"])
-    grads["router.b1"] += d_h1
+    grads.add("router.w1", np.outer(d_h1, gc["f"]))
+    grads.add("router.b1", d_h1)
     return loss, grads.complete(), {"gate": gate, "reached": tuple(grads)}
 
 

@@ -183,6 +183,43 @@ class TestResample:
         with pytest.raises(ShapeError):
             resample(seeded_fill(0, 3, 4), self.params(m=2, c=3))
 
+    @pytest.mark.parametrize("m,n,c", [
+        (2, 9, 5),       # fewer queries than tokens
+        (7, 3, 5),       # more queries than tokens
+        (4, 1, 6),       # a single token
+        (9, 36, 16),     # 6x6 grid to 3x3, the paper's 4:1 ratio
+        (144, 576, 24),  # paper token counts at a narrow width
+    ])
+    def test_equals_project_every_token(self, m, n, c):
+        sigma = 1.0 / math.sqrt(c)
+        p = ResamplerParams(
+            queries=seeded_fill(20, m, c, sigma=sigma),
+            w_k=seeded_fill(21, c, c, sigma=sigma),
+            w_v=seeded_fill(22, c, c, sigma=sigma),
+        )
+        x = seeded_fill(23, n, c)
+        out = resample(x, p)
+        assert out.tokens.shape == (m, c)
+        assert np.max(np.abs(out.tokens
+                             - project_every_token_oracle(x, p))) <= 1e-12
+
+    def test_cache_rebuilds_output(self):
+        p = self.params(m=3, c=4)
+        x = seeded_fill(12, 5, 4)
+        cache = {}
+        out = resample(x, p, cache=cache)
+        assert set(cache) == {"x", "qk", "pooled", "attn"}
+        assert np.allclose(cache["attn"].sum(axis=1), 1.0, atol=1e-15)
+        assert np.array_equal(cache["pooled"] @ p.w_v.T, out.tokens)
+
+
+def project_every_token_oracle(x, params):
+    """Resample as first defined: project every token to a key and a value,
+    then let the queries attend over all of them."""
+    keys, vals = x @ params.w_k.T, x @ params.w_v.T
+    scores = params.queries @ keys.T / math.sqrt(x.shape[1])
+    return softmax_rows(scores) @ vals
+
 
 def pool_params(grid_h, grid_w, stride, c, seed=0, shared=False):
     h, w = grid_h // stride, grid_w // stride

@@ -1,8 +1,12 @@
 import os
 import struct
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmop.bundle import (
     MAGIC,
@@ -102,6 +106,88 @@ class TestErrors:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValidationError, match="sums to"):
             read_bundle(path)
+
+
+    def test_huge_header_on_tiny_file_fails_fast(self, tmp_path):
+        # 128x128 patches of width 1536: the header claims ~100 MB of patches
+        path = tmp_path / "b.qmop"
+        path.write_bytes(struct.pack("<8s5I", MAGIC, 128, 128, 1536, 3, 0)
+                         + bytes(16))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(TruncatedFileError, match="100663296"):
+                read_bundle(path)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("field", range(1, 5))
+    def test_high_bit_dimension_is_truncation(self, tmp_path, field):
+        # a flipped top bit makes the claimed layout exceed any memory
+        dims = [2, 2, 4, 3]
+        dims[field - 1] |= 1 << 31
+        path = tmp_path / "b.qmop"
+        path.write_bytes(struct.pack("<8s5I", MAGIC, *dims, 0) + bytes(64))
+        with pytest.raises(TruncatedFileError):
+            read_bundle(path)
+
+    def test_text_not_utf8(self, tmp_path):
+        b = synth_bundle(0, 2, 2, 4, 3)
+        b.text_raw = "ab"
+        path = tmp_path / "b.qmop"
+        write_bundle(b, path)
+        raw = bytearray(path.read_bytes())
+        raw[-2] = 0xFF  # never valid in UTF-8
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="UTF-8"):
+            read_bundle(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A valid bundle file with multi-byte text, and a path for damaged
+    copies of it."""
+    work = tmp_path_factory.mktemp("fuzz")
+    b = synth_bundle(3, 2, 3, 4, 3)
+    b.text_raw = "naïve text"
+    write_bundle(b, work / "valid.qmop")
+    return work
+
+
+def read_damaged(work, raw: bytes):
+    path = work / "damaged.qmop"
+    path.write_bytes(raw)
+    with np.errstate(invalid="ignore"):  # flipped exponents cast as NaN
+        return read_bundle(path)
+
+
+class TestFuzz:
+    """A damaged file reads as a valid bundle or fails with a bundle error;
+    nothing else may escape `read_bundle`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_truncation_is_truncated_file_error(self, fuzz_dir, data):
+        raw = (fuzz_dir / "valid.qmop").read_bytes()
+        cut = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
+        with pytest.raises(TruncatedFileError):
+            read_damaged(fuzz_dir, raw[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_single_bit_flip(self, fuzz_dir, data):
+        raw = bytearray((fuzz_dir / "valid.qmop").read_bytes())
+        bit = data.draw(st.integers(min_value=0, max_value=8 * len(raw) - 1))
+        raw[bit // 8] ^= 1 << (bit % 8)
+        try:
+            bundle = read_damaged(fuzz_dir, bytes(raw))
+        except (FormatError, TruncatedFileError, ValidationError):
+            return
+        bundle.validate(attn_tol=1e-3)
 
 
 class TestSynth:

@@ -8,6 +8,8 @@ from click.testing import CliRunner
 from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT202012
 
+from qmop import cli
+from qmop.bundle import read_bundle
 from qmop.cli import main
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "qmop" / "schemas"
@@ -150,6 +152,26 @@ class TestCompress:
         assert isinstance(res.exception, SystemExit)
         assert len(res.output.strip().splitlines()) == 1
         assert str(features) in res.output
+
+    def test_overflowing_bundle_exit_2(self, runner, workspace, monkeypatch):
+        # a float32 file cannot carry values that overflow the float64
+        # forward, so the bundle is scaled to the largest double after reading
+        tmp, cfg, features = workspace
+
+        def read_huge(path):
+            bundle = read_bundle(path)
+            bundle.patches[:] = np.finfo(np.float64).max
+            return bundle
+
+        monkeypatch.setattr(cli, "read_bundle", read_huge)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = runner.invoke(main, ["compress", "--features", str(features),
+                                       "--config", str(cfg),
+                                       "--mode", "topk:3"])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert len(res.output.strip().splitlines()) == 1
+        assert str(features) in res.output and "non-finite" in res.output
 
     def test_unknown_config_key_rejected(self, runner, workspace, tmp_path):
         tmp, _, features = workspace

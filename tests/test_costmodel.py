@@ -68,13 +68,21 @@ class TestProjectorFlops:
         assert out["total"] == 0.0
 
     def test_doubling_c_quadruples_resampler_projection(self):
-        base = projector_flops(576, 144, 512, 768, 4096)
-        # the C^2 projection term dominates the resampler at these dims
-        doubled = projector_flops(576, 144, 1024, 768, 4096)
-        proj_base = 2 * 2 * 576 * 512 * 512 / 1e9
-        proj_doubled = 2 * 2 * 576 * 1024 * 1024 / 1e9
-        attn_base = base["resample"] - proj_base
-        attn_doubled = doubled["resample"] - proj_doubled
+        def resample_terms(c):
+            # the resampler is affine in N: the N-free part is the C^2
+            # projection, the N-proportional part is the attention
+            one = projector_flops(576, 144, c, 768, 4096)["resample"]
+            two = projector_flops(2 * 576, 144, c, 768, 4096)["resample"]
+            attn = two - one
+            return one - attn, attn
+
+        proj_base, attn_base = resample_terms(512)
+        proj_doubled, attn_doubled = resample_terms(1024)
+        # projections run on the M queries, not the N tokens
+        assert proj_base == pytest.approx(2 * 2 * 144 * 512 * 512 / 1e9,
+                                          rel=1e-12)
+        assert attn_base == pytest.approx(2 * 2 * 144 * 576 * 512 / 1e9,
+                                          rel=1e-12)
         assert proj_doubled == pytest.approx(4 * proj_base, rel=1e-12)
         assert attn_doubled == pytest.approx(2 * attn_base, rel=1e-12)
 

@@ -3,7 +3,7 @@ import pytest
 
 from qmop.branches import CompressedTokens, pool_local, prune_scores, \
     prune_select, resample
-from qmop.linalg import ACTIVATIONS, ShapeError, seeded_fill
+from qmop.linalg import ACTIVATIONS, NumericError, ShapeError, seeded_fill
 from qmop.pipeline import (
     BranchCounters,
     fuse,
@@ -203,6 +203,16 @@ class TestInferForward:
                      ("threshold", 0.2)):
             assert infer_forward(tiny_bundle, tiny_params,
                                  mode).tokens.shape == (4, 8)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_overflow_raises_numeric_error(self, tiny_bundle, tiny_params, k):
+        # the largest finite double passes validation, but the first
+        # projection of it that sums to more than one overflows
+        tiny_bundle.patches[:] = np.finfo(np.float64).max
+        tiny_bundle.validate()
+        with pytest.raises(NumericError, match="non-finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            infer_forward(tiny_bundle, tiny_params, ("topk", k))
 
 
 class TestParamsVector:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qmop import init_projector_params, stage1_forward, synth_bundle
-from qmop.linalg import seeded_fill
-from qmop.pipeline import params_to_vector
+from qmop.linalg import grad_check, seeded_fill
+from qmop.pipeline import params_to_vector, train_forward
 from qmop.trainer import (
     AnnealSchedule,
     DivergenceError,
@@ -16,6 +16,7 @@ from qmop.trainer import (
     loss_mse,
     params_digest,
     tau_at,
+    _Grads,
     train_toy,
 )
 
@@ -112,6 +113,24 @@ class TestBackward:
         for name in ("stage1_mlp.w_in", "stage1_mlp.b_out", "relevance.g"):
             assert np.count_nonzero(grads[name]) == 0
 
+    @pytest.mark.parametrize("mode", [("stage1",), ("train", 1.3, 0.7, 0)])
+    def test_reached_grads_own_their_memory(self, tiny_bundle, tiny_params,
+                                            tiny_target, mode):
+        # train_toy accumulates into and scales these arrays in place
+        _, grads, aux = backward(tiny_bundle, tiny_params, tiny_target, mode)
+        tensors = dict(tiny_params.named_tensors())
+        held = list(tensors.values()) + [
+            tiny_bundle.patches, tiny_bundle.cls_token, tiny_bundle.eos_token,
+            tiny_target]
+        if aux["gate"] is not None:
+            held += [aux["gate"].alpha, aux["gate"].logits]
+        reached = [grads[name] for name in aux["reached"]]
+        for name, grad in zip(aux["reached"], reached):
+            assert grad.shape == tensors[name].shape, name
+            assert grad.flags.writeable, name
+            others = held + [g for g in reached if g is not grad]
+            assert not any(np.shares_memory(grad, o) for o in others), name
+
     @pytest.mark.parametrize("seed", range(5))
     def test_gradcheck_stage1(self, seed):
         params = make_params(seed)
@@ -146,6 +165,34 @@ class TestBackward:
         target = seeded_fill(506, 4, 8)
         report = gradcheck_params(bundle, params, target, mode)
         assert max(report.values()) <= TOL
+
+    @pytest.mark.parametrize("mode", [("stage1",), ("train", 1.3, 0.7, 8)])
+    def test_gradcheck_resampler_6x6(self, mode):
+        # 6x6 grid at stride 2: nine queries over 36 tokens
+        params = init_projector_params(6, 6, 8, 6, 8, 9, 2, seed=8)
+        bundle = synth_bundle(8, 6, 6, 8, 6)
+        target = seeded_fill(508, 9, 8)
+        _, grads, _ = backward(bundle, params, target, mode)
+
+        def loss():
+            if mode[0] == "stage1":
+                out = stage1_forward(bundle, params)
+            else:
+                out = train_forward(bundle, params, *mode[1:])
+            return loss_mse(out.tokens, target)
+
+        for attr in ("queries", "w_k", "w_v"):
+            tensor = getattr(params.resampler, attr)
+            start = tensor.ravel().copy()
+
+            def tensor_loss(flat, tensor=tensor):
+                tensor.flat[:] = flat
+                return loss()
+
+            err = grad_check(tensor_loss, start,
+                             grads[f"resampler.{attr}"].ravel())
+            tensor.flat[:] = start
+            assert err <= TOL, attr
 
     def test_gradcheck_relu(self):
         params = init_projector_params(4, 4, 8, 6, 8, 4, 2, seed=2,
@@ -272,3 +319,14 @@ def test_params_digest_hashes_the_float32_vector(tiny_params):
     vec, _ = params_to_vector(tiny_params)
     expected = hashlib.sha256(vec.astype("<f4").tobytes()).hexdigest()
     assert params_digest(tiny_params) == expected
+
+
+def test_grads_keep_first_contribution_and_add_later(tiny_params):
+    grads = _Grads(tiny_params)
+    first = np.ones(3)
+    grads.add("router.b2", first)
+    assert grads["router.b2"] is first  # stored as is, no zero-fill
+    grads.add("router.b2", np.full(3, 2.0))
+    assert grads["router.b2"] is first
+    assert np.array_equal(first, [3.0, 3.0, 3.0])
+    assert tuple(grads) == ("router.b2",)
