@@ -128,7 +128,9 @@ def read_bundle(path) -> FeatureBundle:
 
         def payload(count, what):
             raw = _read_exact(fh, 4 * count, what)
-            return np.frombuffer(raw, dtype="<f4").astype(np.float64)
+            # a signalling-NaN pattern warns in the cast; validate rejects it
+            with np.errstate(invalid="ignore"):
+                return np.frombuffer(raw, dtype="<f4").astype(np.float64)
 
         patches = payload(n * cv, "patches").reshape(n, cv)
         cls_token = payload(cv, "cls_token")

@@ -127,16 +127,20 @@ def cmd_compress(features, config_path, mode_spec, out, no_timing,
                 f"c_vis={cfg.c_vis} c_txt={cfg.c_txt}"
             )
         t0 = time.perf_counter()
-        if mode[0] == "stage1":
-            result = pl.stage1_forward(bundle, params)
-        elif mode[0] == "train":
-            result = pl.train_forward(bundle, params, tau=1.0,
-                                      gumbel_scale=0.0, seed=cfg.seed)
-        else:
-            try:
+        try:
+            if mode[0] == "stage1":
+                result = pl.stage1_forward(bundle, params)
+            elif mode[0] == "train":
+                result = pl.train_forward(bundle, params, tau=1.0,
+                                          gumbel_scale=0.0, seed=cfg.seed)
+            else:
                 result = pl.infer_forward(bundle, params, mode)
-            except NumericError as exc:
-                raise _RunError(EXIT_USAGE, f"bad bundle {path}: {exc}") from exc
+            # train and stage1 return non-finite tokens as they are, since
+            # training turns them into a DivergenceError
+            if not np.isfinite(result.tokens).all():
+                raise NumericError(f"{mode[0]} produced non-finite tokens")
+        except NumericError as exc:
+            raise _RunError(EXIT_USAGE, f"bad bundle {path}: {exc}") from exc
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         active_names = result.active.members if result.active else None
         cost = costmodel.cost_report(

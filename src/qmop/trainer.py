@@ -172,13 +172,16 @@ def _branch_backward(params, cache, name: str, d_out: np.ndarray,
 
 
 def backward(bundle: FeatureBundle, params: pl.ProjectorParams,
-             target: np.ndarray, mode: tuple):
+             target: np.ndarray, mode: tuple, into: _Grads | None = None):
     """Loss and analytic gradients for every learnable tensor.
 
     mode is ("stage1",) or ("train", tau, gumbel_scale, seed). Returns
     (loss, grads, aux) where aux carries the forward gate for inspection and
     "reached", the names of the tensors the mode trains. The other tensors'
-    gradients are exactly zero and come back as read-only views.
+    gradients are exactly zero and come back as read-only views. With
+    `into`, this sample's gradients add into that accumulator instead of a
+    fresh one, and the returned gradients are its running sums; each reached
+    tensor gets exactly one contribution per call.
     """
     cache: dict = {}
     if mode[0] == "stage1":
@@ -192,7 +195,7 @@ def backward(bundle: FeatureBundle, params: pl.ProjectorParams,
     diff = out.tokens - target
     loss = float(np.mean(diff * diff))
     d_y = 2.0 * diff / diff.size
-    grads = _Grads(params)
+    grads = _Grads(params) if into is None else into
     c = bundle.c_vis
 
     if mode[0] == "stage1":
@@ -256,12 +259,22 @@ def gradcheck_params(bundle: FeatureBundle, params: pl.ProjectorParams,
     return report
 
 
+DIGEST_CHUNK = 1 << 18   # float32 elements cast and hashed at a time
+
+
 def params_digest(params: pl.ProjectorParams) -> str:
     """sha256 of every tensor as little-endian float32, in `named_tensors`
-    order: the bytes of the flat parameter vector, hashed tensor by tensor."""
+    order: the bytes of the flat parameter vector, cast chunk by chunk into
+    one reused buffer and hashed as they go."""
     digest = hashlib.sha256()
+    buf = np.empty(DIGEST_CHUNK, dtype="<f4")
     for _, arr in params.named_tensors():
-        digest.update(np.ascontiguousarray(arr, dtype="<f4"))
+        flat = arr.reshape(-1)   # a view of the C-contiguous params we make
+        for start in range(0, arr.size, DIGEST_CHUNK):
+            part = flat[start:start + DIGEST_CHUNK]
+            chunk = buf[:len(part)]
+            chunk[...] = part
+            digest.update(chunk)
     return digest.hexdigest()
 
 
@@ -281,7 +294,7 @@ def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
             gscale = gumbel_scale_at(config.schedule, step)
             tau_trace.append(tau)
             gumbel_trace.append(gscale)
-        total: dict[str, np.ndarray] = {}
+        grads = _Grads(params)   # every sample of the batch adds into it
         step_loss = 0.0
         step_entropy = 0.0
         for i, (bundle, target) in enumerate(batch):
@@ -290,13 +303,8 @@ def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
             else:
                 noise_seed = config.seed * 1000003 + step * len(batch) + i
                 mode = ("train", tau, gscale, noise_seed)
-            loss, grads, aux = backward(bundle, params, target, mode)
+            loss, _, aux = backward(bundle, params, target, mode, into=grads)
             step_loss += loss
-            if i == 0:   # accumulate into the first sample's gradients
-                total = {name: grads[name] for name in aux["reached"]}
-            else:
-                for name, acc in total.items():
-                    acc += grads[name]
             if aux["gate"] is not None:
                 step_entropy += gate_entropy(aux["gate"].alpha)
         step_loss /= len(batch)
@@ -309,7 +317,7 @@ def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
                 first_entropy = step_entropy
             final_entropy = step_entropy
         tensors = dict(params.named_tensors())
-        for name, acc in total.items():
+        for name, acc in grads.items():
             acc *= config.lr
             acc /= len(batch)
             tensors[name] -= acc

@@ -2,6 +2,7 @@ import os
 import struct
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -161,7 +162,8 @@ def fuzz_dir(tmp_path_factory):
 def read_damaged(work, raw: bytes):
     path = work / "damaged.qmop"
     path.write_bytes(raw)
-    with np.errstate(invalid="ignore"):  # flipped exponents cast as NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a warning escapes as an exception
         return read_bundle(path)
 
 
@@ -249,6 +251,17 @@ class TestValidate:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValidationError, match="patches"):
             read_bundle(path)
+
+    def test_signalling_nan_payload_rejected_without_warning(self, tmp_path):
+        path = tmp_path / "b.qmop"
+        write_bundle(synth_bundle(0, 2, 2, 4, 3), path)
+        raw = bytearray(path.read_bytes())
+        raw[28:32] = struct.pack("<I", 0x7F800001)  # patches[0, 0]
+        path.write_bytes(bytes(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="patches"):
+                read_bundle(path)
 
 
 def test_hundred_random_round_trips(tmp_path):

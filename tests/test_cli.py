@@ -173,6 +173,29 @@ class TestCompress:
         assert len(res.output.strip().splitlines()) == 1
         assert str(features) in res.output and "non-finite" in res.output
 
+    @pytest.mark.parametrize("mode", ["stage1", "train"])
+    def test_overflowing_bundle_exit_2_in_training_modes(
+            self, runner, workspace, monkeypatch, mode):
+        # the training forwards return non-finite tokens as they are; the
+        # command must still refuse them rather than dump bare NaN as JSON
+        tmp, cfg, features = workspace
+
+        def read_huge(path):
+            bundle = read_bundle(path)
+            bundle.patches[:] = np.finfo(np.float64).max
+            return bundle
+
+        monkeypatch.setattr(cli, "read_bundle", read_huge)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = runner.invoke(main, ["compress", "--features", str(features),
+                                       "--config", str(cfg), "--mode", mode,
+                                       "--dump-tokens"])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert len(res.output.strip().splitlines()) == 1
+        assert res.output.startswith(f"bad bundle {features}: ")
+        assert "non-finite" in res.output
+
     def test_unknown_config_key_rejected(self, runner, workspace, tmp_path):
         tmp, _, features = workspace
         bad = tmp_path / "bad.json"

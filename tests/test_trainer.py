@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from qmop import init_projector_params, stage1_forward, synth_bundle
 from qmop.linalg import grad_check, seeded_fill
 from qmop.pipeline import params_to_vector, train_forward
 from qmop.trainer import (
+    DIGEST_CHUNK,
     AnnealSchedule,
     DivergenceError,
     TrainConfig,
@@ -308,6 +311,71 @@ class TestTrainToy:
         assert wins >= 8
 
 
+def reference_step(params, bundles, targets, stage, lr, seed):
+    """Step 0 of train_toy written out: sum the per-sample gradients that
+    backward() returns, then scale and subtract them."""
+    sched = AnnealSchedule()
+    total = {}
+    for i, (bundle, target) in enumerate(zip(bundles, targets)):
+        mode = ("stage1",) if stage == 1 else (
+            "train", tau_at(sched, 0), gumbel_scale_at(sched, 0),
+            seed * 1000003 + i)
+        _, grads, aux = backward(bundle, params, target, mode)
+        for name in aux["reached"]:
+            if name in total:
+                total[name] += grads[name]
+            else:
+                total[name] = grads[name]
+    tensors = dict(params.named_tensors())
+    for name, acc in total.items():
+        acc *= lr
+        acc /= len(bundles)
+        tensors[name] -= acc
+
+
+class TestOneGradientSet:
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_step_bit_identical_to_summed_backwards(self, stage, shared):
+        params = init_projector_params(4, 4, 8, 6, 8, 4, 2, seed=9,
+                                       shared_pool_phi=shared)
+        expected = copy.deepcopy(params)
+        bundles, targets = make_batch(9, n=3)
+        train_toy(params, TrainConfig(
+            stage=stage, steps=1, lr=0.1, seed=9, bundles=bundles,
+            targets=targets, final_grad_check=False))
+        reference_step(expected, bundles, targets, stage, 0.1, 9)
+        for (name, got), (_, want) in zip(params.named_tensors(),
+                                          expected.named_tensors()):
+            assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_traced_peak_does_not_grow_with_batch(self, stage):
+        # one accumulator per step: a larger batch adds at most one fresh
+        # contribution in flight, never a second gradient set
+        bundles = [synth_bundle(i, 8, 8, 128, 96) for i in range(4)]
+        targets = [seeded_fill(50 + i, 16, 512) for i in range(4)]
+
+        def step_peak(batch):
+            params = init_projector_params(8, 8, 128, 96, 512, 16, 2, seed=0)
+            config = TrainConfig(
+                stage=stage, steps=1, lr=0.1, seed=0, bundles=bundles[:batch],
+                targets=targets[:batch], final_grad_check=False)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                train_toy(params, config)
+                return tracemalloc.get_traced_memory()[1] - base, params
+            finally:
+                tracemalloc.stop()
+
+        peak1, params = step_peak(1)
+        mode = ("stage1",) if stage == 1 else ("train", 1.0, 0.0, 0)
+        _, grads, aux = backward(bundles[0], params, targets[0], mode)
+        largest = max(grads[name].nbytes for name in aux["reached"])
+        assert step_peak(4)[0] - peak1 <= largest + 64 * 1024
+
+
 def test_params_digest_changes_with_params(tiny_params):
     before = params_digest(tiny_params)
     tiny_params.router.b2[0] += 1.0
@@ -330,3 +398,15 @@ def test_grads_keep_first_contribution_and_add_later(tiny_params):
     assert grads["router.b2"] is first
     assert np.array_equal(first, [3.0, 3.0, 3.0])
     assert tuple(grads) == ("router.b2",)
+
+
+def test_params_digest_across_chunk_boundaries(tiny_params):
+    rng = np.random.default_rng(0)
+    # C order over two chunk boundaries with a remainder, and Fortran order
+    # over one boundary
+    tiny_params.out_mlp.w_out = rng.standard_normal(2 * DIGEST_CHUNK + 5)
+    tiny_params.stage1_mlp.w_out = np.asfortranarray(
+        rng.standard_normal((3, DIGEST_CHUNK // 2 + 41)))
+    vec, _ = params_to_vector(tiny_params)
+    expected = hashlib.sha256(vec.astype("<f4").tobytes()).hexdigest()
+    assert params_digest(tiny_params) == expected
