@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import stat
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -21,6 +21,7 @@ from .bundle import (FormatError, TruncatedFileError, ValidationError,
                      read_bundle, synth_bundle, write_bundle)
 from .config import ConfigError, PipelineConfig, load_config, parse_mode
 from .linalg import NumericError, seeded_fill
+from .router import BRANCHES
 
 EXIT_USAGE = 2
 EXIT_DIMS = 3
@@ -146,7 +147,7 @@ def cmd_compress(features, config_path, mode_spec, out, no_timing,
         cost = costmodel.cost_report(
             cfg.m_tokens, n_in=cfg.n_tokens, c_vis=cfg.c_vis,
             c_txt=cfg.c_txt, d_llm=cfg.d_llm,
-            active=active_names or ("pool", "resample", "prune"),
+            active=active_names or BRANCHES,
         )
         run = {
             "features": str(path),

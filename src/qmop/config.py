@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .router import BRANCHES
 from .trainer import AnnealSchedule
 
 
@@ -82,8 +83,9 @@ def parse_mode(spec: str) -> tuple[str, float]:
             k = int(arg)
         except ValueError:
             raise ConfigError(f"bad topk arg {arg!r}") from None
-        if not 1 <= k <= 3:
-            raise ConfigError(f"topk k must be in [1,3], got {k}")
+        if not 1 <= k <= len(BRANCHES):
+            raise ConfigError(
+                f"topk k must be in [1,{len(BRANCHES)}], got {k}")
         return ("topk", float(k))
     if kind == "threshold":
         try:

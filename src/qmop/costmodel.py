@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import DomainError
+from .router import BRANCHES
 
 # Published complexity-table anchors for the 7B baseline:
 # 576 tokens -> 3.82 TFLOPs / 302.0 M KV; 144 tokens -> 0.94 TFLOPs / 75.5 M.
@@ -77,7 +78,7 @@ def kv_cache(n_tokens: float, m_per_token: float = KV_M_PER_TOKEN) -> float:
 def projector_flops(
     n_in: int, m_out: int, c_vis: int, c_txt: int, d_llm: int,
     router_hidden: int | None = None,
-    active: tuple[str, ...] = ("pool", "resample", "prune"),
+    active: tuple[str, ...] = BRANCHES,
 ) -> dict[str, float]:
     """Per-branch, router, and output-MLP GFLOPs (2 FLOPs per MAC).
 
@@ -87,7 +88,7 @@ def projector_flops(
     Branch terms are reported separately so top-k skipping is visible.
     """
     if min(n_in, m_out) <= 0:
-        zero = {b: 0.0 for b in ("pool", "resample", "prune")}
+        zero = dict.fromkeys(BRANCHES, 0.0)
         return {**zero, "out_mlp": 0.0, "router": 0.0, "total": 0.0}
     c, c2, d = c_vis, c_txt, d_llm
     n, m = n_in, m_out
@@ -105,8 +106,8 @@ def projector_flops(
         "out_mlp": 2 * m * c * c + 2 * m * c * d,
     }
     hidden = router_hidden if router_hidden else -(-(c + c2) // 2)
-    flops["router"] = 2 * hidden * (c + c2) + 2 * 3 * hidden
-    branch_total = sum(flops[b] for b in ("pool", "resample", "prune") if b in active)
+    flops["router"] = 2 * hidden * (c + c2) + 2 * len(BRANCHES) * hidden
+    branch_total = sum(flops[b] for b in BRANCHES if b in active)
     flops["total"] = branch_total + flops["out_mlp"] + flops["router"]
     return {k: v / 1e9 for k, v in flops.items()}
 
@@ -114,8 +115,7 @@ def projector_flops(
 def cost_report(n_tokens: int, n_in: int | None = None,
                 c_vis: int | None = None, c_txt: int | None = None,
                 d_llm: int | None = None,
-                active: tuple[str, ...] = ("pool", "resample", "prune"),
-                ) -> CostReport:
+                active: tuple[str, ...] = BRANCHES) -> CostReport:
     dims = dict(DEFAULT_DIMS)
     for key, val in (("n_in", n_in), ("c_vis", c_vis),
                      ("c_txt", c_txt), ("d_llm", d_llm)):

@@ -1,5 +1,6 @@
-"""Dense float64 tensor primitives: matmul, softmax, attention, linear layers,
-a central-difference gradient checker, and deterministic seeded initialization.
+"""Dense float64 tensor primitives: shape-checked coercion, row softmax,
+activations, a central-difference gradient checker, and deterministic seeded
+initialization.
 
 Everything downstream operates on plain numpy arrays (2D "matrices", 1D
 "vectors") in float64. Shapes are validated eagerly so errors surface at the
@@ -41,13 +42,6 @@ def as_vector(x) -> np.ndarray:
     return a
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def softmax_rows(x: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Row-wise softmax of x / temperature, max-subtracted for stability."""
     if temperature <= 0:
@@ -57,27 +51,6 @@ def softmax_rows(x: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Scaled dot-product attention: softmax(q k^T / sqrt(d)) v, d = k.cols."""
-    q, k, v = as_matrix(q), as_matrix(k), as_matrix(v)
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"query/key width mismatch: {q.shape} vs {k.shape}")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"key/value count mismatch: {k.shape} vs {v.shape}")
-    scores = q @ k.T / math.sqrt(k.shape[1])
-    return softmax_rows(scores) @ v
-
-
-def linear(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Affine map applied per row: x @ w.T + b."""
-    w, b, x = as_matrix(w), as_vector(b), as_matrix(x)
-    if w.shape[1] != x.shape[1]:
-        raise ShapeError(f"weight/input width mismatch: {w.shape} vs {x.shape}")
-    if b.shape[0] != w.shape[0]:
-        raise ShapeError(f"bias/weight row mismatch: {b.shape} vs {w.shape}")
-    return x @ w.T + b
 
 
 def gelu(x: np.ndarray) -> np.ndarray:

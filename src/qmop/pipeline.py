@@ -1,10 +1,9 @@
 """End-to-end projector forward passes.
 
-Three modes share the branch operators:
-- stage1: channel-concat the three branch outputs, project with one MLP
+Three modes share the branch operators, taken in `router.BRANCHES` order:
+- stage1: channel-concat every branch's output, project with one MLP
   (router off).
-- train: router-weighted sum over all three branches, then the shared
-  output MLP.
+- train: router-weighted sum over all branches, then the shared output MLP.
 - infer: run the gate noise-free, select active branches (top-k or
   threshold), execute only those, fuse with renormalized weights.
 """
@@ -12,7 +11,7 @@ Three modes share the branch operators:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,7 @@ class ProjectorParams:
     resampler: br.ResamplerParams
     pool: br.PoolParams
     router: rt.RouterParams
-    stage1_mlp: Mlp            # 3C -> 3C -> D_llm
+    stage1_mlp: Mlp            # BC -> BC -> D_llm, B branches
     out_mlp: Mlp               # C -> C -> D_llm
     m_tokens: int
 
@@ -69,13 +68,6 @@ class ProjectedTokens:
     active: rt.ActiveSet | None = None
 
 
-@dataclass
-class BranchCounters:
-    pool: int = 0
-    resample: int = 0
-    prune: int = 0
-
-
 def init_projector_params(
     grid_h: int, grid_w: int, c_vis: int, c_txt: int, d_llm: int,
     m_tokens: int, stride: int, seed: int = 0,
@@ -91,7 +83,7 @@ def init_projector_params(
         raise ShapeError(
             f"m_tokens {m_tokens} != pooled grid {h}x{w} at stride {stride}"
         )
-    c, c2 = c_vis, c_txt
+    c, c2, nb = c_vis, c_txt, len(rt.BRANCHES)
     d = router_hidden if router_hidden else math.ceil((c + c2) / 2)
     s = [seed * 64 + i for i in range(32)]  # distinct subseed per tensor
 
@@ -110,11 +102,11 @@ def init_projector_params(
         ),
         router=rt.RouterParams(
             w1=g(7, d, c + c2, c + c2), b1=np.zeros(d),
-            w2=g(8, 3, d, d), b2=np.zeros(3), activation=activation,
+            w2=g(8, nb, d, d), b2=np.zeros(nb), activation=activation,
         ),
         stage1_mlp=Mlp(
-            w_in=g(9, 3 * c, 3 * c, 3 * c), b_in=np.zeros(3 * c),
-            w_out=g(10, d_llm, 3 * c, 3 * c), b_out=np.zeros(d_llm),
+            w_in=g(9, nb * c, nb * c, nb * c), b_in=np.zeros(nb * c),
+            w_out=g(10, d_llm, nb * c, nb * c), b_out=np.zeros(d_llm),
             activation=activation,
         ),
         out_mlp=Mlp(
@@ -127,32 +119,25 @@ def init_projector_params(
 
 
 def _run_branch(name: str, bundle: FeatureBundle, params: ProjectorParams,
-                counters: BranchCounters | None,
-                cache: dict | None) -> br.CompressedTokens:
-    sub = {} if cache is not None else None
+                cache: dict | None = None) -> br.CompressedTokens:
     if name == "pool":
-        out = br.pool_local(bundle, params.pool, cache=sub)
-    elif name == "resample":
-        out = br.resample(bundle.patches, params.resampler, cache=sub)
-    elif name == "prune":
+        return br.pool_local(bundle, params.pool, cache=cache)
+    if name == "resample":
+        return br.resample(bundle.patches, params.resampler, cache=cache)
+    if name == "prune":
         scores = br.prune_scores(bundle, params.relevance,
                                  params.prune_cfg.lam, params.prune_cfg.metric)
-        out = br.prune_select(bundle.patches, scores, params.prune_cfg.m_out)
-        if sub is not None:
-            sub["kept"] = out.kept_indices
-    else:
-        raise ValueError(f"unknown branch {name!r}")
-    if counters is not None:
-        setattr(counters, name, getattr(counters, name) + 1)
-    if cache is not None:
-        cache[name] = sub
-    return out
+        return br.prune_select(bundle.patches, scores, params.prune_cfg.m_out)
+    raise ValueError(f"unknown branch {name!r}")
 
 
 def run_branches(bundle: FeatureBundle, params: ProjectorParams,
-                 counters: BranchCounters | None = None,
                  cache: dict | None = None) -> dict[str, br.CompressedTokens]:
-    return {name: _run_branch(name, bundle, params, counters, cache)
+    """Every branch in `router.BRANCHES` order; with `cache`, each branch
+    records what its backward needs under `cache[name]`."""
+    return {name: _run_branch(
+                name, bundle, params,
+                None if cache is None else cache.setdefault(name, {}))
             for name in rt.BRANCHES}
 
 
@@ -196,15 +181,13 @@ def _mlp_forward(mlp: Mlp, x: np.ndarray, cache: dict | None = None) -> np.ndarr
 
 
 def stage1_forward(bundle: FeatureBundle, params: ProjectorParams,
-                   counters: BranchCounters | None = None,
                    cache: dict | None = None) -> ProjectedTokens:
-    outs = run_branches(bundle, params, counters, cache)
+    outs = run_branches(bundle, params, cache)
     concat = np.concatenate([outs[n].tokens for n in rt.BRANCHES], axis=1)
     mlp_cache = {} if cache is not None else None
     tokens = _mlp_forward(params.stage1_mlp, concat, mlp_cache)
     if cache is not None:
         cache["mlp"] = mlp_cache
-        cache["outputs"] = outs
     return ProjectedTokens(tokens, "stage1")
 
 
@@ -217,11 +200,10 @@ def _gate(bundle: FeatureBundle, params: ProjectorParams, tau: float,
 
 def train_forward(bundle: FeatureBundle, params: ProjectorParams,
                   tau: float = 1.0, gumbel_scale: float = 0.0, seed: int = 0,
-                  counters: BranchCounters | None = None,
                   cache: dict | None = None) -> ProjectedTokens:
     gate_cache = {} if cache is not None else None
     gate = _gate(bundle, params, tau, gumbel_scale, seed, gate_cache)
-    outs = run_branches(bundle, params, counters, cache)
+    outs = run_branches(bundle, params, cache)
     fused = fuse(outs, gate.alpha)
     mlp_cache = {} if cache is not None else None
     tokens = _mlp_forward(params.out_mlp, fused, mlp_cache)
@@ -232,8 +214,7 @@ def train_forward(bundle: FeatureBundle, params: ProjectorParams,
 
 
 def infer_forward(bundle: FeatureBundle, params: ProjectorParams,
-                  mode: tuple[str, float],
-                  counters: BranchCounters | None = None) -> ProjectedTokens:
+                  mode: tuple[str, float]) -> ProjectedTokens:
     kind, arg = mode
     gate = _gate(bundle, params, tau=1.0, gumbel_scale=0.0, seed=0)
     if kind == "topk":
@@ -244,9 +225,9 @@ def infer_forward(bundle: FeatureBundle, params: ProjectorParams,
         raise ValueError(f"unknown inference mode {kind!r}")
     # only active branches are executed
     outs: dict[str, br.CompressedTokens | None] = {}
-    weights = np.zeros(3)
+    weights = np.zeros(len(rt.BRANCHES))
     for name, wgt in zip(active.members, active.renorm_weights):
-        outs[name] = _run_branch(name, bundle, params, counters, None)
+        outs[name] = _run_branch(name, bundle, params)
         weights[rt.BRANCHES.index(name)] = wgt
     fused = fuse(outs, weights)
     tokens = _mlp_forward(params.out_mlp, fused)
@@ -264,11 +245,3 @@ def params_to_vector(params: ProjectorParams):
         chunks.append(flat)
         pos += flat.size
     return np.concatenate(chunks), layout
-
-
-def set_params_from_vector(params: ProjectorParams, vec: np.ndarray) -> None:
-    for name, arr in params.named_tensors():
-        arr.flat[:] = vec[: arr.size]
-        vec = vec[arr.size:]
-    if vec.size:
-        raise ShapeError(f"{vec.size} leftover entries in parameter vector")

@@ -1,6 +1,9 @@
 """Query-guided gating: a two-layer MLP over the joint image-text context
-vector produces softmax weights over the three branches, with temperature
-and optional Gumbel noise, plus top-k / threshold branch selection.
+vector produces softmax weights over the branches, with temperature and
+optional Gumbel noise, plus top-k / threshold branch selection.
+
+`BRANCHES` is the one place that names the branches and fixes their order:
+gate weights, fusion, the stage-1 concat and the cost model all follow it.
 """
 
 from __future__ import annotations
@@ -18,15 +21,15 @@ BRANCHES = ("pool", "resample", "prune")
 class RouterParams:
     w1: np.ndarray  # d x (C1+C2)
     b1: np.ndarray  # d
-    w2: np.ndarray  # 3 x d
-    b2: np.ndarray  # 3
+    w2: np.ndarray  # len(BRANCHES) x d
+    b2: np.ndarray  # len(BRANCHES)
     activation: str = "gelu"
 
 
 @dataclass
 class GateWeights:
-    alpha: np.ndarray    # 3, sums to 1; order (pool, resample, prune)
-    logits: np.ndarray   # 3, pre-softmax (noise included, pre-temperature)
+    alpha: np.ndarray    # one per branch in BRANCHES order, sums to 1
+    logits: np.ndarray   # pre-softmax (noise included, pre-temperature)
     tau_used: float
     gumbel_applied: bool
 
@@ -65,10 +68,11 @@ def gate_forward(f: np.ndarray, params: RouterParams, tau: float = 1.0,
     base = params.w2 @ a1 + params.b2
     logits = base
     if gumbel_scale > 0:
-        logits = base + gumbel_scale * sample_gumbel(rng_for(seed), 3)
+        noise = sample_gumbel(rng_for(seed), len(BRANCHES))
+        logits = base + gumbel_scale * noise
     alpha = softmax_rows(logits[None, :], temperature=tau)[0]
     if cache is not None:
-        cache.update(f=f, h1=h1, a1=a1, logits=logits)
+        cache.update(f=f, h1=h1, a1=a1)
     return GateWeights(alpha, logits, tau, gumbel_scale > 0)
 
 
@@ -79,8 +83,8 @@ def _renorm(alpha: np.ndarray, idx: np.ndarray) -> ActiveSet:
 
 
 def select_topk(weights: GateWeights, k: int) -> ActiveSet:
-    if not 1 <= k <= 3:
-        raise DomainError(f"k must be in [1,3], got {k}")
+    if not 1 <= k <= len(BRANCHES):
+        raise DomainError(f"k must be in [1,{len(BRANCHES)}], got {k}")
     order = np.argsort(-weights.alpha, kind="stable")  # ties: branch order
     return _renorm(weights.alpha, np.sort(order[:k]))
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import pipeline as pl
 from .bundle import FeatureBundle
 from .linalg import ACTIVATIONS, ShapeError, grad_check
-from .router import gate_entropy
+from .router import BRANCHES, gate_entropy
 
 
 class DivergenceError(RuntimeError):
@@ -171,6 +171,18 @@ def _branch_backward(params, cache, name: str, d_out: np.ndarray,
     # influence is detached, so no parameter receives gradient.
 
 
+def _forward(bundle: FeatureBundle, params: pl.ProjectorParams, mode: tuple,
+             cache: dict | None = None) -> pl.ProjectedTokens:
+    """The forward pass `backward` differentiates, for ("stage1",) or
+    ("train", tau, gumbel_scale, seed)."""
+    if mode[0] == "stage1":
+        return pl.stage1_forward(bundle, params, cache=cache)
+    if mode[0] == "train":
+        _, tau, gscale, seed = mode
+        return pl.train_forward(bundle, params, tau, gscale, seed, cache=cache)
+    raise ValueError(f"unknown backward mode {mode[0]!r}")
+
+
 def backward(bundle: FeatureBundle, params: pl.ProjectorParams,
              target: np.ndarray, mode: tuple, into: _Grads | None = None):
     """Loss and analytic gradients for every learnable tensor.
@@ -184,37 +196,27 @@ def backward(bundle: FeatureBundle, params: pl.ProjectorParams,
     tensor gets exactly one contribution per call.
     """
     cache: dict = {}
-    if mode[0] == "stage1":
-        out = pl.stage1_forward(bundle, params, cache=cache)
-    elif mode[0] == "train":
-        _, tau, gscale, seed = mode
-        out = pl.train_forward(bundle, params, tau, gscale, seed, cache=cache)
-    else:
-        raise ValueError(f"unknown backward mode {mode[0]!r}")
-
+    out = _forward(bundle, params, mode, cache)
     diff = out.tokens - target
     loss = float(np.mean(diff * diff))
     d_y = 2.0 * diff / diff.size
     grads = _Grads(params) if into is None else into
-    c = bundle.c_vis
 
     if mode[0] == "stage1":
         d_concat = _mlp_backward(params.stage1_mlp, cache["mlp"], d_y,
                                  grads, "stage1_mlp")
-        for i, name in enumerate(("pool", "resample", "prune")):
-            _branch_backward(params, cache, name,
-                             d_concat[:, i * c:(i + 1) * c], grads)
+        d_outs = np.split(d_concat, len(BRANCHES), axis=1)
+        for name, d_out in zip(BRANCHES, d_outs):
+            _branch_backward(params, cache, name, d_out, grads)
         return loss, grads.complete(), {"gate": None, "reached": tuple(grads)}
 
     d_fused = _mlp_backward(params.out_mlp, cache["mlp"], d_y, grads, "out_mlp")
     gate = cache["gate"]
     outs = cache["outputs"]
-    d_alpha = np.array([
-        float(np.sum(d_fused * outs[name].tokens))
-        for name in ("pool", "resample", "prune")
-    ])
-    for i, name in enumerate(("pool", "resample", "prune")):
-        _branch_backward(params, cache, name, gate.alpha[i] * d_fused, grads)
+    d_alpha = np.array([float(np.sum(d_fused * outs[name].tokens))
+                        for name in BRANCHES])
+    for name, alpha in zip(BRANCHES, gate.alpha):
+        _branch_backward(params, cache, name, alpha * d_fused, grads)
 
     # gate: alpha = softmax((base_logits + noise)/tau), noise constant
     gc = cache["gate_cache"]
@@ -232,30 +234,23 @@ def backward(bundle: FeatureBundle, params: pl.ProjectorParams,
 def gradcheck_params(bundle: FeatureBundle, params: pl.ProjectorParams,
                      target: np.ndarray, mode: tuple,
                      eps: float = 1e-5) -> dict[str, float]:
-    """Per-tensor max relative error of analytic vs central-difference grads."""
+    """Per-tensor max relative error of analytic vs central-difference grads.
+
+    Each tensor of a deep copy is perturbed in place through `arr.flat`,
+    which writes through whatever the tensor's memory order, and restored
+    before the next one, so the caller's params are never touched."""
     _, grads, _ = backward(bundle, params, target, mode)
     work = copy.deepcopy(params)
-    vec, layout = pl.params_to_vector(work)
-
-    def full_loss(v: np.ndarray) -> float:
-        pl.set_params_from_vector(work, v)
-        if mode[0] == "stage1":
-            out = pl.stage1_forward(bundle, work)
-        else:
-            _, tau, gscale, seed = mode
-            out = pl.train_forward(bundle, work, tau, gscale, seed)
-        return loss_mse(out.tokens, target)
-
     report = {}
-    base = vec.copy()
-    for name, (sl, shape) in layout.items():
-        def tensor_loss(sub, sl=sl):
-            v = base.copy()
-            v[sl] = sub
-            return full_loss(v)
-        report[name] = grad_check(tensor_loss, base[sl].copy(),
-                                  grads[name].ravel(), eps)
-    pl.set_params_from_vector(work, base)
+    for name, arr in work.named_tensors():
+        start = arr.flatten()   # a copy in C order, as `arr.flat` walks
+
+        def tensor_loss(flat, arr=arr):
+            arr.flat[:] = flat
+            return loss_mse(_forward(bundle, work, mode).tokens, target)
+
+        report[name] = grad_check(tensor_loss, start, grads[name].ravel(), eps)
+        arr.flat[:] = start
     return report
 
 

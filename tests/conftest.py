@@ -1,7 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from qmop import init_projector_params, synth_bundle
+from qmop import init_projector_params, pipeline, synth_bundle
 from qmop.linalg import seeded_fill
 
 # tiny default geometry used across the suite
@@ -26,3 +28,29 @@ def tiny_params():
 @pytest.fixture
 def tiny_target():
     return seeded_fill(99, TINY["m_tokens"], TINY["d_llm"])
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """spy(module, attr, key) replaces `module.attr` with a wrapper that
+    counts its calls by `key(*args)` (default: the attribute name) and
+    returns the Counter. A call counts only if the program reaches the
+    function through the module attribute, which is what span tracers that
+    patch these attributes rely on."""
+    def install(module, attr, key=None):
+        calls = Counter()
+        original = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr if key is None else key(*args)] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, wrapper)
+        return calls
+    return install
+
+
+@pytest.fixture
+def branch_calls(spy):
+    """`pipeline._run_branch` calls counted by branch name."""
+    return spy(pipeline, "_run_branch", key=lambda name, *_: name)

@@ -14,7 +14,7 @@ from qmop.branches import prune_select
 from qmop.bundle import FormatError, TruncatedFileError
 from qmop.cli import main
 from qmop.linalg import seeded_fill, softmax_rows
-from qmop.pipeline import BranchCounters, fuse, infer_forward, run_branches, \
+from qmop.pipeline import fuse, infer_forward, run_branches, \
     stage1_forward, train_forward
 from qmop.router import gate_forward
 from qmop.trainer import AnnealSchedule, TrainConfig, tau_at, train_toy
@@ -114,7 +114,7 @@ def test_criterion_5_gate_properties():
     report("5 gate properties", ok)
 
 
-def test_criterion_6_fusion_identities():
+def test_criterion_6_fusion_identities(branch_calls):
     bundle = synth_bundle(7, 4, 4, 8, 6)
     params = init_projector_params(4, 4, 8, 6, 8, 4, 2, seed=0)
     outs = run_branches(bundle, params)
@@ -130,9 +130,9 @@ def test_criterion_6_fusion_identities():
     ok &= float(np.max(np.abs(inf.tokens - trn.tokens))) <= 1e-12
     # the discarded branch is never invoked under topk(2)
     force_logits(params, np.log([0.5, 0.3, 0.2]))
-    counters = BranchCounters()
-    infer_forward(bundle, params, ("topk", 2), counters)
-    ok &= counters.prune == 0 and counters.pool == 1
+    branch_calls.clear()
+    infer_forward(bundle, params, ("topk", 2))
+    ok &= branch_calls["prune"] == 0 and branch_calls["pool"] == 1
     report("6 fusion identities", ok)
 
 

@@ -9,41 +9,13 @@ from hypothesis.extra.numpy import arrays
 from qmop.linalg import (
     DomainError,
     NumericError,
-    ShapeError,
-    attention,
     grad_check,
-    linear,
-    matmul,
     seeded_fill,
     softmax_rows,
 )
 
 # closed-form softmax of (2, 1, 0) at tau = 1
 SOFTMAX_210 = np.exp([2.0, 1.0, 0.0]) / np.exp([2.0, 1.0, 0.0]).sum()
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = seeded_fill(0, 2, 2)
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_hand_product(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]),
-                     np.array([[0.0], [1.0]]))
-        assert np.array_equal(out, [[2.0], [4.0]])
-
-    def test_zero_annihilates(self):
-        a = seeded_fill(1, 3, 3)
-        assert np.array_equal(matmul(np.zeros((3, 3)), a), np.zeros((3, 3)))
-
-    def test_shape_mismatch_names_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_associative(self):
-        a, b, c = (seeded_fill(i, 4, 4) for i in range(3))
-        assert np.allclose(matmul(matmul(a, b), c),
-                           matmul(a, matmul(b, c)), atol=1e-9)
 
 
 class TestSoftmaxRows:
@@ -85,56 +57,6 @@ class TestSoftmaxRows:
             for tau in (0.1, 1.0, 10.0):
                 assert (np.argmax(softmax_rows(row, tau))
                         == np.argmax(row))
-
-
-class TestAttention:
-    def test_single_key_returns_value(self):
-        q = seeded_fill(0, 3, 4)
-        k = seeded_fill(1, 1, 4)
-        v = seeded_fill(2, 1, 5)
-        out = attention(q, k, v)
-        assert np.allclose(out, np.repeat(v, 3, axis=0), atol=1e-15)
-
-    def test_zero_query_gives_value_mean(self):
-        k = seeded_fill(1, 6, 4)
-        v = seeded_fill(2, 6, 5)
-        out = attention(np.zeros((1, 4)), k, v)
-        assert np.allclose(out[0], v.mean(axis=0), atol=1e-12)
-
-    def test_matches_naive_loops(self):
-        q = seeded_fill(3, 2, 3)
-        k = seeded_fill(4, 4, 3)
-        v = seeded_fill(5, 4, 5)
-        ref = np.zeros((2, 5))
-        for i in range(2):
-            scores = [q[i] @ k[j] / math.sqrt(3) for j in range(4)]
-            e = np.exp(scores - max(scores))
-            w = e / e.sum()
-            for j in range(4):
-                ref[i] += w[j] * v[j]
-        assert np.allclose(attention(q, k, v), ref, atol=1e-12)
-
-    def test_shape_errors(self):
-        with pytest.raises(ShapeError):
-            attention(np.zeros((1, 3)), np.zeros((2, 4)), np.zeros((2, 2)))
-        with pytest.raises(ShapeError):
-            attention(np.zeros((1, 3)), np.zeros((2, 3)), np.zeros((3, 2)))
-
-
-class TestLinear:
-    def test_identity(self):
-        x = seeded_fill(0, 3, 4)
-        assert np.allclose(linear(np.eye(4), np.zeros(4), x), x)
-
-    def test_constant(self):
-        out = linear(np.zeros((2, 4)), np.array([5.0, -1.0]),
-                     seeded_fill(1, 3, 4))
-        assert np.allclose(out, [[5.0, -1.0]] * 3)
-
-    def test_hand_case(self):
-        out = linear(np.array([[1.0, 1.0]]), np.array([1.0]),
-                     np.array([[2.0, 3.0]]))
-        assert np.allclose(out, [[6.0]])
 
 
 class TestGradCheck:

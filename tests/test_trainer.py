@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmop import init_projector_params, stage1_forward, synth_bundle
+from qmop import init_projector_params, stage1_forward, synth_bundle, trainer
 from qmop.linalg import grad_check, seeded_fill
 from qmop.pipeline import params_to_vector, train_forward
+from qmop.router import BRANCHES
 from qmop.trainer import (
     DIGEST_CHUNK,
     AnnealSchedule,
@@ -204,6 +205,35 @@ class TestBackward:
         target = seeded_fill(43, 4, 8)
         report = gradcheck_params(bundle, params, target, ("stage1",))
         assert max(report.values()) <= TOL
+
+    def test_gradcheck_fortran_order_tensor(self, tiny_bundle, tiny_params,
+                                            tiny_target):
+        # the check perturbs each tensor through `arr.flat`, which writes
+        # through a Fortran-order tensor where a reshaped copy would not
+        tiny_params.pool.phi_k = np.asfortranarray(tiny_params.pool.phi_k)
+        before = copy.deepcopy(tiny_params)
+        for mode in (("stage1",), ("train", 1.3, 0.7, 4)):
+            report = gradcheck_params(tiny_bundle, tiny_params, tiny_target,
+                                      mode)
+            for name, err in report.items():
+                assert err <= TOL, (mode, name)
+        for (name, old), (_, new) in zip(before.named_tensors(),
+                                         tiny_params.named_tensors()):
+            assert np.array_equal(old, new), name
+        assert tiny_params.pool.phi_k.flags.f_contiguous
+
+    @pytest.mark.parametrize("mode", [("stage1",), ("train", 1.3, 0.7, 3)])
+    def test_layers_called_through_module_attributes(
+            self, tiny_bundle, tiny_params, tiny_target, spy, branch_calls,
+            mode):
+        # span tracers time a layer by patching its module attribute; a
+        # call that bypassed the attribute would time that layer as zero
+        pool = spy(trainer, "_pool_backward")
+        res = spy(trainer, "_resample_backward")
+        backward(tiny_bundle, tiny_params, tiny_target, mode)
+        assert branch_calls == dict.fromkeys(BRANCHES, 1)
+        assert pool["_pool_backward"] == 1
+        assert res["_resample_backward"] == 1
 
     def test_loss_smooth_below_score_gap(self, tiny_bundle, tiny_params,
                                          tiny_target):
