@@ -4,6 +4,11 @@
   relevance, keep the top M in raster order.
 - resample: M learnable queries cross-attend over all N tokens.
 - pool: a 2D query map where each query attends only to its own s x s window.
+
+Each runs over a batch of B samples at once and returns their outputs
+stacked sample by sample into B*M rows, so every product whose left side is
+per-row runs as one GEMM over the batch and every params-only product runs
+once per batch.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import FeatureBundle
-from .linalg import DomainError, ShapeError, softmax_rows
+from .bundle import FeatureBundle, as_batch
+from .linalg import DomainError, ShapeError, softmax_rows, stack_rows
 
 
 @dataclass
@@ -55,9 +60,8 @@ class PoolParams:
 
 @dataclass
 class CompressedTokens:
-    tokens: np.ndarray  # M x C
-    origin: str         # pool | resample | prune
-    kept_indices: np.ndarray | None = None  # prune only, ascending
+    tokens: np.ndarray  # B*M x C, sample by sample
+    kept_indices: np.ndarray | None = None  # prune: each sample's, ascending
 
 
 def _minmax(v: np.ndarray) -> np.ndarray:
@@ -72,9 +76,14 @@ def prune_scores(bundle: FeatureBundle, rel: RelevanceMap, lam: float,
     """Blend of min-max-normalized importance and text relevance, in [0,1]."""
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"lambda must be in [0,1], got {lam}")
-    importance = _minmax(bundle.cls_attention)
+    return _blend(bundle, bundle.patches @ rel.g.T, lam, metric)
 
-    projected = bundle.patches @ rel.g.T  # N x C2
+
+def _blend(bundle: FeatureBundle, projected: np.ndarray, lam: float,
+           metric: str) -> np.ndarray:
+    """`prune_scores` from the bundle's patches projected to text space
+    (N x C2)."""
+    importance = _minmax(bundle.cls_attention)
     eos = bundle.eos_token
     if metric == "cosine":
         pn = np.linalg.norm(projected, axis=1)
@@ -101,61 +110,86 @@ def prune_select(tokens: np.ndarray, scores: np.ndarray,
         raise DomainError(f"m_out must be in [1, {n}], got {m_out}")
     order = np.argsort(-scores, kind="stable")  # stable: lower index wins ties
     kept = np.sort(order[:m_out])
-    return CompressedTokens(tokens[kept], "prune", kept)
+    return CompressedTokens(tokens[kept], kept)
 
 
-def resample(tokens: np.ndarray, params: ResamplerParams,
+def prune(bundles, rel: RelevanceMap, cfg: PruneConfig) -> CompressedTokens:
+    """`prune_select` on each bundle's `prune_scores`, with the relevance
+    projection of the whole batch run as one (B*N) x C GEMM."""
+    bundles = as_batch(bundles)
+    n = bundles[0].n_tokens
+    projected = stack_rows([b.patches for b in bundles]) @ rel.g.T
+    picks = [prune_select(b.patches,
+                          _blend(b, projected[i * n:(i + 1) * n], cfg.lam,
+                                 cfg.metric),
+                          cfg.m_out)
+             for i, b in enumerate(bundles)]
+    return CompressedTokens(stack_rows([p.tokens for p in picks]),
+                            np.concatenate([p.kept_indices for p in picks]))
+
+
+def resample(tokens, params: ResamplerParams,
              cache: dict | None = None) -> CompressedTokens:
     """Cross-attention of M learnable queries over projected keys/values.
 
-    As in pool, both projections fold onto the M query rows instead of the N
-    tokens: q.(w_k x) = (q w_k).x and sum_n a_n (w_v x_n) = w_v (sum_n a_n x_n).
-    The branch is then two M x C x C GEMMs plus two M x N x C ones.
+    `tokens` is one N x C matrix or a batch of them. As in pool, both
+    projections fold onto the M query rows instead of the N tokens:
+    q.(w_k x) = (q w_k).x and sum_n a_n (w_v x_n) = w_v (sum_n a_n x_n).
+    A batch is then one M x C x C GEMM for the keys, two M x N x C ones per
+    sample, and one (B*M) x C x C GEMM for the values.
     """
+    xs = [tokens] if isinstance(tokens, np.ndarray) and tokens.ndim == 2 \
+        else list(tokens)
     c = params.queries.shape[1]
-    if tokens.shape[1] != c:
-        raise ShapeError(f"token width {tokens.shape[1]} != query width {c}")
+    for x in xs:
+        if x.shape[1] != c:
+            raise ShapeError(f"token width {x.shape[1]} != query width {c}")
     qk = params.queries @ params.w_k                   # M x C
-    attn = softmax_rows(qk @ tokens.T / math.sqrt(c))  # M x N
-    pooled = attn @ tokens                             # M x C
-    out = pooled @ params.w_v.T
+    attn = stack_rows([softmax_rows(qk @ x.T / math.sqrt(c))
+                       for x in xs])                   # B*M x N
+    pooled = stack_rows([a @ x for a, x in zip(np.split(attn, len(xs)), xs)])
+    out = pooled @ params.w_v.T                        # B*M x C
     if cache is not None:
-        cache.update(x=tokens, qk=qk, pooled=pooled, attn=attn)
-    return CompressedTokens(out, "resample")
+        cache.update(x=xs, qk=qk, pooled=pooled, attn=attn)
+    return CompressedTokens(out)
 
 
-def _pool_windows(bundle: FeatureBundle, params: PoolParams) -> np.ndarray:
+def _pool_windows(bundles: list[FeatureBundle],
+                  params: PoolParams) -> np.ndarray:
+    """Every bundle's s x s windows as B x M x s^2 x C, cells in raster
+    order, written straight into one array."""
     s = params.stride
     h, w = params.grid_h, params.grid_w
-    if bundle.grid_h != s * h or bundle.grid_w != s * w:
-        raise ShapeError(
-            f"grid {bundle.grid_h}x{bundle.grid_w} not {s}*({h}x{w}) "
-            f"for stride {s}"
-        )
-    c = bundle.c_vis
-    x2d = bundle.patches.reshape(bundle.grid_h, bundle.grid_w, c)
-    # (h, w, s, s, C) -> (h*w, s*s, C), window cells in raster order
-    win = x2d.reshape(h, s, w, s, c).transpose(0, 2, 1, 3, 4)
-    return win.reshape(h * w, s * s, c)
+    c = bundles[0].c_vis
+    win = np.empty((len(bundles), h, w, s, s, c))
+    for out, bundle in zip(win, bundles):
+        if bundle.grid_h != s * h or bundle.grid_w != s * w:
+            raise ShapeError(
+                f"grid {bundle.grid_h}x{bundle.grid_w} not {s}*({h}x{w}) "
+                f"for stride {s}"
+            )
+        out[...] = bundle.patches.reshape(h, s, w, s, c).transpose(0, 2, 1, 3, 4)
+    return win.reshape(len(bundles), h * w, s * s, c)
 
 
-def pool_local(bundle: FeatureBundle, params: PoolParams,
+def pool_local(bundles, params: PoolParams,
                cache: dict | None = None) -> CompressedTokens:
     """Each query cell attends only to its own s x s spatial window.
 
     Keys and values are linear maps of the window cells, so both projections
     fold onto the M rows instead of the N cells: q.(phi_k x) = (q phi_k).x
-    and sum_w a_w (phi_v x_w) = phi_v (sum_w a_w x_w). The branch is then
-    two M x C x C GEMMs plus O(N*C) window work.
+    and sum_w a_w (phi_v x_w) = phi_v (sum_w a_w x_w). A batch is then one
+    M x C x C GEMM for the keys, one (B*M) x C x C GEMM for the values and
+    O(B*N*C) window work.
     """
-    win = _pool_windows(bundle, params)               # M x s^2 x C
-    c = bundle.c_vis
+    win = _pool_windows(as_batch(bundles), params)    # B x M x s^2 x C
+    b, m, _, c = win.shape
     phi_v = params.phi_k if params.shared_phi else params.phi_v
     qk = params.q2d @ params.phi_k                     # M x C
-    scores = np.einsum("mwc,mc->mw", win, qk) / math.sqrt(c)
-    attn = softmax_rows(scores)                        # M x s^2
-    pooled = np.einsum("mw,mwc->mc", attn, win)        # M x C
+    scores = np.einsum("bmwc,mc->bmw", win, qk) / math.sqrt(c)
+    attn = softmax_rows(scores.reshape(b * m, -1)).reshape(scores.shape)
+    pooled = np.einsum("bmw,bmwc->bmc", attn, win).reshape(b * m, c)
     out = pooled @ phi_v.T
     if cache is not None:
         cache.update(windows=win, qk=qk, pooled=pooled, attn=attn)
-    return CompressedTokens(out, "pool")
+    return CompressedTokens(out)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import seeded_fill, softmax_rows
+from .linalg import ShapeError, seeded_fill, softmax_rows
 
 MAGIC = b"QMOPFT01"
 _HEADER = struct.Struct("<8s5I")  # magic, grid_h, grid_w, c_vis, c_txt, flags
@@ -82,6 +82,18 @@ class FeatureBundle:
             f32(self.patches), f32(self.cls_token), f32(self.eos_token),
             f32(self.cls_attention), self.text_raw,
         )
+
+
+def as_batch(bundles) -> list[FeatureBundle]:
+    """The bundles of one step as a list; a single bundle is a batch of one.
+    A batch's bundles share their dimensions, so their rows stack."""
+    batch = [bundles] if isinstance(bundles, FeatureBundle) else list(bundles)
+    if not batch:
+        raise ShapeError("a batch needs at least one bundle")
+    dims = {(b.grid_h, b.grid_w, b.c_vis, b.c_txt) for b in batch}
+    if len(dims) > 1:
+        raise ShapeError(f"bundles in one batch differ in dims: {sorted(dims)}")
+    return batch
 
 
 def write_bundle(bundle: FeatureBundle, path) -> None:

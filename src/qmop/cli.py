@@ -155,10 +155,10 @@ def cmd_compress(features, config_path, mode_spec, out, no_timing,
             "output_rows": int(result.tokens.shape[0]),
             "output_cols": int(result.tokens.shape[1]),
             "output_digest": tokens_digest(result.tokens),
-            "gate": None if result.gate is None else {
-                "alpha": [float(a) for a in result.gate.alpha],
-                "tau": result.gate.tau_used,
-                "gumbel_applied": result.gate.gumbel_applied,
+            "gate": None if result.gates is None else {
+                "alpha": [float(a) for a in result.gates[0].alpha],
+                "tau": result.gates[0].tau_used,
+                "gumbel_applied": result.gates[0].gumbel_applied,
             },
             "active": None if result.active is None else {
                 "members": list(result.active.members),

@@ -59,6 +59,11 @@ class PipelineConfig:
             )
         if self.m_tokens > self.n_tokens:
             raise ConfigError("m_tokens exceeds input token count")
+        rh = self.router_hidden
+        if rh is not None and (isinstance(rh, bool) or not isinstance(rh, int)
+                               or rh < 1):
+            raise ConfigError(
+                f"router_hidden must be null or an integer >= 1, got {rh!r}")
         if not 0.0 <= self.prune_lambda <= 1.0:
             raise ConfigError(f"prune_lambda must be in [0,1]")
         if self.relevance_metric not in ("cosine", "neg_euclidean"):

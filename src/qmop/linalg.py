@@ -42,6 +42,11 @@ def as_vector(x) -> np.ndarray:
     return a
 
 
+def stack_rows(arrays: list[np.ndarray]) -> np.ndarray:
+    """Row-stack one array per sample; a batch of one comes back uncopied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
 def softmax_rows(x: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Row-wise softmax of x / temperature, max-subtracted for stability."""
     if temperature <= 0:

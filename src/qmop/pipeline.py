@@ -6,6 +6,10 @@ Three modes share the branch operators, taken in `router.BRANCHES` order:
 - train: router-weighted sum over all branches, then the shared output MLP.
 - infer: run the gate noise-free, select active branches (top-k or
   threshold), execute only those, fuse with renormalized weights.
+
+stage1 and train run over a batch: each branch runs once over the B samples,
+and the MLP sees their B*M rows stacked sample by sample. A single bundle is
+a batch of one. infer runs one bundle as a batch of one.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from . import branches as br
 from . import router as rt
-from .bundle import FeatureBundle
+from .bundle import FeatureBundle, as_batch
 from .linalg import ACTIVATIONS, NumericError, ShapeError, seeded_fill
 
 
@@ -62,9 +66,9 @@ class ProjectorParams:
 
 @dataclass
 class ProjectedTokens:
-    tokens: np.ndarray  # M x D_llm
+    tokens: np.ndarray  # B*M x D_llm, sample by sample
     mode: str           # stage1 | train | infer
-    gate: rt.GateWeights | None = None
+    gates: list[rt.GateWeights] | None = None  # one per sample
     active: rt.ActiveSet | None = None
 
 
@@ -84,7 +88,7 @@ def init_projector_params(
             f"m_tokens {m_tokens} != pooled grid {h}x{w} at stride {stride}"
         )
     c, c2, nb = c_vis, c_txt, len(rt.BRANCHES)
-    d = router_hidden if router_hidden else math.ceil((c + c2) / 2)
+    d = router_hidden if router_hidden is not None else math.ceil((c + c2) / 2)
     s = [seed * 64 + i for i in range(32)]  # distinct subseed per tensor
 
     def g(i, rows, cols, fan):
@@ -118,40 +122,49 @@ def init_projector_params(
     )
 
 
-def _run_branch(name: str, bundle: FeatureBundle, params: ProjectorParams,
+def _run_branch(name: str, bundles: list[FeatureBundle],
+                params: ProjectorParams,
                 cache: dict | None = None) -> br.CompressedTokens:
     if name == "pool":
-        return br.pool_local(bundle, params.pool, cache=cache)
+        return br.pool_local(bundles, params.pool, cache=cache)
     if name == "resample":
-        return br.resample(bundle.patches, params.resampler, cache=cache)
+        return br.resample([b.patches for b in bundles], params.resampler,
+                           cache=cache)
     if name == "prune":
-        scores = br.prune_scores(bundle, params.relevance,
-                                 params.prune_cfg.lam, params.prune_cfg.metric)
-        return br.prune_select(bundle.patches, scores, params.prune_cfg.m_out)
+        return br.prune(bundles, params.relevance, params.prune_cfg)
     raise ValueError(f"unknown branch {name!r}")
 
 
-def run_branches(bundle: FeatureBundle, params: ProjectorParams,
+def run_branches(bundles, params: ProjectorParams,
                  cache: dict | None = None) -> dict[str, br.CompressedTokens]:
-    """Every branch in `router.BRANCHES` order; with `cache`, each branch
-    records what its backward needs under `cache[name]`."""
+    """Every branch in `router.BRANCHES` order, each once over the batch;
+    with `cache`, each branch records what its backward needs under
+    `cache[name]`."""
+    bundles = as_batch(bundles)
     return {name: _run_branch(
-                name, bundle, params,
+                name, bundles, params,
                 None if cache is None else cache.setdefault(name, {}))
             for name in rt.BRANCHES}
+
+
+def scale_samples(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each sample's block of rows of `x` times that sample's weight."""
+    return (x.reshape(len(weights), -1) * weights[:, None]).reshape(x.shape)
 
 
 def fuse(outputs: dict[str, br.CompressedTokens | None],
          weights: np.ndarray) -> np.ndarray:
     """Weighted sum of branch token matrices, row-aligned by position.
 
-    Zero-weight branches are skipped entirely, so one-hot weights return the
-    selected branch bit-exactly; absent branches must carry weight 0.
+    `weights` holds one row of branch weights per sample (B x branches), or
+    one vector for a batch of one. A branch whose weight is zero for every
+    sample is skipped entirely, so one-hot weights return the selected
+    branch bit-exactly; absent branches must carry weight 0.
     """
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
     acc = None
     shape = None
-    for name, wgt in zip(rt.BRANCHES, weights):
+    for name, wgt in zip(rt.BRANCHES, weights.T):
         out = outputs.get(name)
         if out is not None:
             if shape is not None and out.tokens.shape != shape:
@@ -159,11 +172,12 @@ def fuse(outputs: dict[str, br.CompressedTokens | None],
                     f"branch output shapes differ: {out.tokens.shape} vs {shape}"
                 )
             shape = out.tokens.shape
-        if wgt == 0.0:
+        if not wgt.any():
             continue
         if out is None:
             raise ShapeError(f"branch {name!r} has weight {wgt} but no output")
-        term = out.tokens if wgt == 1.0 else wgt * out.tokens
+        term = out.tokens if (wgt == 1.0).all() \
+            else scale_samples(wgt, out.tokens)
         acc = term if acc is None else acc + term
     if acc is None:  # all weights zero
         acc = np.zeros(shape)
@@ -180,9 +194,9 @@ def _mlp_forward(mlp: Mlp, x: np.ndarray, cache: dict | None = None) -> np.ndarr
     return y
 
 
-def stage1_forward(bundle: FeatureBundle, params: ProjectorParams,
+def stage1_forward(bundles, params: ProjectorParams,
                    cache: dict | None = None) -> ProjectedTokens:
-    outs = run_branches(bundle, params, cache)
+    outs = run_branches(bundles, params, cache)
     concat = np.concatenate([outs[n].tokens for n in rt.BRANCHES], axis=1)
     mlp_cache = {} if cache is not None else None
     tokens = _mlp_forward(params.stage1_mlp, concat, mlp_cache)
@@ -198,19 +212,28 @@ def _gate(bundle: FeatureBundle, params: ProjectorParams, tau: float,
     return rt.gate_forward(f, params.router, tau, gumbel_scale, seed, cache)
 
 
-def train_forward(bundle: FeatureBundle, params: ProjectorParams,
-                  tau: float = 1.0, gumbel_scale: float = 0.0, seed: int = 0,
+def train_forward(bundles, params: ProjectorParams,
+                  tau: float = 1.0, gumbel_scale: float = 0.0, seed=0,
                   cache: dict | None = None) -> ProjectedTokens:
-    gate_cache = {} if cache is not None else None
-    gate = _gate(bundle, params, tau, gumbel_scale, seed, gate_cache)
-    outs = run_branches(bundle, params, cache)
-    fused = fuse(outs, gate.alpha)
+    """`seed` gives one gate-noise seed per bundle; an int is the seed of a
+    batch of one."""
+    bundles = as_batch(bundles)
+    seeds = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
+    if len(seeds) != len(bundles):
+        raise ShapeError(f"{len(seeds)} gate-noise seeds for "
+                         f"{len(bundles)} bundles")
+    gate_caches = [{} if cache is not None else None for _ in bundles]
+    gates = [_gate(b, params, tau, gumbel_scale, s, gc)
+             for b, s, gc in zip(bundles, seeds, gate_caches)]
+    outs = run_branches(bundles, params, cache)
+    fused = fuse(outs, np.array([g.alpha for g in gates]))
     mlp_cache = {} if cache is not None else None
     tokens = _mlp_forward(params.out_mlp, fused, mlp_cache)
     if cache is not None:
-        cache.update(gate_cache=gate_cache, mlp=mlp_cache,
-                     outputs=outs, gate=gate, fused=fused)
-    return ProjectedTokens(tokens, "train", gate=gate)
+        cache.update(mlp=mlp_cache, outputs=outs, gates=gates, fused=fused,
+                     gate_cache={k: np.array([gc[k] for gc in gate_caches])
+                                 for k in ("f", "h1", "a1")})
+    return ProjectedTokens(tokens, "train", gates=gates)
 
 
 def infer_forward(bundle: FeatureBundle, params: ProjectorParams,
@@ -227,21 +250,10 @@ def infer_forward(bundle: FeatureBundle, params: ProjectorParams,
     outs: dict[str, br.CompressedTokens | None] = {}
     weights = np.zeros(len(rt.BRANCHES))
     for name, wgt in zip(active.members, active.renorm_weights):
-        outs[name] = _run_branch(name, bundle, params)
+        outs[name] = _run_branch(name, [bundle], params)
         weights[rt.BRANCHES.index(name)] = wgt
     fused = fuse(outs, weights)
     tokens = _mlp_forward(params.out_mlp, fused)
     if not np.isfinite(tokens).all():
         raise NumericError("inference produced non-finite tokens")
-    return ProjectedTokens(tokens, "infer", gate=gate, active=active)
-
-
-def params_to_vector(params: ProjectorParams):
-    """Flatten all learnable tensors; returns (vector, {name: (slice, shape)})."""
-    chunks, layout, pos = [], {}, 0
-    for name, arr in params.named_tensors():
-        flat = arr.ravel()
-        layout[name] = (slice(pos, pos + flat.size), arr.shape)
-        chunks.append(flat)
-        pos += flat.size
-    return np.concatenate(chunks), layout
+    return ProjectedTokens(tokens, "infer", gates=[gate], active=active)

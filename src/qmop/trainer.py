@@ -4,7 +4,9 @@ Stage 1 trains the branch operators plus the concat MLP (router off).
 Stage 2 trains the router-gated weighted-sum path with temperature and
 Gumbel-noise annealing. The downstream language model is replaced by an MSE
 regression target, which still exercises every gradient path through the
-projector. The discrete top-M prune selection is treated as fixed indices:
+projector. A step is one forward and one backward over the whole batch:
+every weight gradient is one GEMM over the batch's stacked rows, and the
+loss is the batch mean of the per-sample losses. The discrete top-M prune selection is treated as fixed indices:
 gradients flow through the selected token values only, never through the
 scores, so the relevance map receives zero gradient by construction.
 """
@@ -12,6 +14,7 @@ scores, so the relevance map receives zero gradient by construction.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -19,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pipeline as pl
-from .bundle import FeatureBundle
-from .linalg import ACTIVATIONS, ShapeError, grad_check
+from .bundle import as_batch
+from .linalg import ACTIVATIONS, ShapeError, grad_check, stack_rows
 from .router import BRANCHES, gate_entropy
 
 
@@ -85,39 +88,31 @@ def loss_mse(output: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(d * d))
 
 
-class _Grads(dict):
-    """Gradients keyed by tensor name. A tensor's first contribution is stored
-    as is and later ones add into it in place, so the keys are exactly the
-    tensors a backward pass reaches. A contribution must be a fresh array
-    that nothing else holds, since the caller may accumulate into it."""
+def batch_loss(tokens: np.ndarray, targets: list[np.ndarray]) -> float:
+    """Mean over the batch of each sample's `loss_mse`; `tokens` stacks the
+    samples' output rows in batch order."""
+    return sum(loss_mse(out, target) for out, target in
+               zip(np.split(tokens, len(targets)), targets)) / len(targets)
 
-    def __init__(self, params: pl.ProjectorParams):
-        super().__init__()
-        self._params = dict(params.named_tensors())
 
-    def add(self, name: str, contrib: np.ndarray) -> None:
-        if name in self:
-            self[name] += contrib
-        else:
-            self[name] = contrib
-
-    def complete(self) -> dict[str, np.ndarray]:
-        """A gradient for every tensor; unreached ones are read-only zeros."""
-        return {name: self[name] if name in self
-                else np.broadcast_to(np.zeros((), arr.dtype), arr.shape)
-                for name, arr in self._params.items()}
+def _complete(params: pl.ProjectorParams,
+              grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A gradient for every tensor; unreached ones are read-only zeros."""
+    return {name: grads[name] if name in grads
+            else np.broadcast_to(np.zeros((), arr.dtype), arr.shape)
+            for name, arr in params.named_tensors()}
 
 
 def _mlp_backward(mlp: pl.Mlp, mcache: dict, d_y: np.ndarray,
-                  grads: _Grads, prefix: str) -> np.ndarray:
+                  grads: dict, prefix: str) -> np.ndarray:
     _, act_grad = ACTIVATIONS[mlp.activation]
     x, h, a = mcache["x"], mcache["h"], mcache["a"]
-    grads.add(f"{prefix}.w_out", d_y.T @ a)
-    grads.add(f"{prefix}.b_out", d_y.sum(axis=0))
+    grads[f"{prefix}.w_out"] = d_y.T @ a
+    grads[f"{prefix}.b_out"] = d_y.sum(axis=0)
     d_a = d_y @ mlp.w_out
     d_h = d_a * act_grad(h)
-    grads.add(f"{prefix}.w_in", d_h.T @ x)
-    grads.add(f"{prefix}.b_in", d_h.sum(axis=0))
+    grads[f"{prefix}.w_in"] = d_h.T @ x
+    grads[f"{prefix}.b_in"] = d_h.sum(axis=0)
     return d_h @ mlp.w_in
 
 
@@ -128,118 +123,143 @@ def _softmax_backward(p: np.ndarray, d_p: np.ndarray) -> np.ndarray:
 
 
 def _resample_backward(params: pl.ProjectorParams, rcache: dict,
-                       d_out: np.ndarray, grads: _Grads) -> None:
-    x, pooled, attn = rcache["x"], rcache["pooled"], rcache["attn"]
+                       d_out: np.ndarray, grads: dict) -> None:
+    xs, pooled, attn = rcache["x"], rcache["pooled"], rcache["attn"]
     res = params.resampler
-    scale = 1.0 / math.sqrt(x.shape[1])
-    grads.add("resampler.w_v", d_out.T @ pooled)
-    d_attn = (d_out @ res.w_v) @ x.T                   # M x N
-    d_s = _softmax_backward(attn, d_attn) * scale
-    d_qk = d_s @ x                                     # M x C
-    grads.add("resampler.queries", d_qk @ res.w_k.T)
-    grads.add("resampler.w_k", res.queries.T @ d_qk)
+    scale = 1.0 / math.sqrt(res.queries.shape[1])
+    grads["resampler.w_v"] = d_out.T @ pooled
+    d_pooled = d_out @ res.w_v                         # B*M x C
+    # each sample attends over its own tokens; their d_qk sum to the batch's
+    d_qk = functools.reduce(np.add, (
+        (_softmax_backward(a, d @ x.T) * scale) @ x    # M x C
+        for a, d, x in zip(np.split(attn, len(xs)),
+                           np.split(d_pooled, len(xs)), xs)))
+    grads["resampler.queries"] = d_qk @ res.w_k.T
+    grads["resampler.w_k"] = res.queries.T @ d_qk
 
 
 def _pool_backward(params: pl.ProjectorParams, pcache: dict,
-                   d_out: np.ndarray, grads: _Grads) -> None:
-    win, qk, pooled, attn = (pcache["windows"], pcache["qk"],
-                             pcache["pooled"], pcache["attn"])
+                   d_out: np.ndarray, grads: dict) -> None:
+    win, pooled, attn = pcache["windows"], pcache["pooled"], pcache["attn"]
     pool = params.pool
-    scale = 1.0 / math.sqrt(win.shape[2])
+    b, m, _, c = win.shape
+    scale = 1.0 / math.sqrt(c)
     phi_v = pool.phi_k if pool.shared_phi else pool.phi_v
     d_phi_v = d_out.T @ pooled
-    d_pooled = d_out @ phi_v                           # M x C
-    d_attn = np.einsum("mc,mwc->mw", d_pooled, win)
+    d_pooled = (d_out @ phi_v).reshape(b, m, c)
+    d_attn = np.einsum("bmc,bmwc->bmw", d_pooled, win)
     d_s = _softmax_backward(attn, d_attn) * scale
-    d_qk = np.einsum("mw,mwc->mc", d_s, win)           # M x C
-    grads.add("pool.q2d", d_qk @ pool.phi_k.T)
+    d_qk = np.einsum("bmw,bmwc->mc", d_s, win)         # M x C, batch summed
+    grads["pool.q2d"] = d_qk @ pool.phi_k.T
     d_phi_k = pool.q2d.T @ d_qk
     if pool.shared_phi:
-        grads.add("pool.phi_k", d_phi_k + d_phi_v)
+        grads["pool.phi_k"] = d_phi_k + d_phi_v
     else:
-        grads.add("pool.phi_k", d_phi_k)
-        grads.add("pool.phi_v", d_phi_v)
+        grads["pool.phi_k"] = d_phi_k
+        grads["pool.phi_v"] = d_phi_v
 
 
 def _branch_backward(params, cache, name: str, d_out: np.ndarray,
-                     grads: _Grads) -> None:
+                     grads: dict) -> None:
+    """Backward of one branch; its cache entry is released as it is used."""
+    bcache = cache.pop(name)
     if name == "resample":
-        _resample_backward(params, cache["resample"], d_out, grads)
+        _resample_backward(params, bcache, d_out, grads)
     elif name == "pool":
-        _pool_backward(params, cache["pool"], d_out, grads)
+        _pool_backward(params, bcache, d_out, grads)
     # prune: selected rows come straight from the input features, and score
     # influence is detached, so no parameter receives gradient.
 
 
-def _forward(bundle: FeatureBundle, params: pl.ProjectorParams, mode: tuple,
+def _forward(bundles, params: pl.ProjectorParams, mode: tuple,
              cache: dict | None = None) -> pl.ProjectedTokens:
     """The forward pass `backward` differentiates, for ("stage1",) or
-    ("train", tau, gumbel_scale, seed)."""
+    ("train", tau, gumbel_scale, seeds)."""
     if mode[0] == "stage1":
-        return pl.stage1_forward(bundle, params, cache=cache)
+        return pl.stage1_forward(bundles, params, cache=cache)
     if mode[0] == "train":
-        _, tau, gscale, seed = mode
-        return pl.train_forward(bundle, params, tau, gscale, seed, cache=cache)
+        _, tau, gscale, seeds = mode
+        return pl.train_forward(bundles, params, tau, gscale, seeds,
+                                cache=cache)
     raise ValueError(f"unknown backward mode {mode[0]!r}")
 
 
-def backward(bundle: FeatureBundle, params: pl.ProjectorParams,
-             target: np.ndarray, mode: tuple, into: _Grads | None = None):
-    """Loss and analytic gradients for every learnable tensor.
+def _as_targets(targets) -> list[np.ndarray]:
+    """One target per sample; a single array is the target of a batch of
+    one."""
+    return [targets] if isinstance(targets, np.ndarray) else list(targets)
 
-    mode is ("stage1",) or ("train", tau, gumbel_scale, seed). Returns
-    (loss, grads, aux) where aux carries the forward gate for inspection and
-    "reached", the names of the tensors the mode trains. The other tensors'
-    gradients are exactly zero and come back as read-only views. With
-    `into`, this sample's gradients add into that accumulator instead of a
-    fresh one, and the returned gradients are its running sums; each reached
-    tensor gets exactly one contribution per call.
+
+def backward(bundles, params: pl.ProjectorParams, targets, mode: tuple):
+    """Batch-mean loss and its analytic gradient for every learnable tensor.
+
+    One forward and one backward over the whole batch; a single bundle and
+    target are a batch of one. mode is ("stage1",) or ("train", tau,
+    gumbel_scale, seeds), with one gate-noise seed per bundle (an int for a
+    batch of one). Returns (loss, grads, aux) where aux carries the forward
+    gate of each sample for inspection and "reached", the names of the
+    tensors the mode trains. Each reached gradient is a fresh array; the
+    other tensors' gradients are exactly zero and come back as read-only
+    views.
     """
+    bundles, targets = as_batch(bundles), _as_targets(targets)
+    if len(targets) != len(bundles):
+        raise ShapeError(f"{len(targets)} targets for {len(bundles)} bundles")
     cache: dict = {}
-    out = _forward(bundle, params, mode, cache)
-    diff = out.tokens - target
-    loss = float(np.mean(diff * diff))
-    d_y = 2.0 * diff / diff.size
-    grads = _Grads(params) if into is None else into
+    tokens = _forward(bundles, params, mode, cache).tokens
+    loss = batch_loss(tokens, targets)
+    d_y = 2.0 * (tokens - stack_rows(targets)) / tokens.size
+    del tokens
+    grads: dict[str, np.ndarray] = {}
 
     if mode[0] == "stage1":
-        d_concat = _mlp_backward(params.stage1_mlp, cache["mlp"], d_y,
+        d_concat = _mlp_backward(params.stage1_mlp, cache.pop("mlp"), d_y,
                                  grads, "stage1_mlp")
+        del d_y
         d_outs = np.split(d_concat, len(BRANCHES), axis=1)
         for name, d_out in zip(BRANCHES, d_outs):
             _branch_backward(params, cache, name, d_out, grads)
-        return loss, grads.complete(), {"gate": None, "reached": tuple(grads)}
+        return loss, _complete(params, grads), {"gates": None,
+                                                "reached": tuple(grads)}
 
-    d_fused = _mlp_backward(params.out_mlp, cache["mlp"], d_y, grads, "out_mlp")
-    gate = cache["gate"]
-    outs = cache["outputs"]
-    d_alpha = np.array([float(np.sum(d_fused * outs[name].tokens))
-                        for name in BRANCHES])
-    for name, alpha in zip(BRANCHES, gate.alpha):
-        _branch_backward(params, cache, name, alpha * d_fused, grads)
+    d_fused = _mlp_backward(params.out_mlp, cache.pop("mlp"), d_y, grads,
+                            "out_mlp")
+    del d_y
+    gates = cache["gates"]
+    alpha = np.array([g.alpha for g in gates])         # B x branches
+    outs = cache.pop("outputs")
+    d_alpha = np.stack([(d_fused * outs[name].tokens)
+                        .reshape(len(gates), -1).sum(axis=1)
+                        for name in BRANCHES], axis=1)
+    del outs
+    for name, weight in zip(BRANCHES, alpha.T):
+        _branch_backward(params, cache, name,
+                         pl.scale_samples(weight, d_fused), grads)
 
     # gate: alpha = softmax((base_logits + noise)/tau), noise constant
     gc = cache["gate_cache"]
-    d_logits = _softmax_backward(gate.alpha, d_alpha) / gate.tau_used
-    grads.add("router.w2", np.outer(d_logits, gc["a1"]))
-    grads.add("router.b2", d_logits)
-    d_a1 = params.router.w2.T @ d_logits
+    d_logits = _softmax_backward(alpha, d_alpha) / gates[0].tau_used
+    grads["router.w2"] = d_logits.T @ gc["a1"]
+    grads["router.b2"] = d_logits.sum(axis=0)
+    d_a1 = d_logits @ params.router.w2
     _, act_grad = ACTIVATIONS[params.router.activation]
     d_h1 = d_a1 * act_grad(gc["h1"])
-    grads.add("router.w1", np.outer(d_h1, gc["f"]))
-    grads.add("router.b1", d_h1)
-    return loss, grads.complete(), {"gate": gate, "reached": tuple(grads)}
+    grads["router.w1"] = d_h1.T @ gc["f"]
+    grads["router.b1"] = d_h1.sum(axis=0)
+    return loss, _complete(params, grads), {"gates": gates,
+                                            "reached": tuple(grads)}
 
 
-def gradcheck_params(bundle: FeatureBundle, params: pl.ProjectorParams,
-                     target: np.ndarray, mode: tuple,
-                     eps: float = 1e-5) -> dict[str, float]:
-    """Per-tensor max relative error of analytic vs central-difference grads.
+def gradcheck_params(bundles, params: pl.ProjectorParams, targets,
+                     mode: tuple, eps: float = 1e-5) -> dict[str, float]:
+    """Per-tensor max relative error of analytic vs central-difference grads
+    of the batch-mean loss, for a batch as `backward` takes it.
 
     Each tensor of a deep copy is perturbed in place through `arr.flat`,
     which writes through whatever the tensor's memory order, and restored
     before the next one, so the caller's params are never touched."""
-    _, grads, _ = backward(bundle, params, target, mode)
+    bundles, targets = as_batch(bundles), _as_targets(targets)
+    _, grads, _ = backward(bundles, params, targets, mode)
     work = copy.deepcopy(params)
     report = {}
     for name, arr in work.named_tensors():
@@ -247,7 +267,7 @@ def gradcheck_params(bundle: FeatureBundle, params: pl.ProjectorParams,
 
         def tensor_loss(flat, arr=arr):
             arr.flat[:] = flat
-            return loss_mse(_forward(bundle, work, mode).tokens, target)
+            return batch_loss(_forward(bundles, work, mode).tokens, targets)
 
         report[name] = grad_check(tensor_loss, start, grads[name].ravel(), eps)
         arr.flat[:] = start
@@ -277,49 +297,41 @@ def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
     """Plain gradient descent; deterministic for a fixed seed."""
     if len(config.bundles) != len(config.targets) or not config.bundles:
         raise ValueError("need equal, nonzero numbers of bundles and targets")
-    batch = list(zip(config.bundles, config.targets))
+    n = len(config.bundles)
     losses: list[float] = []
     tau_trace: list[float] = []
     gumbel_trace: list[float] = []
     first_entropy = final_entropy = None
 
     for step in range(config.steps):
-        if config.stage == 2:
+        if config.stage == 1:
+            mode = ("stage1",)
+        else:
             tau = tau_at(config.schedule, step)
             gscale = gumbel_scale_at(config.schedule, step)
             tau_trace.append(tau)
             gumbel_trace.append(gscale)
-        grads = _Grads(params)   # every sample of the batch adds into it
-        step_loss = 0.0
-        step_entropy = 0.0
-        for i, (bundle, target) in enumerate(batch):
-            if config.stage == 1:
-                mode = ("stage1",)
-            else:
-                noise_seed = config.seed * 1000003 + step * len(batch) + i
-                mode = ("train", tau, gscale, noise_seed)
-            loss, _, aux = backward(bundle, params, target, mode, into=grads)
-            step_loss += loss
-            if aux["gate"] is not None:
-                step_entropy += gate_entropy(aux["gate"].alpha)
-        step_loss /= len(batch)
-        if not math.isfinite(step_loss):
+            seeds = [config.seed * 1000003 + step * n + i for i in range(n)]
+            mode = ("train", tau, gscale, seeds)
+        loss, grads, aux = backward(config.bundles, params, config.targets,
+                                    mode)
+        if not math.isfinite(loss):
             raise DivergenceError(step)
-        losses.append(step_loss)
+        losses.append(loss)
         if config.stage == 2:
-            step_entropy /= len(batch)
+            entropy = sum(gate_entropy(g.alpha) for g in aux["gates"]) / n
             if step == 0:
-                first_entropy = step_entropy
-            final_entropy = step_entropy
+                first_entropy = entropy
+            final_entropy = entropy
         tensors = dict(params.named_tensors())
-        for name, acc in grads.items():
-            acc *= config.lr
-            acc /= len(batch)
-            tensors[name] -= acc
+        for name in aux["reached"]:
+            grad = grads[name]   # a fresh array: scale it in place
+            grad *= config.lr
+            tensors[name] -= grad
 
     gc_err = None
     if config.final_grad_check:
-        bundle, target = batch[0]
+        bundle, target = config.bundles[0], config.targets[0]
         if config.stage == 1:
             mode = ("stage1",)
         else:

@@ -315,3 +315,31 @@ class TestTrainToy:
                                        "--no-grad-check"])
             digests.append(json.loads(res.output)["params_digest"])
         assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("value", [0, -3, True])
+@pytest.mark.parametrize("command", [
+    ["compress", "--features", "{features}"],
+    ["train-toy", "--stage", "1", "--steps", "1"],
+    ["gradcheck", "--trials", "1"]])
+def test_bad_router_hidden_is_usage_error(runner, workspace, command, value):
+    # 0 used to fall back to the default width, -3 to end in a numpy
+    # traceback, and true to be taken as a width of 1
+    tmp, cfg, features = workspace
+    raw = json.loads(cfg.read_text())
+    cfg.write_text(json.dumps({**raw, "router_hidden": value}))
+    args = [a.format(features=features) for a in command]
+    res = runner.invoke(main, args + ["--config", str(cfg)])
+    assert res.exit_code == 2, res.output
+    assert "router_hidden" in res.output
+
+
+def test_router_hidden_sets_the_router_width(runner, workspace):
+    tmp, cfg, features = workspace
+    raw = json.loads(cfg.read_text())
+    cfg.write_text(json.dumps({**raw, "router_hidden": 1}))
+    res = runner.invoke(main, ["gradcheck", "--config", str(cfg),
+                               "--trials", "1"])
+    assert res.exit_code == 0, res.output
+    params = cli.build_params(cli.load_config(cfg))
+    assert params.router.w1.shape == (1, 14)

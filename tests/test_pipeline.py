@@ -4,11 +4,11 @@ import pytest
 from qmop.branches import CompressedTokens, pool_local, prune_scores, \
     prune_select, resample
 from qmop.linalg import ACTIVATIONS, NumericError, ShapeError, seeded_fill
+from test_trainer import params_to_vector
 from qmop.pipeline import (
     fuse,
     infer_forward,
     init_projector_params,
-    params_to_vector,
     run_branches,
     stage1_forward,
     train_forward,
@@ -29,7 +29,6 @@ class TestRunBranches:
         outs = run_branches(tiny_bundle, tiny_params)
         for name in ("pool", "resample", "prune"):
             assert outs[name].tokens.shape == (4, 8)
-            assert outs[name].origin == name
 
     def test_deterministic(self, tiny_bundle, tiny_params):
         a = run_branches(tiny_bundle, tiny_params)
@@ -57,7 +56,7 @@ class TestRunBranches:
 
 class TestFuse:
     def outputs(self, seed=0):
-        return {name: CompressedTokens(seeded_fill(seed + i, 4, 8), name)
+        return {name: CompressedTokens(seeded_fill(seed + i, 4, 8))
                 for i, name in enumerate(("pool", "resample", "prune"))}
 
     def test_one_hot_bit_exact(self):
@@ -67,8 +66,8 @@ class TestFuse:
 
     def test_equal_matrices_convexity(self):
         a = seeded_fill(0, 4, 8)
-        outs = {"pool": CompressedTokens(a, "pool"),
-                "resample": CompressedTokens(a.copy(), "resample"),
+        outs = {"pool": CompressedTokens(a),
+                "resample": CompressedTokens(a.copy()),
                 "prune": None}
         assert np.allclose(fuse(outs, np.array([0.5, 0.5, 0.0])), a,
                            atol=1e-15)
@@ -101,7 +100,7 @@ class TestFuse:
 
     def test_shape_mismatch(self):
         outs = self.outputs()
-        outs["prune"] = CompressedTokens(seeded_fill(9, 3, 8), "prune")
+        outs["prune"] = CompressedTokens(seeded_fill(9, 3, 8))
         with pytest.raises(ShapeError):
             fuse(outs, np.array([0.3, 0.3, 0.4]))
 
@@ -117,7 +116,7 @@ class TestStage1Forward:
         out = stage1_forward(tiny_bundle, tiny_params)
         assert out.tokens.shape == (4, 8)
         assert out.mode == "stage1"
-        assert out.gate is None and out.active is None
+        assert out.gates is None and out.active is None
 
     def test_zeroed_output_layer_gives_bias(self, tiny_bundle, tiny_params):
         tiny_params.stage1_mlp.w_out[:] = 0.0

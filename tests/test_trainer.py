@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmop import init_projector_params, stage1_forward, synth_bundle, trainer
-from qmop.linalg import grad_check, seeded_fill
-from qmop.pipeline import params_to_vector, train_forward
+from qmop import (init_projector_params, pipeline, stage1_forward,
+                  synth_bundle, trainer)
+from qmop.linalg import ShapeError, grad_check, seeded_fill
+from qmop.pipeline import train_forward
 from qmop.router import BRANCHES
 from qmop.trainer import (
     DIGEST_CHUNK,
@@ -20,7 +21,6 @@ from qmop.trainer import (
     loss_mse,
     params_digest,
     tau_at,
-    _Grads,
     train_toy,
 )
 
@@ -126,8 +126,8 @@ class TestBackward:
         held = list(tensors.values()) + [
             tiny_bundle.patches, tiny_bundle.cls_token, tiny_bundle.eos_token,
             tiny_target]
-        if aux["gate"] is not None:
-            held += [aux["gate"].alpha, aux["gate"].logits]
+        for gate in aux["gates"] or ():
+            held += [gate.alpha, gate.logits]
         reached = [grads[name] for name in aux["reached"]]
         for name, grad in zip(aux["reached"], reached):
             assert grad.shape == tensors[name].shape, name
@@ -235,6 +235,54 @@ class TestBackward:
         assert pool["_pool_backward"] == 1
         assert res["_resample_backward"] == 1
 
+        # one train_toy step over a batch of 3 is one forward and one
+        # backward, with each branch run once over the stacked batch
+        stage = 1 if mode[0] == "stage1" else 2
+        forward = spy(pipeline, "stage1_forward" if stage == 1
+                      else "train_forward")
+        step = spy(trainer, "backward")
+        for calls in (branch_calls, pool, res):
+            calls.clear()
+        bundles, targets = make_batch(3, n=3)
+        train_toy(tiny_params, TrainConfig(
+            stage=stage, steps=1, lr=0.1, seed=3, bundles=bundles,
+            targets=targets, final_grad_check=False))
+        assert sum(forward.values()) == 1
+        assert step["backward"] == 1
+        assert branch_calls == dict.fromkeys(BRANCHES, 1)
+        assert pool["_pool_backward"] == 1
+        assert res["_resample_backward"] == 1
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_gradcheck_batch_of_three(self, stage):
+        # the stacking and the batch sums over d_qk only run when B > 1
+        params = make_params(10)
+        bundles, targets = make_batch(10, n=3)
+        mode = ("stage1",) if stage == 1 else ("train", 1.3, 0.7, [4, 5, 6])
+        report = gradcheck_params(bundles, params, targets, mode)
+        assert max(report.values()) <= TOL
+
+    def test_gradcheck_batch_shared_phi(self):
+        params = init_projector_params(4, 4, 8, 6, 8, 4, 2, seed=11,
+                                       shared_pool_phi=True)
+        bundles, targets = make_batch(11, n=2)
+        report = gradcheck_params(bundles, params, targets,
+                                  ("train", 1.0, 0.3, [1, 2]))
+        assert max(report.values()) <= TOL
+
+    @pytest.mark.parametrize("mode", [("stage1",), ("train", 1.3, 0.7, 0)])
+    def test_wrong_target_shape_raises(self, tiny_bundle, tiny_params, mode):
+        # a (1, D) target would broadcast against the (M, D) output
+        with pytest.raises(ShapeError):
+            backward(tiny_bundle, tiny_params, np.zeros((1, 8)), mode)
+
+    def test_batch_needs_one_target_and_seed_per_bundle(self, tiny_params):
+        bundles, targets = make_batch(12, n=2)
+        with pytest.raises(ShapeError):
+            backward(bundles, tiny_params, targets[:1], ("stage1",))
+        with pytest.raises(ShapeError):
+            backward(bundles, tiny_params, targets, ("train", 1.0, 0.0, 3))
+
     def test_loss_smooth_below_score_gap(self, tiny_bundle, tiny_params,
                                          tiny_target):
         # perturbations too small to flip kept indices change loss smoothly;
@@ -330,6 +378,15 @@ class TestTrainToy:
                 targets=targets, final_grad_check=False))
         assert err.value.step >= 1
 
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_vector_targets_raise(self, stage):
+        bundles, _ = make_batch(13, n=2)
+        targets = [seeded_fill(70 + i, 1, 8)[0] for i in range(2)]  # (D,)
+        with pytest.raises(ShapeError):
+            train_toy(make_params(13), TrainConfig(
+                stage=stage, steps=1, lr=0.1, seed=13, bundles=bundles,
+                targets=targets, final_grad_check=False))
+
     def test_entropy_mostly_nonincreasing(self):
         wins = 0
         for seed in range(10):
@@ -341,22 +398,38 @@ class TestTrainToy:
         assert wins >= 8
 
 
-def reference_step(params, bundles, targets, stage, lr, seed):
-    """Step 0 of train_toy written out: sum the per-sample gradients that
-    backward() returns, then scale and subtract them."""
+def step_mode(stage, seed, n):
+    """The mode train_toy's step 0 runs a batch of n in."""
     sched = AnnealSchedule()
-    total = {}
+    return ("stage1",) if stage == 1 else (
+        "train", tau_at(sched, 0), gumbel_scale_at(sched, 0),
+        [seed * 1000003 + i for i in range(n)])
+
+
+def summed_backwards(params, bundles, targets, stage, seed):
+    """Step 0's losses and gradients as batch-of-one backward() calls,
+    summed over the batch, each sample with the gate-noise seed train_toy
+    gives it."""
+    loss_sum, total = 0.0, {}
     for i, (bundle, target) in enumerate(zip(bundles, targets)):
-        mode = ("stage1",) if stage == 1 else (
-            "train", tau_at(sched, 0), gumbel_scale_at(sched, 0),
-            seed * 1000003 + i)
-        _, grads, aux = backward(bundle, params, target, mode)
+        mode = step_mode(stage, seed, len(bundles))
+        if stage == 2:
+            mode = mode[:3] + (mode[3][i],)
+        loss, grads, aux = backward(bundle, params, target, mode)
+        loss_sum += loss
         for name in aux["reached"]:
             if name in total:
                 total[name] += grads[name]
             else:
                 total[name] = grads[name]
+    return loss_sum, total
+
+
+def reference_step(params, bundles, targets, stage, lr, seed):
+    """Step 0 of train_toy written out: sum the per-sample gradients that
+    backward() returns, then scale and subtract them."""
     tensors = dict(params.named_tensors())
+    _, total = summed_backwards(params, bundles, targets, stage, seed)
     for name, acc in total.items():
         acc *= lr
         acc /= len(bundles)
@@ -367,10 +440,11 @@ class TestOneGradientSet:
     @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("stage", [1, 2])
     def test_step_bit_identical_to_summed_backwards(self, stage, shared):
+        # a batch of one runs exactly the arithmetic of one sample
         params = init_projector_params(4, 4, 8, 6, 8, 4, 2, seed=9,
                                        shared_pool_phi=shared)
         expected = copy.deepcopy(params)
-        bundles, targets = make_batch(9, n=3)
+        bundles, targets = make_batch(9, n=1)
         train_toy(params, TrainConfig(
             stage=stage, steps=1, lr=0.1, seed=9, bundles=bundles,
             targets=targets, final_grad_check=False))
@@ -379,15 +453,42 @@ class TestOneGradientSet:
                                           expected.named_tensors()):
             assert np.array_equal(got, want), name
 
+    @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("stage", [1, 2])
-    def test_traced_peak_does_not_grow_with_batch(self, stage):
-        # one accumulator per step: a larger batch adds at most one fresh
-        # contribution in flight, never a second gradient set
-        bundles = [synth_bundle(i, 8, 8, 128, 96) for i in range(4)]
-        targets = [seeded_fill(50 + i, 16, 512) for i in range(4)]
+    def test_step_matches_summed_backwards(self, stage, shared):
+        # B > 1 sums over the stacked rows in another order than summing
+        # per-sample gradients, so the two agree to rounding, not to the bit
+        params = init_projector_params(4, 4, 8, 6, 8, 4, 2, seed=9,
+                                       shared_pool_phi=shared)
+        bundles, targets = make_batch(9, n=3)
+        loss, grads, aux = backward(bundles, params, targets,
+                                    step_mode(stage, 9, 3))
+        loss_sum, total = summed_backwards(params, bundles, targets, stage, 9)
+        assert set(aux["reached"]) == set(total)
+        assert loss == pytest.approx(loss_sum / 3, rel=1e-12, abs=0)
+        for name, acc in total.items():
+            want = acc / 3
+            err = np.max(np.abs(grads[name] - want))
+            assert err <= 1e-12 * np.max(np.abs(want)), name
+        # the step subtracts exactly lr times that gradient
+        before = {name: arr.copy() for name, arr in params.named_tensors()}
+        train_toy(params, TrainConfig(
+            stage=stage, steps=1, lr=0.1, seed=9, bundles=bundles,
+            targets=targets, final_grad_check=False))
+        for name, arr in params.named_tensors():
+            assert np.array_equal(arr, before[name] - grads[name] * 0.1), name
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_traced_peak_grows_by_activations_only(self, stage):
+        # a batched step holds one gradient set and the batch's stacked
+        # activations: one more sample may add its own rows to those, but
+        # never a gradient set of its own
+        m, d, c, c2, n = 16, 512, 128, 96, 64
+        bundles = [synth_bundle(i, 8, 8, c, c2) for i in range(4)]
+        targets = [seeded_fill(50 + i, m, d) for i in range(4)]
 
         def step_peak(batch):
-            params = init_projector_params(8, 8, 128, 96, 512, 16, 2, seed=0)
+            params = init_projector_params(8, 8, c, c2, d, m, 2, seed=0)
             config = TrainConfig(
                 stage=stage, steps=1, lr=0.1, seed=0, bundles=bundles[:batch],
                 targets=targets[:batch], final_grad_check=False)
@@ -400,10 +501,32 @@ class TestOneGradientSet:
                 tracemalloc.stop()
 
         peak1, params = step_peak(1)
+        # float64 bytes one sample adds to the stacked activations: its M
+        # rows through the MLP (input, hidden, activation) and at its output
+        # (tokens, target, residual, d_y), its N patches twice (pool windows,
+        # prune's stacked input), their text projection and resample's
+        # M x N attention
+        width = c * len(BRANCHES) if stage == 1 else c
+        per_sample = 8 * (3 * m * width + 4 * m * d + 2 * n * c + n * c2
+                          + m * n)
         mode = ("stage1",) if stage == 1 else ("train", 1.0, 0.0, 0)
         _, grads, aux = backward(bundles[0], params, targets[0], mode)
-        largest = max(grads[name].nbytes for name in aux["reached"])
-        assert step_peak(4)[0] - peak1 <= largest + 64 * 1024
+        grad_set = sum(grads[name].nbytes for name in aux["reached"])
+        assert per_sample < grad_set
+        assert step_peak(4)[0] - peak1 <= 3 * per_sample
+
+
+def params_to_vector(params):
+    """Flatten all learnable tensors; returns (vector, {name: (slice, shape)}).
+    The digest tests' reference: `params_digest` must hash this vector's
+    float32 bytes."""
+    chunks, layout, pos = [], {}, 0
+    for name, arr in params.named_tensors():
+        flat = arr.ravel()
+        layout[name] = (slice(pos, pos + flat.size), arr.shape)
+        chunks.append(flat)
+        pos += flat.size
+    return np.concatenate(chunks), layout
 
 
 def test_params_digest_changes_with_params(tiny_params):
@@ -417,17 +540,6 @@ def test_params_digest_hashes_the_float32_vector(tiny_params):
     vec, _ = params_to_vector(tiny_params)
     expected = hashlib.sha256(vec.astype("<f4").tobytes()).hexdigest()
     assert params_digest(tiny_params) == expected
-
-
-def test_grads_keep_first_contribution_and_add_later(tiny_params):
-    grads = _Grads(tiny_params)
-    first = np.ones(3)
-    grads.add("router.b2", first)
-    assert grads["router.b2"] is first  # stored as is, no zero-fill
-    grads.add("router.b2", np.full(3, 2.0))
-    assert grads["router.b2"] is first
-    assert np.array_equal(first, [3.0, 3.0, 3.0])
-    assert tuple(grads) == ("router.b2",)
 
 
 def test_params_digest_across_chunk_boundaries(tiny_params):
