@@ -8,7 +8,8 @@
 Each runs over a batch of B samples at once and returns their outputs
 stacked sample by sample into B*M rows, so every product whose left side is
 per-row runs as one GEMM over the batch and every params-only product runs
-once per batch.
+once per batch. Each also returns what its backward reads: prune its kept
+indices, pool and resample their inputs, attention and attended rows.
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ class PoolParams:
 class CompressedTokens:
     tokens: np.ndarray  # B*M x C, sample by sample
     kept_indices: np.ndarray | None = None  # prune: each sample's, ascending
+    # pool: B x M x s^2 x C windows; resample: each sample's N x C tokens
+    inputs: np.ndarray | list[np.ndarray] | None = None
+    pooled: np.ndarray | None = None  # B*M x C, before the value projection
+    attn: np.ndarray | None = None    # pool: B x M x s^2; resample: B*M x N
 
 
 def _minmax(v: np.ndarray) -> np.ndarray:
@@ -128,8 +133,7 @@ def prune(bundles, rel: RelevanceMap, cfg: PruneConfig) -> CompressedTokens:
                             np.concatenate([p.kept_indices for p in picks]))
 
 
-def resample(tokens, params: ResamplerParams,
-             cache: dict | None = None) -> CompressedTokens:
+def resample(tokens, params: ResamplerParams) -> CompressedTokens:
     """Cross-attention of M learnable queries over projected keys/values.
 
     `tokens` is one N x C matrix or a batch of them. As in pool, both
@@ -148,10 +152,8 @@ def resample(tokens, params: ResamplerParams,
     attn = stack_rows([softmax_rows(qk @ x.T / math.sqrt(c))
                        for x in xs])                   # B*M x N
     pooled = stack_rows([a @ x for a, x in zip(np.split(attn, len(xs)), xs)])
-    out = pooled @ params.w_v.T                        # B*M x C
-    if cache is not None:
-        cache.update(x=xs, qk=qk, pooled=pooled, attn=attn)
-    return CompressedTokens(out)
+    return CompressedTokens(pooled @ params.w_v.T, inputs=xs, pooled=pooled,
+                            attn=attn)
 
 
 def _pool_windows(bundles: list[FeatureBundle],
@@ -172,8 +174,7 @@ def _pool_windows(bundles: list[FeatureBundle],
     return win.reshape(len(bundles), h * w, s * s, c)
 
 
-def pool_local(bundles, params: PoolParams,
-               cache: dict | None = None) -> CompressedTokens:
+def pool_local(bundles, params: PoolParams) -> CompressedTokens:
     """Each query cell attends only to its own s x s spatial window.
 
     Keys and values are linear maps of the window cells, so both projections
@@ -189,7 +190,5 @@ def pool_local(bundles, params: PoolParams,
     scores = np.einsum("bmwc,mc->bmw", win, qk) / math.sqrt(c)
     attn = softmax_rows(scores.reshape(b * m, -1)).reshape(scores.shape)
     pooled = np.einsum("bmw,bmwc->bmc", attn, win).reshape(b * m, c)
-    out = pooled @ phi_v.T
-    if cache is not None:
-        cache.update(windows=win, qk=qk, pooled=pooled, attn=attn)
-    return CompressedTokens(out)
+    return CompressedTokens(pooled @ phi_v.T, inputs=win, pooled=pooled,
+                            attn=attn)

@@ -147,7 +147,7 @@ def cmd_compress(features, config_path, mode_spec, out, no_timing,
         cost = costmodel.cost_report(
             cfg.m_tokens, n_in=cfg.n_tokens, c_vis=cfg.c_vis,
             c_txt=cfg.c_txt, d_llm=cfg.d_llm,
-            active=active_names or BRANCHES,
+            active=active_names or BRANCHES, router_hidden=cfg.router_hidden,
         )
         run = {
             "features": str(path),

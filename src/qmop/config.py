@@ -6,7 +6,7 @@ cannot silently fall back to defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .router import BRANCHES
 from .trainer import AnnealSchedule
@@ -105,7 +105,10 @@ def parse_mode(spec: str) -> tuple[str, float]:
 
 def load_config(path) -> PipelineConfig:
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:   # bad JSON or bytes that are not UTF-8
+            raise ConfigError(f"not a JSON file: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     cfg = PipelineConfig()
@@ -117,7 +120,10 @@ def load_config(path) -> PipelineConfig:
             bad = set(val) - _SCHEDULE_KEYS
             if bad:
                 raise ConfigError(f"unknown schedule keys: {sorted(bad)}")
-            cfg.schedule = AnnealSchedule(**{**cfg.schedule.__dict__, **val})
+            try:
+                cfg.schedule = replace(cfg.schedule, **val)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"schedule: {exc}") from None
         elif key in known:
             setattr(cfg, key, val)
         else:

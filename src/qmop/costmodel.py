@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import DomainError
-from .router import BRANCHES
+from .router import BRANCHES, hidden_width
 
 # Published complexity-table anchors for the 7B baseline:
 # 576 tokens -> 3.82 TFLOPs / 302.0 M KV; 144 tokens -> 0.94 TFLOPs / 75.5 M.
@@ -105,7 +105,7 @@ def projector_flops(
         # shared output MLP on the fused M tokens
         "out_mlp": 2 * m * c * c + 2 * m * c * d,
     }
-    hidden = router_hidden if router_hidden else -(-(c + c2) // 2)
+    hidden = hidden_width(c + c2, router_hidden)
     flops["router"] = 2 * hidden * (c + c2) + 2 * len(BRANCHES) * hidden
     branch_total = sum(flops[b] for b in BRANCHES if b in active)
     flops["total"] = branch_total + flops["out_mlp"] + flops["router"]
@@ -115,14 +115,16 @@ def projector_flops(
 def cost_report(n_tokens: int, n_in: int | None = None,
                 c_vis: int | None = None, c_txt: int | None = None,
                 d_llm: int | None = None,
-                active: tuple[str, ...] = BRANCHES) -> CostReport:
+                active: tuple[str, ...] = BRANCHES,
+                router_hidden: int | None = None) -> CostReport:
     dims = dict(DEFAULT_DIMS)
     for key, val in (("n_in", n_in), ("c_vis", c_vis),
                      ("c_txt", c_txt), ("d_llm", d_llm)):
         if val is not None:
             dims[key] = val
     proj = projector_flops(dims["n_in"], n_tokens, dims["c_vis"],
-                           dims["c_txt"], dims["d_llm"], active=active)
+                           dims["c_txt"], dims["d_llm"],
+                           router_hidden=router_hidden, active=active)
     return CostReport(
         n_tokens=n_tokens,
         llm_tflops=llm_cost(n_tokens),

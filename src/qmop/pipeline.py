@@ -10,6 +10,8 @@ Three modes share the branch operators, taken in `router.BRANCHES` order:
 stage1 and train run over a batch: each branch runs once over the B samples,
 and the MLP sees their B*M rows stacked sample by sample. A single bundle is
 a batch of one. infer runs one bundle as a batch of one.
+stage1 and train also return what `trainer.backward` reads: every branch's
+output, the MLP's activations and (train) each sample's gate.
 """
 
 from __future__ import annotations
@@ -70,6 +72,9 @@ class ProjectedTokens:
     mode: str           # stage1 | train | infer
     gates: list[rt.GateWeights] | None = None  # one per sample
     active: rt.ActiveSet | None = None
+    # stage1 and train: the branch outputs and the MLP's (x, h, activation)
+    outputs: dict[str, br.CompressedTokens] | None = None
+    mlp: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 def init_projector_params(
@@ -88,7 +93,7 @@ def init_projector_params(
             f"m_tokens {m_tokens} != pooled grid {h}x{w} at stride {stride}"
         )
     c, c2, nb = c_vis, c_txt, len(rt.BRANCHES)
-    d = router_hidden if router_hidden is not None else math.ceil((c + c2) / 2)
+    d = rt.hidden_width(c + c2, router_hidden)
     s = [seed * 64 + i for i in range(32)]  # distinct subseed per tensor
 
     def g(i, rows, cols, fan):
@@ -123,28 +128,21 @@ def init_projector_params(
 
 
 def _run_branch(name: str, bundles: list[FeatureBundle],
-                params: ProjectorParams,
-                cache: dict | None = None) -> br.CompressedTokens:
+                params: ProjectorParams) -> br.CompressedTokens:
     if name == "pool":
-        return br.pool_local(bundles, params.pool, cache=cache)
+        return br.pool_local(bundles, params.pool)
     if name == "resample":
-        return br.resample([b.patches for b in bundles], params.resampler,
-                           cache=cache)
+        return br.resample([b.patches for b in bundles], params.resampler)
     if name == "prune":
         return br.prune(bundles, params.relevance, params.prune_cfg)
     raise ValueError(f"unknown branch {name!r}")
 
 
-def run_branches(bundles, params: ProjectorParams,
-                 cache: dict | None = None) -> dict[str, br.CompressedTokens]:
-    """Every branch in `router.BRANCHES` order, each once over the batch;
-    with `cache`, each branch records what its backward needs under
-    `cache[name]`."""
+def run_branches(bundles,
+                 params: ProjectorParams) -> dict[str, br.CompressedTokens]:
+    """Every branch in `router.BRANCHES` order, each once over the batch."""
     bundles = as_batch(bundles)
-    return {name: _run_branch(
-                name, bundles, params,
-                None if cache is None else cache.setdefault(name, {}))
-            for name in rt.BRANCHES}
+    return {name: _run_branch(name, bundles, params) for name in rt.BRANCHES}
 
 
 def scale_samples(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -184,37 +182,32 @@ def fuse(outputs: dict[str, br.CompressedTokens | None],
     return acc
 
 
-def _mlp_forward(mlp: Mlp, x: np.ndarray, cache: dict | None = None) -> np.ndarray:
+def _mlp_forward(mlp: Mlp, x: np.ndarray):
+    """(output, pre-activation, activation) of the MLP on the rows of x."""
     act, _ = ACTIVATIONS[mlp.activation]
     h = x @ mlp.w_in.T + mlp.b_in
     a = act(h)
-    y = a @ mlp.w_out.T + mlp.b_out
-    if cache is not None:
-        cache.update(x=x, h=h, a=a)
-    return y
+    return a @ mlp.w_out.T + mlp.b_out, h, a
 
 
-def stage1_forward(bundles, params: ProjectorParams,
-                   cache: dict | None = None) -> ProjectedTokens:
-    outs = run_branches(bundles, params, cache)
+def stage1_forward(bundles, params: ProjectorParams) -> ProjectedTokens:
+    outs = run_branches(bundles, params)
     concat = np.concatenate([outs[n].tokens for n in rt.BRANCHES], axis=1)
-    mlp_cache = {} if cache is not None else None
-    tokens = _mlp_forward(params.stage1_mlp, concat, mlp_cache)
-    if cache is not None:
-        cache["mlp"] = mlp_cache
-    return ProjectedTokens(tokens, "stage1")
+    for out, part in zip(outs.values(), np.split(concat, len(outs), axis=1)):
+        out.tokens = part   # a view: the record holds these rows once
+    tokens, h, a = _mlp_forward(params.stage1_mlp, concat)
+    return ProjectedTokens(tokens, "stage1", outputs=outs, mlp=(concat, h, a))
 
 
 def _gate(bundle: FeatureBundle, params: ProjectorParams, tau: float,
-          gumbel_scale: float, seed: int,
-          cache: dict | None = None) -> rt.GateWeights:
+          gumbel_scale: float, seed: int) -> rt.GateWeights:
     f = rt.build_context(bundle.cls_token, bundle.eos_token)
-    return rt.gate_forward(f, params.router, tau, gumbel_scale, seed, cache)
+    return rt.gate_forward(f, params.router, tau, gumbel_scale, seed)
 
 
 def train_forward(bundles, params: ProjectorParams,
-                  tau: float = 1.0, gumbel_scale: float = 0.0, seed=0,
-                  cache: dict | None = None) -> ProjectedTokens:
+                  tau: float = 1.0, gumbel_scale: float = 0.0,
+                  seed=0) -> ProjectedTokens:
     """`seed` gives one gate-noise seed per bundle; an int is the seed of a
     batch of one."""
     bundles = as_batch(bundles)
@@ -222,18 +215,13 @@ def train_forward(bundles, params: ProjectorParams,
     if len(seeds) != len(bundles):
         raise ShapeError(f"{len(seeds)} gate-noise seeds for "
                          f"{len(bundles)} bundles")
-    gate_caches = [{} if cache is not None else None for _ in bundles]
-    gates = [_gate(b, params, tau, gumbel_scale, s, gc)
-             for b, s, gc in zip(bundles, seeds, gate_caches)]
-    outs = run_branches(bundles, params, cache)
+    gates = [_gate(b, params, tau, gumbel_scale, s)
+             for b, s in zip(bundles, seeds)]
+    outs = run_branches(bundles, params)
     fused = fuse(outs, np.array([g.alpha for g in gates]))
-    mlp_cache = {} if cache is not None else None
-    tokens = _mlp_forward(params.out_mlp, fused, mlp_cache)
-    if cache is not None:
-        cache.update(mlp=mlp_cache, outputs=outs, gates=gates, fused=fused,
-                     gate_cache={k: np.array([gc[k] for gc in gate_caches])
-                                 for k in ("f", "h1", "a1")})
-    return ProjectedTokens(tokens, "train", gates=gates)
+    tokens, h, a = _mlp_forward(params.out_mlp, fused)
+    return ProjectedTokens(tokens, "train", gates=gates, outputs=outs,
+                           mlp=(fused, h, a))
 
 
 def infer_forward(bundle: FeatureBundle, params: ProjectorParams,
@@ -250,10 +238,12 @@ def infer_forward(bundle: FeatureBundle, params: ProjectorParams,
     outs: dict[str, br.CompressedTokens | None] = {}
     weights = np.zeros(len(rt.BRANCHES))
     for name, wgt in zip(active.members, active.renorm_weights):
-        outs[name] = _run_branch(name, [bundle], params)
+        # only the tokens: infer has no backward to read the rest
+        outs[name] = br.CompressedTokens(
+            _run_branch(name, [bundle], params).tokens)
         weights[rt.BRANCHES.index(name)] = wgt
     fused = fuse(outs, weights)
-    tokens = _mlp_forward(params.out_mlp, fused)
+    tokens = _mlp_forward(params.out_mlp, fused)[0]
     if not np.isfinite(tokens).all():
         raise NumericError("inference produced non-finite tokens")
     return ProjectedTokens(tokens, "infer", gates=[gate], active=active)

@@ -29,15 +29,23 @@ class RouterParams:
 @dataclass
 class GateWeights:
     alpha: np.ndarray    # one per branch in BRANCHES order, sums to 1
-    logits: np.ndarray   # pre-softmax (noise included, pre-temperature)
     tau_used: float
     gumbel_applied: bool
+    # read by the router backward: context, hidden pre-activation, activation
+    f: np.ndarray | None = None
+    h1: np.ndarray | None = None
+    a1: np.ndarray | None = None
 
 
 @dataclass
 class ActiveSet:
     members: tuple[str, ...]
     renorm_weights: np.ndarray  # over members, sums to 1
+
+
+def hidden_width(context: int, router_hidden: int | None = None) -> int:
+    """`router_hidden`, or by default half the context length rounded up."""
+    return router_hidden if router_hidden is not None else -(-context // 2)
 
 
 def build_context(v_cls: np.ndarray, t_eos: np.ndarray) -> np.ndarray:
@@ -55,8 +63,7 @@ def sample_gumbel(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def gate_forward(f: np.ndarray, params: RouterParams, tau: float = 1.0,
-                 gumbel_scale: float = 0.0, seed: int = 0,
-                 cache: dict | None = None) -> GateWeights:
+                 gumbel_scale: float = 0.0, seed: int = 0) -> GateWeights:
     """MLP logits over branches, optional Gumbel noise, tempered softmax."""
     if tau <= 0:
         raise DomainError(f"tau must be > 0, got {tau}")
@@ -71,9 +78,7 @@ def gate_forward(f: np.ndarray, params: RouterParams, tau: float = 1.0,
         noise = sample_gumbel(rng_for(seed), len(BRANCHES))
         logits = base + gumbel_scale * noise
     alpha = softmax_rows(logits[None, :], temperature=tau)[0]
-    if cache is not None:
-        cache.update(f=f, h1=h1, a1=a1)
-    return GateWeights(alpha, logits, tau, gumbel_scale > 0)
+    return GateWeights(alpha, tau, gumbel_scale > 0, f, h1, a1)
 
 
 def _renorm(alpha: np.ndarray, idx: np.ndarray) -> ActiveSet:

@@ -6,9 +6,13 @@ Gumbel-noise annealing. The downstream language model is replaced by an MSE
 regression target, which still exercises every gradient path through the
 projector. A step is one forward and one backward over the whole batch:
 every weight gradient is one GEMM over the batch's stacked rows, and the
-loss is the batch mean of the per-sample losses. The discrete top-M prune selection is treated as fixed indices:
-gradients flow through the selected token values only, never through the
-scores, so the relevance map receives zero gradient by construction.
+loss is the batch mean of the per-sample losses. The backward reads only
+the `ProjectedTokens` its forward returns (branch outputs, MLP activations,
+gates) and releases each tensor once its gradients are written.
+
+The discrete top-M prune selection is treated as fixed indices: gradients
+flow through the selected token values only, never through the scores, so
+the relevance map receives zero gradient by construction.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pipeline as pl
+from .branches import CompressedTokens
 from .bundle import as_batch
 from .linalg import ACTIVATIONS, ShapeError, grad_check, stack_rows
 from .router import BRANCHES, gate_entropy
@@ -103,10 +108,10 @@ def _complete(params: pl.ProjectorParams,
             for name, arr in params.named_tensors()}
 
 
-def _mlp_backward(mlp: pl.Mlp, mcache: dict, d_y: np.ndarray,
+def _mlp_backward(mlp: pl.Mlp, acts: tuple, d_y: np.ndarray,
                   grads: dict, prefix: str) -> np.ndarray:
     _, act_grad = ACTIVATIONS[mlp.activation]
-    x, h, a = mcache["x"], mcache["h"], mcache["a"]
+    x, h, a = acts
     grads[f"{prefix}.w_out"] = d_y.T @ a
     grads[f"{prefix}.b_out"] = d_y.sum(axis=0)
     d_a = d_y @ mlp.w_out
@@ -122,9 +127,9 @@ def _softmax_backward(p: np.ndarray, d_p: np.ndarray) -> np.ndarray:
     return p * (d_p - inner)
 
 
-def _resample_backward(params: pl.ProjectorParams, rcache: dict,
+def _resample_backward(params: pl.ProjectorParams, out: CompressedTokens,
                        d_out: np.ndarray, grads: dict) -> None:
-    xs, pooled, attn = rcache["x"], rcache["pooled"], rcache["attn"]
+    xs, pooled, attn = out.inputs, out.pooled, out.attn
     res = params.resampler
     scale = 1.0 / math.sqrt(res.queries.shape[1])
     grads["resampler.w_v"] = d_out.T @ pooled
@@ -138,9 +143,9 @@ def _resample_backward(params: pl.ProjectorParams, rcache: dict,
     grads["resampler.w_k"] = res.queries.T @ d_qk
 
 
-def _pool_backward(params: pl.ProjectorParams, pcache: dict,
+def _pool_backward(params: pl.ProjectorParams, out: CompressedTokens,
                    d_out: np.ndarray, grads: dict) -> None:
-    win, pooled, attn = pcache["windows"], pcache["pooled"], pcache["attn"]
+    win, pooled, attn = out.inputs, out.pooled, out.attn
     pool = params.pool
     b, m, _, c = win.shape
     scale = 1.0 / math.sqrt(c)
@@ -159,28 +164,25 @@ def _pool_backward(params: pl.ProjectorParams, pcache: dict,
         grads["pool.phi_v"] = d_phi_v
 
 
-def _branch_backward(params, cache, name: str, d_out: np.ndarray,
-                     grads: dict) -> None:
-    """Backward of one branch; its cache entry is released as it is used."""
-    bcache = cache.pop(name)
+def _branch_backward(params, name: str, out: CompressedTokens,
+                     d_out: np.ndarray, grads: dict) -> None:
     if name == "resample":
-        _resample_backward(params, bcache, d_out, grads)
+        _resample_backward(params, out, d_out, grads)
     elif name == "pool":
-        _pool_backward(params, bcache, d_out, grads)
+        _pool_backward(params, out, d_out, grads)
     # prune: selected rows come straight from the input features, and score
     # influence is detached, so no parameter receives gradient.
 
 
-def _forward(bundles, params: pl.ProjectorParams, mode: tuple,
-             cache: dict | None = None) -> pl.ProjectedTokens:
+def _forward(bundles, params: pl.ProjectorParams,
+             mode: tuple) -> pl.ProjectedTokens:
     """The forward pass `backward` differentiates, for ("stage1",) or
     ("train", tau, gumbel_scale, seeds)."""
     if mode[0] == "stage1":
-        return pl.stage1_forward(bundles, params, cache=cache)
+        return pl.stage1_forward(bundles, params)
     if mode[0] == "train":
         _, tau, gscale, seeds = mode
-        return pl.train_forward(bundles, params, tau, gscale, seeds,
-                                cache=cache)
+        return pl.train_forward(bundles, params, tau, gscale, seeds)
     raise ValueError(f"unknown backward mode {mode[0]!r}")
 
 
@@ -205,46 +207,41 @@ def backward(bundles, params: pl.ProjectorParams, targets, mode: tuple):
     bundles, targets = as_batch(bundles), _as_targets(targets)
     if len(targets) != len(bundles):
         raise ShapeError(f"{len(targets)} targets for {len(bundles)} bundles")
-    cache: dict = {}
-    tokens = _forward(bundles, params, mode, cache).tokens
-    loss = batch_loss(tokens, targets)
-    d_y = 2.0 * (tokens - stack_rows(targets)) / tokens.size
-    del tokens
+    fwd = _forward(bundles, params, mode)
+    outs, acts, gates = fwd.outputs, fwd.mlp, fwd.gates
+    loss = batch_loss(fwd.tokens, targets)
+    d_y = 2.0 * (fwd.tokens - stack_rows(targets)) / fwd.tokens.size
+    del fwd
     grads: dict[str, np.ndarray] = {}
 
     if mode[0] == "stage1":
-        d_concat = _mlp_backward(params.stage1_mlp, cache.pop("mlp"), d_y,
-                                 grads, "stage1_mlp")
-        del d_y
-        d_outs = np.split(d_concat, len(BRANCHES), axis=1)
-        for name, d_out in zip(BRANCHES, d_outs):
-            _branch_backward(params, cache, name, d_out, grads)
+        d_concat = _mlp_backward(params.stage1_mlp, acts, d_y, grads,
+                                 "stage1_mlp")
+        del acts, d_y
+        for name, d_out in zip(BRANCHES, np.split(d_concat, len(BRANCHES),
+                                                  axis=1)):
+            _branch_backward(params, name, outs.pop(name), d_out, grads)
         return loss, _complete(params, grads), {"gates": None,
                                                 "reached": tuple(grads)}
 
-    d_fused = _mlp_backward(params.out_mlp, cache.pop("mlp"), d_y, grads,
-                            "out_mlp")
-    del d_y
-    gates = cache["gates"]
+    d_fused = _mlp_backward(params.out_mlp, acts, d_y, grads, "out_mlp")
+    del acts, d_y
     alpha = np.array([g.alpha for g in gates])         # B x branches
-    outs = cache.pop("outputs")
     d_alpha = np.stack([(d_fused * outs[name].tokens)
                         .reshape(len(gates), -1).sum(axis=1)
                         for name in BRANCHES], axis=1)
-    del outs
     for name, weight in zip(BRANCHES, alpha.T):
-        _branch_backward(params, cache, name,
+        _branch_backward(params, name, outs.pop(name),
                          pl.scale_samples(weight, d_fused), grads)
 
     # gate: alpha = softmax((base_logits + noise)/tau), noise constant
-    gc = cache["gate_cache"]
     d_logits = _softmax_backward(alpha, d_alpha) / gates[0].tau_used
-    grads["router.w2"] = d_logits.T @ gc["a1"]
+    grads["router.w2"] = d_logits.T @ np.array([g.a1 for g in gates])
     grads["router.b2"] = d_logits.sum(axis=0)
     d_a1 = d_logits @ params.router.w2
     _, act_grad = ACTIVATIONS[params.router.activation]
-    d_h1 = d_a1 * act_grad(gc["h1"])
-    grads["router.w1"] = d_h1.T @ gc["f"]
+    d_h1 = d_a1 * act_grad(np.array([g.h1 for g in gates]))
+    grads["router.w1"] = d_h1.T @ np.array([g.f for g in gates])
     grads["router.b1"] = d_h1.sum(axis=0)
     return loss, _complete(params, grads), {"gates": gates,
                                             "reached": tuple(grads)}

@@ -203,14 +203,14 @@ class TestResample:
         assert np.max(np.abs(out.tokens
                              - project_every_token_oracle(x, p))) <= 1e-12
 
-    def test_cache_rebuilds_output(self):
+    def test_returned_fields_rebuild_output(self):
         p = self.params(m=3, c=4)
         x = seeded_fill(12, 5, 4)
-        cache = {}
-        out = resample(x, p, cache=cache)
-        assert set(cache) == {"x", "qk", "pooled", "attn"}
-        assert np.allclose(cache["attn"].sum(axis=1), 1.0, atol=1e-15)
-        assert np.array_equal(cache["pooled"] @ p.w_v.T, out.tokens)
+        out = resample(x, p)
+        assert len(out.inputs) == 1 and out.inputs[0] is x
+        assert out.attn.shape == (3, 5)
+        assert np.allclose(out.attn.sum(axis=1), 1.0, atol=1e-15)
+        assert np.array_equal(out.pooled @ p.w_v.T, out.tokens)
 
 
 def project_every_token_oracle(x, params):

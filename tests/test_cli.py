@@ -11,6 +11,7 @@ from referencing.jsonschema import DRAFT202012
 from qmop import cli
 from qmop.bundle import read_bundle
 from qmop.cli import main
+from qmop.router import BRANCHES
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "qmop" / "schemas"
 
@@ -343,3 +344,47 @@ def test_router_hidden_sets_the_router_width(runner, workspace):
     assert res.exit_code == 0, res.output
     params = cli.build_params(cli.load_config(cfg))
     assert params.router.w1.shape == (1, 14)
+
+
+def test_compress_reports_the_configured_router_cost(runner, workspace):
+    # the report used to price the default router width whatever the config
+    tmp, cfg, features = workspace
+    raw = json.loads(cfg.read_text())
+    cfg.write_text(json.dumps({**raw, "router_hidden": 1}))
+    res = runner.invoke(main, ["compress", "--features", str(features),
+                               "--config", str(cfg)])
+    assert res.exit_code == 0, res.output
+    cost = json.loads(res.output)["runs"][0]["cost"]
+    assert cost["router_gflops"] == (2 * 1 * (8 + 6) + 2 * 3 * 1) / 1e9
+
+
+@pytest.mark.parametrize("bad", ["truncated", "tau0", "decay"])
+@pytest.mark.parametrize("command", [
+    ["compress", "--features", "{features}"],
+    ["train-toy", "--stage", "1", "--steps", "1"],
+    ["gradcheck", "--trials", "1"]])
+def test_malformed_config_is_usage_error(runner, workspace, command, bad):
+    # each used to end in a traceback and exit 1
+    tmp, cfg, features = workspace
+    if bad == "truncated":
+        cfg.write_text(cfg.read_text()[:25])
+    else:
+        value = {"tau0": {"tau0": 0}, "decay": {"decay": "a"}}[bad]
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()),
+                                   "schedule": value}))
+    args = [a.format(features=features) for a in command]
+    res = runner.invoke(main, args + ["--config", str(cfg)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert len(res.output.strip().splitlines()) == 1
+    assert res.output.startswith("config error: ")
+
+
+def test_schema_follows_the_branch_list():
+    run = load_schema("run_report.schema.json")["properties"]["runs"][
+        "items"]["properties"]
+    alpha = run["gate"]["oneOf"][1]["properties"]["alpha"]
+    members = run["active"]["oneOf"][1]["properties"]["members"]
+    assert alpha["minItems"] == alpha["maxItems"] == len(BRANCHES)
+    assert members["items"]["enum"] == list(BRANCHES)
+    assert members["maxItems"] == len(BRANCHES)

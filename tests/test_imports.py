@@ -1,5 +1,7 @@
 """No linter ships with the project, so this scans the package's modules
-for imported names they never use."""
+for imported names they never use, and for functions that take a `cache`
+argument: a forward returns what its backward reads, so no side channel
+carries state between them."""
 
 import ast
 from pathlib import Path
@@ -31,3 +33,30 @@ def test_scanner_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def cache_parameters(source: str) -> list[str]:
+    """Functions (by name) that take an argument called `cache`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+            names += [x.arg for x in (a.vararg, a.kwarg) if x is not None]
+            if "cache" in names:
+                found.append(getattr(node, "name", "<lambda>"))
+    return found
+
+
+def test_scanner_finds_cache_parameters():
+    source = ("def f(x, cache=None): pass\n"
+              "def g(x, *, cache): pass\n"
+              "def h(x, caches): pass\n"
+              "k = lambda cache: cache\n")
+    assert cache_parameters(source) == ["f", "g", "<lambda>"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_cache_parameter(path):
+    assert cache_parameters(path.read_text()) == []

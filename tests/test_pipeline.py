@@ -13,6 +13,7 @@ from qmop.pipeline import (
     stage1_forward,
     train_forward,
 )
+from qmop.router import BRANCHES
 
 
 def force_logits(params, logits):
@@ -134,15 +135,25 @@ class TestStage1Forward:
         out = stage1_forward(tiny_bundle, tiny_params)
         assert np.allclose(out.tokens, ref, atol=1e-12)
 
+    def test_record_holds_branch_tokens_once(self, tiny_bundle, tiny_params):
+        # the backward's record keeps each branch's tokens as a view of the
+        # MLP input rather than a second copy
+        outs = run_branches(tiny_bundle, tiny_params)
+        out = stage1_forward(tiny_bundle, tiny_params)
+        concat, _, _ = out.mlp
+        for name in BRANCHES:
+            kept = out.outputs[name].tokens
+            assert np.array_equal(kept, outs[name].tokens), name
+            assert np.shares_memory(kept, concat), name
+
 
 class TestTrainForward:
     def test_zero_logits_fuse_to_mean(self, tiny_bundle, tiny_params):
         force_logits(tiny_params, [0.0, 0.0, 0.0])
-        cache = {}
-        train_forward(tiny_bundle, tiny_params, cache=cache)
-        outs = cache["outputs"]
-        mean = sum(outs[n].tokens for n in outs) / 3.0
-        assert np.allclose(cache["fused"], mean, atol=1e-12)
+        out = train_forward(tiny_bundle, tiny_params)
+        mean = sum(out.outputs[n].tokens for n in out.outputs) / 3.0
+        fused, _, _ = out.mlp
+        assert np.allclose(fused, mean, atol=1e-12)
 
     def test_deterministic_without_noise(self, tiny_bundle, tiny_params):
         a = train_forward(tiny_bundle, tiny_params, seed=1)
@@ -172,7 +183,7 @@ class TestInferForward:
         out = infer_forward(tiny_bundle, tiny_params, ("topk", 1))
         (branch,) = out.active.members
         branch_out = run_branches(tiny_bundle, tiny_params)[branch]
-        expected = _mlp_forward(tiny_params.out_mlp, branch_out.tokens)
+        expected, _, _ = _mlp_forward(tiny_params.out_mlp, branch_out.tokens)
         assert np.array_equal(out.tokens, expected)
 
     def test_engineered_renormalization(self, tiny_bundle, tiny_params):

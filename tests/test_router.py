@@ -32,7 +32,7 @@ def random_router(seed, width=10):
 
 def gw(alpha):
     alpha = np.asarray(alpha, dtype=float)
-    return GateWeights(alpha, np.log(alpha), 1.0, False)
+    return GateWeights(alpha, 1.0, False)
 
 
 class TestBuildContext:

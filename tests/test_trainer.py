@@ -127,7 +127,7 @@ class TestBackward:
             tiny_bundle.patches, tiny_bundle.cls_token, tiny_bundle.eos_token,
             tiny_target]
         for gate in aux["gates"] or ():
-            held += [gate.alpha, gate.logits]
+            held += [gate.alpha, gate.f, gate.h1, gate.a1]
         reached = [grads[name] for name in aux["reached"]]
         for name, grad in zip(aux["reached"], reached):
             assert grad.shape == tensors[name].shape, name
