@@ -23,16 +23,20 @@ from .bundle import FeatureBundle, as_batch
 from .linalg import DomainError, ShapeError, softmax_rows, stack_rows
 
 
+# the relevance metrics prune can score tokens with
+METRICS = ("cosine", "neg_euclidean")
+
+
 @dataclass
 class PruneConfig:
     lam: float = 0.5          # importance/relevance mix
     m_out: int = 1
-    metric: str = "cosine"    # or "neg_euclidean"
+    metric: str = "cosine"    # one of METRICS
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise DomainError(f"lambda must be in [0,1], got {self.lam}")
-        if self.metric not in ("cosine", "neg_euclidean"):
+        if self.metric not in METRICS:
             raise DomainError(f"unknown relevance metric {self.metric!r}")
 
 

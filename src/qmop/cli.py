@@ -11,7 +11,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -19,7 +18,8 @@ import numpy as np
 from . import costmodel, pipeline as pl, trainer
 from .bundle import (FormatError, TruncatedFileError, ValidationError,
                      read_bundle, synth_bundle, write_bundle)
-from .config import ConfigError, PipelineConfig, load_config, parse_mode
+from .config import (SEED_BOUND, ConfigError, PipelineConfig, load_config,
+                     parse_mode)
 from .linalg import NumericError, seeded_fill
 from .router import BRANCHES
 
@@ -64,6 +64,18 @@ def _parse_grid(ctx, param, value: str) -> tuple[int, int]:
     return gh, gw
 
 
+def _load_config(ctx, param, path: str) -> PipelineConfig:
+    try:
+        return load_config(path)
+    except ConfigError as exc:
+        _fail(EXIT_USAGE, f"config error: {exc}")
+
+
+_config_option = click.option(
+    "--config", "cfg", type=click.Path(exists=True, dir_okay=False),
+    required=True, callback=_load_config, help="Pipeline config JSON file.")
+
+
 def _emit(report: dict, out_path: str | None):
     text = json.dumps(report, indent=2, sort_keys=True)
     if out_path:
@@ -79,7 +91,8 @@ def main():
 
 
 @main.command("synth")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(0, SEED_BOUND, max_open=True),
+              default=0)
 @click.option("--grid", callback=_parse_grid, default="4x4", show_default=True,
               help="Patch grid as HxW.")
 @click.option("--cvis", type=click.IntRange(min=1), default=8)
@@ -94,20 +107,16 @@ def cmd_synth(seed, grid, cvis, ctxt, out):
 @main.command("compress")
 @click.option("--features", "features", type=click.Path(exists=True),
               multiple=True, required=True)
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              required=True)
+@_config_option
 @click.option("--mode", "mode_spec", default=None,
               help="stage1 | train | topk:K | threshold:T "
                    "(default: config inference_mode)")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--no-timing", is_flag=True, help="Omit wall-clock fields.")
 @click.option("--dump-tokens", is_flag=True, help="Embed full output tokens.")
-@click.option("--jobs", type=click.IntRange(min=1), default=1)
-def cmd_compress(features, config_path, mode_spec, out, no_timing,
-                 dump_tokens, jobs):
+def cmd_compress(features, cfg, mode_spec, out, no_timing, dump_tokens):
     """Run the projector on bundle file(s) and emit a run report."""
     try:
-        cfg = load_config(config_path)
         mode = parse_mode(mode_spec or cfg.inference_mode)
     except ConfigError as exc:
         _fail(EXIT_USAGE, f"config error: {exc}")
@@ -117,16 +126,14 @@ def cmd_compress(features, config_path, mode_spec, out, no_timing,
         try:
             bundle = read_bundle(path)
         except (FormatError, TruncatedFileError, ValidationError) as exc:
-            raise _RunError(EXIT_USAGE, f"bad bundle {path}: {exc}") from exc
+            _fail(EXIT_USAGE, f"bad bundle {path}: {exc}")
         if (bundle.grid_h, bundle.grid_w) != (cfg.grid_h, cfg.grid_w) or \
                 (bundle.c_vis, bundle.c_txt) != (cfg.c_vis, cfg.c_txt):
-            raise _RunError(
-                EXIT_DIMS,
-                f"bundle dims grid={bundle.grid_h}x{bundle.grid_w} "
-                f"c_vis={bundle.c_vis} c_txt={bundle.c_txt} vs config "
-                f"grid={cfg.grid_h}x{cfg.grid_w} "
-                f"c_vis={cfg.c_vis} c_txt={cfg.c_txt}"
-            )
+            _fail(EXIT_DIMS,
+                  f"bundle dims grid={bundle.grid_h}x{bundle.grid_w} "
+                  f"c_vis={bundle.c_vis} c_txt={bundle.c_txt} vs config "
+                  f"grid={cfg.grid_h}x{cfg.grid_w} "
+                  f"c_vis={cfg.c_vis} c_txt={cfg.c_txt}")
         t0 = time.perf_counter()
         try:
             if mode[0] == "stage1":
@@ -141,7 +148,7 @@ def cmd_compress(features, config_path, mode_spec, out, no_timing,
             if not np.isfinite(result.tokens).all():
                 raise NumericError(f"{mode[0]} produced non-finite tokens")
         except NumericError as exc:
-            raise _RunError(EXIT_USAGE, f"bad bundle {path}: {exc}") from exc
+            _fail(EXIT_USAGE, f"bad bundle {path}: {exc}")
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         active_names = result.active.members if result.active else None
         cost = costmodel.cost_report(
@@ -164,7 +171,7 @@ def cmd_compress(features, config_path, mode_spec, out, no_timing,
                 "members": list(result.active.members),
                 "weights": [float(w) for w in result.active.renorm_weights],
             },
-            "cost": cost.as_dict(),
+            "cost": dataclasses.asdict(cost),
         }
         if not no_timing:
             run["timing_ms"] = elapsed_ms
@@ -172,37 +179,16 @@ def cmd_compress(features, config_path, mode_spec, out, no_timing,
             run["tokens"] = result.tokens.astype(np.float32).tolist()
         return run
 
-    try:
-        if jobs > 1 and len(features) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                runs = list(pool.map(run_one, features))
-        else:
-            runs = [run_one(p) for p in features]
-    except _RunError as exc:
-        _fail(exc.code, str(exc))
-    _emit({"config": cfg.as_dict(), "runs": runs}, out)
-
-
-class _RunError(Exception):
-    """A per-bundle failure that ends `compress` with the given exit code."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    runs = [run_one(p) for p in features]
+    _emit({"config": dataclasses.asdict(cfg), "runs": runs}, out)
 
 
 @main.command("gradcheck")
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              required=True)
-@click.option("--trials", type=int, default=5, show_default=True)
-def cmd_gradcheck(config_path, trials):
+@_config_option
+@click.option("--trials", type=click.IntRange(min=1), default=5,
+              show_default=True)
+def cmd_gradcheck(cfg, trials):
     """Verify analytic gradients against central differences, both stages."""
-    if trials < 1:
-        _fail(EXIT_USAGE, f"--trials must be >= 1, got {trials}")
-    try:
-        cfg = load_config(config_path)
-    except ConfigError as exc:
-        _fail(EXIT_USAGE, f"config error: {exc}")
     if cfg.n_tokens > GRADCHECK_MAX_TOKENS:
         _fail(EXIT_USAGE,
               f"gradcheck limited to N <= {GRADCHECK_MAX_TOKENS} tokens, "
@@ -241,12 +227,11 @@ def cmd_cost(tokens, n_in, cvis, ctxt, dllm, out):
     """Predicted LLM TFLOPs, KV cache, and projector overhead."""
     report = costmodel.cost_report(tokens, n_in=n_in, c_vis=cvis,
                                    c_txt=ctxt, d_llm=dllm)
-    _emit(report.as_dict(), out)
+    _emit(dataclasses.asdict(report), out)
 
 
 @main.command("train-toy")
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              required=True)
+@_config_option
 @click.option("--stage", type=click.IntRange(1, 2), required=True)
 @click.option("--steps", type=click.IntRange(min=1), default=100,
               show_default=True)
@@ -255,12 +240,8 @@ def cmd_cost(tokens, n_in, cvis, ctxt, dllm, out):
 @click.option("--no-grad-check", is_flag=True,
               help="Skip the final gradient check.")
 @click.option("--out", type=click.Path(), default=None)
-def cmd_train_toy(config_path, stage, steps, batch, no_grad_check, out):
+def cmd_train_toy(cfg, stage, steps, batch, no_grad_check, out):
     """Run the two-stage toy trainer on a synthetic batch."""
-    try:
-        cfg = load_config(config_path)
-    except ConfigError as exc:
-        _fail(EXIT_USAGE, f"config error: {exc}")
     params = build_params(cfg)
     nb = batch or cfg.batch_size
     bundles = [synth_bundle(cfg.seed + i, cfg.grid_h, cfg.grid_w,

@@ -1,13 +1,19 @@
-"""Pipeline configuration: one JSON file, every key known, cross-field
-consistency enforced at load time. Unknown keys are hard errors so typos
-cannot silently fall back to defaults.
+"""Pipeline configuration: one JSON file, every key known, every value
+checked against its field's annotated type and the domain in `_DOMAINS`,
+cross-field consistency enforced at construction. Unknown keys are hard
+errors so typos cannot silently fall back to defaults.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field, replace
+import sys
+import typing
+from dataclasses import dataclass, field
 
+from .branches import METRICS
+from .linalg import ACTIVATIONS
 from .router import BRANCHES
 from .trainer import AnnealSchedule
 
@@ -16,7 +22,9 @@ class ConfigError(ValueError):
     pass
 
 
-_SCHEDULE_KEYS = {"tau0", "tau_min", "decay", "gumbel0", "gumbel_decay"}
+# Seeds are Philox keys. Below 2**64, every subseed derived from one (at
+# most seed * 1000003 + step * batch + i) stays inside Philox's 128-bit key.
+SEED_BOUND = 2 ** 64
 
 
 @dataclass
@@ -43,10 +51,8 @@ class PipelineConfig:
     def n_tokens(self) -> int:
         return self.grid_h * self.grid_w
 
-    def validate(self) -> None:
-        if min(self.grid_h, self.grid_w, self.c_vis, self.c_txt,
-               self.d_llm, self.m_tokens, self.pool_stride) < 1:
-            raise ConfigError("all dimensions must be >= 1")
+    def __post_init__(self):
+        """Cross-field rules; `_from_json` has checked each field alone."""
         s = self.pool_stride
         if self.grid_h % s or self.grid_w % s:
             raise ConfigError(
@@ -57,25 +63,19 @@ class PipelineConfig:
             raise ConfigError(
                 f"m_tokens {self.m_tokens} != pooled grid size {hw} at stride {s}"
             )
-        if self.m_tokens > self.n_tokens:
-            raise ConfigError("m_tokens exceeds input token count")
-        rh = self.router_hidden
-        if rh is not None and (isinstance(rh, bool) or not isinstance(rh, int)
-                               or rh < 1):
-            raise ConfigError(
-                f"router_hidden must be null or an integer >= 1, got {rh!r}")
-        if not 0.0 <= self.prune_lambda <= 1.0:
-            raise ConfigError(f"prune_lambda must be in [0,1]")
-        if self.relevance_metric not in ("cosine", "neg_euclidean"):
-            raise ConfigError(f"unknown relevance_metric {self.relevance_metric!r}")
-        if self.activation not in ("gelu", "relu"):
-            raise ConfigError(f"unknown activation {self.activation!r}")
         parse_mode(self.inference_mode)
 
-    def as_dict(self) -> dict:
-        d = {k: v for k, v in self.__dict__.items() if k != "schedule"}
-        d["schedule"] = dict(self.schedule.__dict__)
-        return d
+
+# field -> (what a valid value is, test); the type comes from the annotation
+_DOMAINS = {
+    **dict.fromkeys(("grid_h", "grid_w", "c_vis", "c_txt", "d_llm",
+                     "m_tokens", "pool_stride", "router_hidden",
+                     "batch_size"), (">= 1", lambda v: v >= 1)),
+    "seed": ("in [0, 2**64)", lambda v: 0 <= v < SEED_BOUND),
+    "prune_lambda": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "relevance_metric": (f"one of {list(METRICS)}", METRICS.__contains__),
+    "activation": (f"one of {list(ACTIVATIONS)}", ACTIVATIONS.__contains__),
+}
 
 
 def parse_mode(spec: str) -> tuple[str, float]:
@@ -103,30 +103,50 @@ def parse_mode(spec: str) -> tuple[str, float]:
     raise ConfigError(f"unknown mode {spec!r}")
 
 
+def _typed(name: str, value, hint):
+    """`value` if it has the annotated type and lies in `_DOMAINS[name]`: no
+    bool passes for a number, and a float field takes an int or a finite
+    float."""
+    if dataclasses.is_dataclass(hint):
+        return _from_json(hint, value, name)
+    kind, *null = typing.get_args(hint) or (hint,)     # `kind | None`
+    if value is None and null:
+        return None
+    if kind is float:
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    else:
+        ok = type(value) is kind
+    if not ok:
+        what = "a finite number" if kind is float else f"of type {kind.__name__}"
+        raise ConfigError(f"{name} must be {what}"
+                          f"{' or null' if null else ''}, got {value!r}")
+    rule, test = _DOMAINS.get(name, ("", None))
+    if test and not test(value):
+        raise ConfigError(f"{name} must be {rule}, got {value!r}")
+    return value
+
+
+def _from_json(cls, raw, path: str = ""):
+    """Dataclass `cls` built from the JSON object `raw` found at `path`."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path or 'config root'} must be a JSON object")
+    hints = typing.get_type_hints(cls)      # the dataclass's fields
+    at = f"{path}." if path else ""
+    for key in raw:
+        if key not in hints:
+            raise ConfigError(f"unknown config key {at + key!r}")
+    values = {k: _typed(at + k, v, hints[k]) for k, v in raw.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:       # the dataclass's own cross-field checks
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from None
+
+
 def load_config(path) -> PipelineConfig:
     with open(path) as fh:
         try:
             raw = json.load(fh)
-        except ValueError as exc:   # bad JSON or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:
+            # bad JSON, bytes that are not UTF-8, or nesting too deep
             raise ConfigError(f"not a JSON file: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    cfg = PipelineConfig()
-    known = set(cfg.__dict__) - {"schedule"}
-    for key, val in raw.items():
-        if key == "schedule":
-            if not isinstance(val, dict):
-                raise ConfigError("schedule must be an object")
-            bad = set(val) - _SCHEDULE_KEYS
-            if bad:
-                raise ConfigError(f"unknown schedule keys: {sorted(bad)}")
-            try:
-                cfg.schedule = replace(cfg.schedule, **val)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"schedule: {exc}") from None
-        elif key in known:
-            setattr(cfg, key, val)
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    cfg.validate()
-    return cfg
+    return _from_json(PipelineConfig, raw)

@@ -28,7 +28,6 @@ DEFAULT_DIMS = dict(c_vis=1024, c_txt=768, d_llm=4096, n_in=576)
 class LlmCostAnchors:
     anchor_a: tuple[float, float] = ANCHOR_A
     anchor_b: tuple[float, float] = ANCHOR_B
-    kv_m_per_token: float = KV_M_PER_TOKEN
 
 
 @dataclass
@@ -38,15 +37,6 @@ class CostReport:
     kv_cache_m: float
     projector_gflops: float
     router_gflops: float
-
-    def as_dict(self) -> dict:
-        return {
-            "n_tokens": self.n_tokens,
-            "llm_tflops": self.llm_tflops,
-            "kv_cache_m": self.kv_cache_m,
-            "projector_gflops": self.projector_gflops,
-            "router_gflops": self.router_gflops,
-        }
 
 
 def fit_llm_model(anchors: LlmCostAnchors = LlmCostAnchors()) -> tuple[float, float]:

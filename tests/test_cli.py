@@ -71,6 +71,14 @@ class TestSynth:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_negative_seed_is_usage_error(self, runner, tmp_path):
+        # used to end in a Philox ValueError traceback and exit 1
+        res = runner.invoke(main, ["synth", "--seed", "-1",
+                                   "--out", str(tmp_path / "x")])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert not (tmp_path / "x").exists()
+
     def test_zero_grid_is_usage_error(self, runner, tmp_path):
         res = runner.invoke(main, ["synth", "--grid", "0x4",
                                    "--out", str(tmp_path / "x")])
@@ -216,7 +224,7 @@ class TestCompress:
             assert run["output_rows"] == 4
             assert run["active"] is None
 
-    def test_multiple_features_with_jobs(self, runner, workspace, tmp_path):
+    def test_multiple_features(self, runner, workspace, tmp_path):
         tmp, cfg, features = workspace
         second = tmp_path / "second.qmop"
         runner.invoke(main, ["synth", "--seed", "2", "--grid", "4x4",
@@ -224,8 +232,8 @@ class TestCompress:
                              "--out", str(second)])
         res = runner.invoke(main, ["compress", "--features", str(features),
                                    "--features", str(second),
-                                   "--config", str(cfg), "--no-timing",
-                                   "--jobs", "2"])
+                                   "--config", str(cfg), "--no-timing"])
+        assert res.exit_code == 0, res.output
         runs = json.loads(res.output)["runs"]
         assert [r["features"] for r in runs] == [str(features), str(second)]
 
@@ -358,20 +366,40 @@ def test_compress_reports_the_configured_router_cost(runner, workspace):
     assert cost["router_gflops"] == (2 * 1 * (8 + 6) + 2 * 3 * 1) / 1e9
 
 
-@pytest.mark.parametrize("bad", ["truncated", "tau0", "decay"])
+# A JSON member appended to the workspace config, which then overrides the
+# key's earlier value. Each used to end in a traceback and exit 1, or to be
+# accepted silently by at least one command.
+MALFORMED = {
+    "tau0": '"schedule": {"tau0": 0}',
+    "decay": '"schedule": {"decay": "a"}',
+    "schedule-bool": '"schedule": {"tau0": true}',
+    "grid-float": '"grid_h": 4.0',
+    "dim-float": '"d_llm": 8.0',
+    "dim-bool": '"c_vis": true',
+    "seed-negative": '"seed": -1',
+    "seed-float": '"seed": 1.5',
+    "lambda-null": '"prune_lambda": null',
+    "lambda-string": '"prune_lambda": "0.5"',
+    "mode-int": '"inference_mode": 3',
+    "lr-string": '"lr": "x"',
+    "lr-overflow": '"lr": 1e400',
+    "batch-zero": '"batch_size": 0',
+    "batch-bool": '"batch_size": true',
+    "flag-string": '"shared_pool_phi": "yes"',
+}
+
+
+@pytest.mark.parametrize("bad", ["truncated", *MALFORMED])
 @pytest.mark.parametrize("command", [
     ["compress", "--features", "{features}"],
     ["train-toy", "--stage", "1", "--steps", "1"],
     ["gradcheck", "--trials", "1"]])
 def test_malformed_config_is_usage_error(runner, workspace, command, bad):
-    # each used to end in a traceback and exit 1
     tmp, cfg, features = workspace
     if bad == "truncated":
         cfg.write_text(cfg.read_text()[:25])
     else:
-        value = {"tau0": {"tau0": 0}, "decay": {"decay": "a"}}[bad]
-        cfg.write_text(json.dumps({**json.loads(cfg.read_text()),
-                                   "schedule": value}))
+        cfg.write_text(f"{cfg.read_text()[:-1]}, {MALFORMED[bad]}}}")
     args = [a.format(features=features) for a in command]
     res = runner.invoke(main, args + ["--config", str(cfg)])
     assert res.exit_code == 2, res.output

@@ -1,0 +1,94 @@
+import dataclasses
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qmop import config
+from qmop.config import ConfigError, PipelineConfig, load_config, parse_mode
+from qmop.trainer import AnnealSchedule
+
+FIELDS = [f.name for f in dataclasses.fields(PipelineConfig)]
+SCHEDULE_FIELDS = [f.name for f in dataclasses.fields(AnnealSchedule)]
+SIZES = ("grid_h", "grid_w", "c_vis", "c_txt", "d_llm", "m_tokens",
+         "pool_stride", "batch_size")
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.sampled_from([2 ** 64 - 1, 2 ** 64, -2 ** 63, 10 ** 400])
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+# values a valid config could hold, so that some configs load
+plausible = (st.integers(0, 4) | st.sampled_from([2.0, 0.5, 1, 0.0])
+             | st.sampled_from(["cosine", "neg_euclidean", "gelu", "relu",
+                                "topk:1", "threshold:0.3", "train"])
+             | st.dictionaries(st.sampled_from(SCHEDULE_FIELDS + ["tau"]),
+                               st.floats(0.1, 6.0) | json_values,
+                               max_size=3))
+configs = st.dictionaries(st.sampled_from(FIELDS + ["typo"]),
+                          plausible | json_values, max_size=5)
+
+
+def finite_number(v):
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def assert_well_typed(cfg):
+    for name in SIZES:
+        assert type(getattr(cfg, name)) is int and getattr(cfg, name) >= 1
+    rh = cfg.router_hidden
+    assert rh is None or (type(rh) is int and rh >= 1)
+    assert type(cfg.seed) is int and 0 <= cfg.seed < 2 ** 64
+    assert finite_number(cfg.prune_lambda) and 0 <= cfg.prune_lambda <= 1
+    assert finite_number(cfg.lr)
+    assert cfg.relevance_metric in ("cosine", "neg_euclidean")
+    assert cfg.activation in ("gelu", "relu")
+    assert type(cfg.shared_pool_phi) is bool
+    assert type(cfg.inference_mode) is str
+    parse_mode(cfg.inference_mode)
+    assert type(cfg.schedule) is AnnealSchedule
+    assert all(finite_number(getattr(cfg.schedule, name))
+               for name in SCHEDULE_FIELDS)
+
+
+@pytest.fixture(scope="module")
+def cfg_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "cfg.json"
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=configs)
+def test_load_config_rejects_or_returns_a_well_typed_config(cfg_path, raw):
+    cfg_path.write_text(json.dumps(raw))
+    try:
+        cfg = load_config(cfg_path)
+    except ConfigError:
+        return
+    assert_well_typed(cfg)
+
+
+@pytest.mark.parametrize("text", ["[]", "[" * 100_000, '{"schedule": 1}'],
+                         ids=["list", "deep", "schedule-int"])
+def test_non_object_is_config_error(cfg_path, text):
+    cfg_path.write_text(text)
+    with pytest.raises(ConfigError, match="JSON"):
+        load_config(cfg_path)
+
+
+def test_ints_in_float_fields_are_kept(cfg_path):
+    # the report echoes the config as given, so 1 must not become 1.0
+    cfg_path.write_text(json.dumps({
+        "prune_lambda": 1, "lr": 2, "seed": 2 ** 64 - 1,
+        "schedule": {"tau0": 6, "tau_min": 1}}))
+    cfg = load_config(cfg_path)
+    assert_well_typed(cfg)
+    assert dataclasses.asdict(cfg)["schedule"]["tau0"] == 6
+    assert type(cfg.lr) is int
+
+
+def test_domains_name_config_fields():
+    assert set(config._DOMAINS) <= set(FIELDS)

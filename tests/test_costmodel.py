@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from qmop.costmodel import (
@@ -108,7 +110,7 @@ class TestProjectorFlops:
 
 
 def test_cost_report_fields():
-    rep = cost_report(144).as_dict()
+    rep = dataclasses.asdict(cost_report(144))
     assert set(rep) == {"n_tokens", "llm_tflops", "kv_cache_m",
                         "projector_gflops", "router_gflops"}
     assert rep["llm_tflops"] == pytest.approx(0.94, abs=1e-9)
