@@ -5,11 +5,12 @@
 - resample: M learnable queries cross-attend over all N tokens.
 - pool: a 2D query map where each query attends only to its own s x s window.
 
-Each runs over a batch of B samples at once and returns their outputs
-stacked sample by sample into B*M rows, so every product whose left side is
-per-row runs as one GEMM over the batch and every params-only product runs
-once per batch. Each also returns what its backward reads: prune its kept
-indices, pool and resample their inputs, attention and attended rows.
+Each takes a list of B samples (bundles, or token matrices for resample) and
+returns their outputs stacked sample by sample into B*M rows, so every
+product whose left side is per-row runs as one GEMM over the batch and every
+params-only product runs once per batch. A batch of one is a one-item list.
+Each also returns what its backward reads: prune its kept indices, pool and
+resample their inputs, attention and attended rows.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import FeatureBundle, as_batch
+from .bundle import FeatureBundle
 from .linalg import DomainError, ShapeError, softmax_rows, stack_rows
 
 
@@ -80,18 +81,11 @@ def _minmax(v: np.ndarray) -> np.ndarray:
     return (v - lo) / (hi - lo)
 
 
-def prune_scores(bundle: FeatureBundle, rel: RelevanceMap, lam: float,
-                 metric: str = "cosine") -> np.ndarray:
-    """Blend of min-max-normalized importance and text relevance, in [0,1]."""
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"lambda must be in [0,1], got {lam}")
-    return _blend(bundle, bundle.patches @ rel.g.T, lam, metric)
-
-
 def _blend(bundle: FeatureBundle, projected: np.ndarray, lam: float,
            metric: str) -> np.ndarray:
-    """`prune_scores` from the bundle's patches projected to text space
-    (N x C2)."""
+    """Prune's token scores in [0,1]: `lam` times the min-max-normalized
+    importance plus 1 - `lam` times the min-max-normalized text relevance of
+    `projected`, the bundle's patches projected to text space (N x C2)."""
     importance = _minmax(bundle.cls_attention)
     eos = bundle.eos_token
     if metric == "cosine":
@@ -122,10 +116,10 @@ def prune_select(tokens: np.ndarray, scores: np.ndarray,
     return CompressedTokens(tokens[kept], kept)
 
 
-def prune(bundles, rel: RelevanceMap, cfg: PruneConfig) -> CompressedTokens:
-    """`prune_select` on each bundle's `prune_scores`, with the relevance
+def prune(bundles: list[FeatureBundle], rel: RelevanceMap,
+          cfg: PruneConfig) -> CompressedTokens:
+    """`prune_select` on each bundle's `_blend` scores, with the relevance
     projection of the whole batch run as one (B*N) x C GEMM."""
-    bundles = as_batch(bundles)
     n = bundles[0].n_tokens
     projected = stack_rows([b.patches for b in bundles]) @ rel.g.T
     picks = [prune_select(b.patches,
@@ -137,17 +131,16 @@ def prune(bundles, rel: RelevanceMap, cfg: PruneConfig) -> CompressedTokens:
                             np.concatenate([p.kept_indices for p in picks]))
 
 
-def resample(tokens, params: ResamplerParams) -> CompressedTokens:
+def resample(xs: list[np.ndarray],
+             params: ResamplerParams) -> CompressedTokens:
     """Cross-attention of M learnable queries over projected keys/values.
 
-    `tokens` is one N x C matrix or a batch of them. As in pool, both
-    projections fold onto the M query rows instead of the N tokens:
+    `xs` holds each sample's N x C tokens. As in pool, both projections
+    fold onto the M query rows instead of the N tokens:
     q.(w_k x) = (q w_k).x and sum_n a_n (w_v x_n) = w_v (sum_n a_n x_n).
     A batch is then one M x C x C GEMM for the keys, two M x N x C ones per
     sample, and one (B*M) x C x C GEMM for the values.
     """
-    xs = [tokens] if isinstance(tokens, np.ndarray) and tokens.ndim == 2 \
-        else list(tokens)
     c = params.queries.shape[1]
     for x in xs:
         if x.shape[1] != c:
@@ -178,7 +171,8 @@ def _pool_windows(bundles: list[FeatureBundle],
     return win.reshape(len(bundles), h * w, s * s, c)
 
 
-def pool_local(bundles, params: PoolParams) -> CompressedTokens:
+def pool_local(bundles: list[FeatureBundle],
+               params: PoolParams) -> CompressedTokens:
     """Each query cell attends only to its own s x s spatial window.
 
     Keys and values are linear maps of the window cells, so both projections
@@ -187,7 +181,7 @@ def pool_local(bundles, params: PoolParams) -> CompressedTokens:
     M x C x C GEMM for the keys, one (B*M) x C x C GEMM for the values and
     O(B*N*C) window work.
     """
-    win = _pool_windows(as_batch(bundles), params)    # B x M x s^2 x C
+    win = _pool_windows(bundles, params)              # B x M x s^2 x C
     b, m, _, c = win.shape
     phi_v = params.phi_k if params.shared_phi else params.phi_v
     qk = params.q2d @ params.phi_k                     # M x C

@@ -76,11 +76,18 @@ _config_option = click.option(
     required=True, callback=_load_config, help="Pipeline config JSON file.")
 
 
+def _write_failed(path: str, exc: OSError):
+    _fail(EXIT_USAGE, f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _emit(report: dict, out_path: str | None):
     text = json.dumps(report, indent=2, sort_keys=True)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            _write_failed(out_path, exc)
     else:
         click.echo(text)
 
@@ -101,11 +108,15 @@ def main():
 def cmd_synth(seed, grid, cvis, ctxt, out):
     """Write a deterministic synthetic feature-bundle file."""
     bundle = synth_bundle(seed, grid[0], grid[1], cvis, ctxt)
-    write_bundle(bundle, out)
+    try:
+        write_bundle(bundle, out)
+    except OSError as exc:
+        _write_failed(out, exc)
 
 
 @main.command("compress")
-@click.option("--features", "features", type=click.Path(exists=True),
+@click.option("--features", "features",
+              type=click.Path(exists=True, dir_okay=False),
               multiple=True, required=True)
 @_config_option
 @click.option("--mode", "mode_spec", default=None,
@@ -140,7 +151,7 @@ def cmd_compress(features, cfg, mode_spec, out, no_timing, dump_tokens):
                 result = pl.stage1_forward(bundle, params)
             elif mode[0] == "train":
                 result = pl.train_forward(bundle, params, tau=1.0,
-                                          gumbel_scale=0.0, seed=cfg.seed)
+                                          gumbel_scale=0.0)
             else:
                 result = pl.infer_forward(bundle, params, mode)
             # train and stage1 return non-finite tokens as they are, since
@@ -217,16 +228,19 @@ def cmd_gradcheck(cfg, trials):
 @main.command("cost")
 @click.option("--tokens", type=click.IntRange(min=0), required=True,
               help="Compressed (LLM-side) visual token count.")
-@click.option("--n-in", type=click.IntRange(min=1), default=None,
-              help="Pre-compression token count (default 576).")
-@click.option("--cvis", type=click.IntRange(min=1), default=None)
-@click.option("--ctxt", type=click.IntRange(min=1), default=None)
-@click.option("--dllm", type=click.IntRange(min=1), default=None)
+# LLaVA-1.5-scale projector dims
+@click.option("--n-in", type=click.IntRange(min=1), default=576,
+              show_default=True, help="Pre-compression token count.")
+@click.option("--cvis", type=click.IntRange(min=1), default=1024,
+              show_default=True, help="Visual feature width.")
+@click.option("--ctxt", type=click.IntRange(min=1), default=768,
+              show_default=True, help="Text feature width.")
+@click.option("--dllm", type=click.IntRange(min=1), default=4096,
+              show_default=True, help="LLM embedding width.")
 @click.option("--out", type=click.Path(), default=None)
 def cmd_cost(tokens, n_in, cvis, ctxt, dllm, out):
     """Predicted LLM TFLOPs, KV cache, and projector overhead."""
-    report = costmodel.cost_report(tokens, n_in=n_in, c_vis=cvis,
-                                   c_txt=ctxt, d_llm=dllm)
+    report = costmodel.cost_report(tokens, n_in, cvis, ctxt, dllm)
     _emit(dataclasses.asdict(report), out)
 
 

@@ -13,7 +13,8 @@ import typing
 from dataclasses import dataclass, field
 
 from .branches import METRICS
-from .linalg import ACTIVATIONS
+from .linalg import ACTIVATIONS, ShapeError
+from .pipeline import pooled_grid
 from .router import BRANCHES
 from .trainer import AnnealSchedule
 
@@ -53,16 +54,11 @@ class PipelineConfig:
 
     def __post_init__(self):
         """Cross-field rules; `_from_json` has checked each field alone."""
-        s = self.pool_stride
-        if self.grid_h % s or self.grid_w % s:
-            raise ConfigError(
-                f"grid {self.grid_h}x{self.grid_w} not divisible by stride {s}"
-            )
-        hw = (self.grid_h // s) * (self.grid_w // s)
-        if self.m_tokens != hw:
-            raise ConfigError(
-                f"m_tokens {self.m_tokens} != pooled grid size {hw} at stride {s}"
-            )
+        try:
+            pooled_grid(self.grid_h, self.grid_w, self.pool_stride,
+                        self.m_tokens)
+        except ShapeError as exc:
+            raise ConfigError(str(exc)) from None
         parse_mode(self.inference_mode)
 
 

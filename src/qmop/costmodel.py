@@ -1,10 +1,12 @@
 """Analytic FLOPs / KV-cache estimators.
 
-The LLM-side cost is modeled as a(n) = a*n + b*n^2, fit exactly through two
-anchor rows (per-token MLP work plus attention's quadratic term). KV cache is
-exactly proportional to the token count. Projector FLOPs are closed-form
-multiply-accumulate counts (2 FLOPs per MAC); softmax and activation costs
-are excluded as sub-percent.
+The LLM-side cost is modeled as a(n) = a*n + b*n^2, fit exactly through the
+two published anchor rows (per-token MLP work plus attention's quadratic
+term); the fit is the constant `LLM_FIT`. KV cache is exactly proportional
+to the token count. Projector FLOPs are closed-form multiply-accumulate
+counts (2 FLOPs per MAC); softmax and activation costs are excluded as
+sub-percent. `cost_report` takes every dimension; `qmop cost` holds the
+LLaVA-1.5-scale defaults.
 """
 
 from __future__ import annotations
@@ -20,14 +22,15 @@ ANCHOR_A = (576, 3.82)
 ANCHOR_B = (144, 0.94)
 KV_M_PER_TOKEN = 302.0 / 576.0
 
-# LLaVA-1.5-scale projector dims used when the CLI is not given explicit ones.
-DEFAULT_DIMS = dict(c_vis=1024, c_txt=768, d_llm=4096, n_in=576)
+
+def _fit_anchors() -> tuple[float, float]:
+    """Exact (a, b) solve of cost(n) = a*n + b*n^2 through both anchors."""
+    (n1, c1), (n2, c2) = ANCHOR_A, ANCHOR_B
+    b = (n1 * c2 - n2 * c1) / (n1 * n2 * n2 - n2 * n1 * n1)
+    return (c1 - b * n1 * n1) / n1, b
 
 
-@dataclass
-class LlmCostAnchors:
-    anchor_a: tuple[float, float] = ANCHOR_A
-    anchor_b: tuple[float, float] = ANCHOR_B
+LLM_FIT = _fit_anchors()   # (a, b) in TFLOPs
 
 
 @dataclass
@@ -39,30 +42,17 @@ class CostReport:
     router_gflops: float
 
 
-def fit_llm_model(anchors: LlmCostAnchors = LlmCostAnchors()) -> tuple[float, float]:
-    """Exact (a, b) solve of cost(n) = a*n + b*n^2 through both anchors."""
-    (n1, c1), (n2, c2) = anchors.anchor_a, anchors.anchor_b
-    det = n1 * n2 * n2 - n2 * n1 * n1
-    if det == 0:
-        raise DomainError(f"anchor token counts {n1}, {n2} give a singular fit")
-    b = (n1 * c2 - n2 * c1) / det
-    a = (c1 - b * n1 * n1) / n1
-    if a <= 0:
-        raise DomainError(f"fit produced non-positive linear term a={a}")
-    return a, b
-
-
-def llm_cost(n_tokens: float, fit: tuple[float, float] | None = None) -> float:
+def llm_cost(n_tokens: float) -> float:
     if n_tokens < 0:
         raise DomainError(f"token count must be >= 0, got {n_tokens}")
-    a, b = fit if fit is not None else fit_llm_model()
+    a, b = LLM_FIT
     return a * n_tokens + b * n_tokens * n_tokens
 
 
-def kv_cache(n_tokens: float, m_per_token: float = KV_M_PER_TOKEN) -> float:
+def kv_cache(n_tokens: float) -> float:
     if n_tokens < 0:
         raise DomainError(f"token count must be >= 0, got {n_tokens}")
-    return n_tokens * m_per_token
+    return n_tokens * KV_M_PER_TOKEN
 
 
 def projector_flops(
@@ -102,18 +92,10 @@ def projector_flops(
     return {k: v / 1e9 for k, v in flops.items()}
 
 
-def cost_report(n_tokens: int, n_in: int | None = None,
-                c_vis: int | None = None, c_txt: int | None = None,
-                d_llm: int | None = None,
-                active: tuple[str, ...] = BRANCHES,
+def cost_report(n_tokens: int, n_in: int, c_vis: int, c_txt: int,
+                d_llm: int, active: tuple[str, ...] = BRANCHES,
                 router_hidden: int | None = None) -> CostReport:
-    dims = dict(DEFAULT_DIMS)
-    for key, val in (("n_in", n_in), ("c_vis", c_vis),
-                     ("c_txt", c_txt), ("d_llm", d_llm)):
-        if val is not None:
-            dims[key] = val
-    proj = projector_flops(dims["n_in"], n_tokens, dims["c_vis"],
-                           dims["c_txt"], dims["d_llm"],
+    proj = projector_flops(n_in, n_tokens, c_vis, c_txt, d_llm,
                            router_hidden=router_hidden, active=active)
     return CostReport(
         n_tokens=n_tokens,

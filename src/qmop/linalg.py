@@ -1,6 +1,6 @@
 """Dense float64 tensor primitives: shape-checked coercion, row softmax,
 activations, a central-difference gradient checker, and deterministic seeded
-initialization.
+gaussian initialization.
 
 Everything downstream operates on plain numpy arrays (2D "matrices", 1D
 "vectors") in float64. Shapes are validated eagerly so errors surface at the
@@ -82,19 +82,20 @@ ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
+FD_STEP = 1e-5   # central-difference step of `grad_check`
+
+
 def grad_check(
     f: Callable[[np.ndarray], float],
     point: np.ndarray,
     analytic_grad: np.ndarray,
-    eps: float = 1e-5,
 ) -> float:
-    """Max relative error between analytic_grad and central differences of f.
+    """Max relative error between analytic_grad and central differences of f
+    with step `FD_STEP`.
 
     Relative error per coordinate is |analytic - fd| / max(1, |fd|); the
     maximum over coordinates is returned.
     """
-    if eps <= 0:
-        raise DomainError(f"eps must be > 0, got {eps}")
     point = as_vector(point)
     analytic_grad = as_vector(analytic_grad)
     if point.shape != analytic_grad.shape:
@@ -105,14 +106,14 @@ def grad_check(
     x = point.copy()
     for i in range(x.size):
         orig = x[i]
-        x[i] = orig + eps
+        x[i] = orig + FD_STEP
         fp = f(x)
-        x[i] = orig - eps
+        x[i] = orig - FD_STEP
         fm = f(x)
         x[i] = orig
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise NumericError(f"non-finite function value near coordinate {i}")
-        fd = (fp - fm) / (2.0 * eps)
+        fd = (fp - fm) / (2.0 * FD_STEP)
         err = abs(analytic_grad[i] - fd) / max(1.0, abs(fd))
         worst = max(worst, err)
     return worst
@@ -123,22 +124,13 @@ def rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def seeded_fill(
-    seed: int,
-    rows: int,
-    cols: int,
-    distribution: str = "gaussian",
-    sigma: float = 1.0,
-) -> np.ndarray:
-    """Deterministic (seed, shape, distribution)-keyed random matrix.
+def seeded_fill(seed: int, rows: int, cols: int,
+                sigma: float = 1.0) -> np.ndarray:
+    """Deterministic (seed, shape)-keyed gaussian matrix with std `sigma`.
 
     Uses the Philox 4x64 counter-based generator so streams are reproducible
     bit-for-bit on any platform for a fixed numpy major line.
     """
-    if distribution == "uniform01":
-        return rng_for(seed).random((rows, cols))
-    if distribution == "gaussian":
-        if sigma <= 0:
-            raise DomainError(f"gaussian sigma must be > 0, got {sigma}")
-        return rng_for(seed).standard_normal((rows, cols)) * sigma
-    raise DomainError(f"unknown distribution {distribution!r}")
+    if sigma <= 0:
+        raise DomainError(f"gaussian sigma must be > 0, got {sigma}")
+    return rng_for(seed).standard_normal((rows, cols)) * sigma

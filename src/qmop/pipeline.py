@@ -69,12 +69,25 @@ class ProjectorParams:
 @dataclass
 class ProjectedTokens:
     tokens: np.ndarray  # B*M x D_llm, sample by sample
-    mode: str           # stage1 | train | infer
     gates: list[rt.GateWeights] | None = None  # one per sample
     active: rt.ActiveSet | None = None
     # stage1 and train: the branch outputs and the MLP's (x, h, activation)
     outputs: dict[str, br.CompressedTokens] | None = None
     mlp: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+
+def pooled_grid(grid_h: int, grid_w: int, stride: int,
+                m_tokens: int) -> tuple[int, int]:
+    """The h x w query grid pool builds at `stride`: the stride must divide
+    the patch grid, and the M output tokens must be its h*w cells."""
+    h, w = grid_h // stride, grid_w // stride
+    if h * stride != grid_h or w * stride != grid_w:
+        raise ShapeError(f"grid {grid_h}x{grid_w} not divisible by stride {stride}")
+    if h * w != m_tokens:
+        raise ShapeError(
+            f"m_tokens {m_tokens} != pooled grid {h}x{w} at stride {stride}"
+        )
+    return h, w
 
 
 def init_projector_params(
@@ -85,13 +98,7 @@ def init_projector_params(
     shared_pool_phi: bool = False,
 ) -> ProjectorParams:
     """Gaussian init with 1/sqrt(fan_in) scale, one subseed per tensor."""
-    h, w = grid_h // stride, grid_w // stride
-    if h * stride != grid_h or w * stride != grid_w:
-        raise ShapeError(f"grid {grid_h}x{grid_w} not divisible by stride {stride}")
-    if h * w != m_tokens:
-        raise ShapeError(
-            f"m_tokens {m_tokens} != pooled grid {h}x{w} at stride {stride}"
-        )
+    h, w = pooled_grid(grid_h, grid_w, stride, m_tokens)
     c, c2, nb = c_vis, c_txt, len(rt.BRANCHES)
     d = rt.hidden_width(c + c2, router_hidden)
     s = [seed * 64 + i for i in range(32)]  # distinct subseed per tensor
@@ -196,7 +203,7 @@ def stage1_forward(bundles, params: ProjectorParams) -> ProjectedTokens:
     for out, part in zip(outs.values(), np.split(concat, len(outs), axis=1)):
         out.tokens = part   # a view: the record holds these rows once
     tokens, h, a = _mlp_forward(params.stage1_mlp, concat)
-    return ProjectedTokens(tokens, "stage1", outputs=outs, mlp=(concat, h, a))
+    return ProjectedTokens(tokens, outputs=outs, mlp=(concat, h, a))
 
 
 def _gate(bundle: FeatureBundle, params: ProjectorParams, tau: float,
@@ -220,7 +227,7 @@ def train_forward(bundles, params: ProjectorParams,
     outs = run_branches(bundles, params)
     fused = fuse(outs, np.array([g.alpha for g in gates]))
     tokens, h, a = _mlp_forward(params.out_mlp, fused)
-    return ProjectedTokens(tokens, "train", gates=gates, outputs=outs,
+    return ProjectedTokens(tokens, gates=gates, outputs=outs,
                            mlp=(fused, h, a))
 
 
@@ -246,4 +253,4 @@ def infer_forward(bundle: FeatureBundle, params: ProjectorParams,
     tokens = _mlp_forward(params.out_mlp, fused)[0]
     if not np.isfinite(tokens).all():
         raise NumericError("inference produced non-finite tokens")
-    return ProjectedTokens(tokens, "infer", gates=[gate], active=active)
+    return ProjectedTokens(tokens, gates=[gate], active=active)

@@ -8,7 +8,10 @@ projector. A step is one forward and one backward over the whole batch:
 every weight gradient is one GEMM over the batch's stacked rows, and the
 loss is the batch mean of the per-sample losses. The backward reads only
 the `ProjectedTokens` its forward returns (branch outputs, MLP activations,
-gates) and releases each tensor once its gradients are written.
+gates), releases each tensor once its gradients are written, and returns
+gradients only for the tensors its mode reaches: stage 1 never reaches the
+router or `out_mlp`, stage 2 never reaches `stage1_mlp`, and neither reaches
+the relevance map.
 
 The discrete top-M prune selection is treated as fixed indices: gradients
 flow through the selected token values only, never through the scores, so
@@ -100,14 +103,6 @@ def batch_loss(tokens: np.ndarray, targets: list[np.ndarray]) -> float:
                zip(np.split(tokens, len(targets)), targets)) / len(targets)
 
 
-def _complete(params: pl.ProjectorParams,
-              grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """A gradient for every tensor; unreached ones are read-only zeros."""
-    return {name: grads[name] if name in grads
-            else np.broadcast_to(np.zeros((), arr.dtype), arr.shape)
-            for name, arr in params.named_tensors()}
-
-
 def _mlp_backward(mlp: pl.Mlp, acts: tuple, d_y: np.ndarray,
                   grads: dict, prefix: str) -> np.ndarray:
     _, act_grad = ACTIVATIONS[mlp.activation]
@@ -193,16 +188,16 @@ def _as_targets(targets) -> list[np.ndarray]:
 
 
 def backward(bundles, params: pl.ProjectorParams, targets, mode: tuple):
-    """Batch-mean loss and its analytic gradient for every learnable tensor.
+    """Batch-mean loss and its analytic gradient for every tensor the mode
+    reaches.
 
     One forward and one backward over the whole batch; a single bundle and
     target are a batch of one. mode is ("stage1",) or ("train", tau,
     gumbel_scale, seeds), with one gate-noise seed per bundle (an int for a
-    batch of one). Returns (loss, grads, aux) where aux carries the forward
-    gate of each sample for inspection and "reached", the names of the
-    tensors the mode trains. Each reached gradient is a fresh array; the
-    other tensors' gradients are exactly zero and come back as read-only
-    views.
+    batch of one). Returns (loss, grads, gates): grads maps each reached
+    tensor's name to a fresh array, and a tensor the mode does not reach
+    has no entry, since its gradient is exactly zero. gates holds each
+    sample's forward gate in train mode and is None in stage 1.
     """
     bundles, targets = as_batch(bundles), _as_targets(targets)
     if len(targets) != len(bundles):
@@ -221,8 +216,7 @@ def backward(bundles, params: pl.ProjectorParams, targets, mode: tuple):
         for name, d_out in zip(BRANCHES, np.split(d_concat, len(BRANCHES),
                                                   axis=1)):
             _branch_backward(params, name, outs.pop(name), d_out, grads)
-        return loss, _complete(params, grads), {"gates": None,
-                                                "reached": tuple(grads)}
+        return loss, grads, None
 
     d_fused = _mlp_backward(params.out_mlp, acts, d_y, grads, "out_mlp")
     del acts, d_y
@@ -243,14 +237,14 @@ def backward(bundles, params: pl.ProjectorParams, targets, mode: tuple):
     d_h1 = d_a1 * act_grad(np.array([g.h1 for g in gates]))
     grads["router.w1"] = d_h1.T @ np.array([g.f for g in gates])
     grads["router.b1"] = d_h1.sum(axis=0)
-    return loss, _complete(params, grads), {"gates": gates,
-                                            "reached": tuple(grads)}
+    return loss, grads, gates
 
 
 def gradcheck_params(bundles, params: pl.ProjectorParams, targets,
-                     mode: tuple, eps: float = 1e-5) -> dict[str, float]:
+                     mode: tuple) -> dict[str, float]:
     """Per-tensor max relative error of analytic vs central-difference grads
-    of the batch-mean loss, for a batch as `backward` takes it.
+    of the batch-mean loss, for a batch as `backward` takes it. Every tensor
+    is checked: one the mode does not reach against a zero gradient.
 
     Each tensor of a deep copy is perturbed in place through `arr.flat`,
     which writes through whatever the tensor's memory order, and restored
@@ -266,7 +260,8 @@ def gradcheck_params(bundles, params: pl.ProjectorParams, targets,
             arr.flat[:] = flat
             return batch_loss(_forward(bundles, work, mode).tokens, targets)
 
-        report[name] = grad_check(tensor_loss, start, grads[name].ravel(), eps)
+        analytic = grads[name].ravel() if name in grads else np.zeros(arr.size)
+        report[name] = grad_check(tensor_loss, start, analytic)
         arr.flat[:] = start
     return report
 
@@ -310,20 +305,19 @@ def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
             gumbel_trace.append(gscale)
             seeds = [config.seed * 1000003 + step * n + i for i in range(n)]
             mode = ("train", tau, gscale, seeds)
-        loss, grads, aux = backward(config.bundles, params, config.targets,
-                                    mode)
+        loss, grads, gates = backward(config.bundles, params, config.targets,
+                                      mode)
         if not math.isfinite(loss):
             raise DivergenceError(step)
         losses.append(loss)
         if config.stage == 2:
-            entropy = sum(gate_entropy(g.alpha) for g in aux["gates"]) / n
+            entropy = sum(gate_entropy(g.alpha) for g in gates) / n
             if step == 0:
                 first_entropy = entropy
             final_entropy = entropy
         tensors = dict(params.named_tensors())
-        for name in aux["reached"]:
-            grad = grads[name]   # a fresh array: scale it in place
-            grad *= config.lr
+        for name, grad in grads.items():
+            grad *= config.lr    # a fresh array: scale it in place
             tensors[name] -= grad
 
     gc_err = None

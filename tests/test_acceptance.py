@@ -64,7 +64,7 @@ def test_criterion_3_pooling_oracle():
         bundle = synth_bundle(gh * 10 + stride, gh, gw, 5, 3)
         params = pool_params(gh, gw, stride, 5, seed=gh + stride)
         from qmop.branches import pool_local
-        got = pool_local(bundle, params).tokens
+        got = pool_local([bundle], params).tokens
         worst = max(worst, float(np.max(np.abs(
             got - masked_attention_oracle(bundle, params)))))
     report("3 pooling oracle equivalence", worst <= 1e-9)

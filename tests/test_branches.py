@@ -7,11 +7,10 @@ from qmop.branches import (
     CompressedTokens,
     PoolParams,
     PruneConfig,
-    RelevanceMap,
     ResamplerParams,
+    _blend,
     _minmax,
     pool_local,
-    prune_scores,
     prune_select,
     resample,
 )
@@ -32,6 +31,11 @@ def relevance_oracle(bundle, g):
     return np.full_like(raw, 0.5) if hi == lo else (raw - lo) / (hi - lo)
 
 
+def blend_scores(bundle, g, lam, metric="cosine"):
+    """Prune's `_blend` scores for one bundle under the relevance map g."""
+    return _blend(bundle, bundle.patches @ g.T, lam, metric)
+
+
 class TestPruneScores:
     def test_minmax_hand_values(self):
         out = _minmax(np.array([0.1, 0.4, 0.2, 0.3]))
@@ -45,17 +49,17 @@ class TestPruneScores:
 
     def test_lambda_one_is_importance(self, tiny_bundle):
         g = seeded_fill(0, 6, 8)
-        s = prune_scores(tiny_bundle, RelevanceMap(g), lam=1.0)
+        s = blend_scores(tiny_bundle, g, 1.0)
         assert np.allclose(s, _minmax(tiny_bundle.cls_attention), atol=1e-15)
 
     def test_lambda_zero_is_relevance(self, tiny_bundle):
         g = seeded_fill(0, 6, 8)
-        s = prune_scores(tiny_bundle, RelevanceMap(g), lam=0.0)
+        s = blend_scores(tiny_bundle, g, 0.0)
         assert np.allclose(s, relevance_oracle(tiny_bundle, g), atol=1e-12)
 
     def test_blend_matches_oracle(self, tiny_bundle):
         g = seeded_fill(1, 6, 8)
-        s = prune_scores(tiny_bundle, RelevanceMap(g), lam=0.3)
+        s = blend_scores(tiny_bundle, g, 0.3)
         expected = 0.3 * _minmax(tiny_bundle.cls_attention) \
             + 0.7 * relevance_oracle(tiny_bundle, g)
         assert np.allclose(s, expected, atol=1e-12)
@@ -63,17 +67,17 @@ class TestPruneScores:
 
     def test_zero_norm_token_scores_zero_cosine(self, tiny_bundle):
         g = np.zeros((6, 8))  # every projected token has zero norm
-        s = prune_scores(tiny_bundle, RelevanceMap(g), lam=0.0)
+        s = blend_scores(tiny_bundle, g, 0.0)
         assert np.allclose(s, 0.5)  # constant criterion -> all 0.5
 
-    def test_bad_lambda(self, tiny_bundle):
+    def test_bad_lambda(self):
+        # prune reads lambda from its config, which checks it once
         with pytest.raises(DomainError):
-            prune_scores(tiny_bundle, RelevanceMap(np.zeros((6, 8))), lam=1.5)
+            PruneConfig(lam=1.5)
 
     def test_neg_euclidean_metric(self, tiny_bundle):
         g = seeded_fill(2, 6, 8)
-        s = prune_scores(tiny_bundle, RelevanceMap(g), lam=0.0,
-                         metric="neg_euclidean")
+        s = blend_scores(tiny_bundle, g, 0.0, "neg_euclidean")
         raw = -np.linalg.norm(tiny_bundle.patches @ g.T
                               - tiny_bundle.eos_token, axis=1)
         assert np.allclose(s, _minmax(raw), atol=1e-12)
@@ -155,7 +159,7 @@ class TestResample:
     def test_single_token(self):
         p = self.params(m=3, c=4)
         x = seeded_fill(9, 1, 4)
-        out = resample(x, p)
+        out = resample([x], p)
         expected = (x @ p.w_v.T)[0]
         assert np.allclose(out.tokens, np.tile(expected, (3, 1)), atol=1e-12)
 
@@ -163,8 +167,8 @@ class TestResample:
         p = self.params(m=2, c=3)
         x = seeded_fill(10, 6, 3)
         perm = np.array([4, 0, 5, 2, 1, 3])
-        assert np.allclose(resample(x, p).tokens,
-                           resample(x[perm], p).tokens, atol=1e-9)
+        assert np.allclose(resample([x], p).tokens,
+                           resample([x[perm]], p).tokens, atol=1e-9)
 
     def test_matches_naive_reference(self):
         p = self.params(m=2, c=3, seed=0)
@@ -177,11 +181,11 @@ class TestResample:
             w = e / e.sum()
             for j in range(3):
                 ref[i] += w[j] * v[j]
-        assert np.allclose(resample(x, p).tokens, ref, atol=1e-9)
+        assert np.allclose(resample([x], p).tokens, ref, atol=1e-9)
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
-            resample(seeded_fill(0, 3, 4), self.params(m=2, c=3))
+            resample([seeded_fill(0, 3, 4)], self.params(m=2, c=3))
 
     @pytest.mark.parametrize("m,n,c", [
         (2, 9, 5),       # fewer queries than tokens
@@ -198,7 +202,7 @@ class TestResample:
             w_v=seeded_fill(22, c, c, sigma=sigma),
         )
         x = seeded_fill(23, n, c)
-        out = resample(x, p)
+        out = resample([x], p)
         assert out.tokens.shape == (m, c)
         assert np.max(np.abs(out.tokens
                              - project_every_token_oracle(x, p))) <= 1e-12
@@ -206,7 +210,7 @@ class TestResample:
     def test_returned_fields_rebuild_output(self):
         p = self.params(m=3, c=4)
         x = seeded_fill(12, 5, 4)
-        out = resample(x, p)
+        out = resample([x], p)
         assert len(out.inputs) == 1 and out.inputs[0] is x
         assert out.attn.shape == (3, 5)
         assert np.allclose(out.attn.sum(axis=1), 1.0, atol=1e-15)
@@ -274,14 +278,14 @@ class TestPoolLocal:
         x = seeded_fill(5, 1, 4)
         b.patches = np.tile(x, (4, 1))
         p = pool_params(2, 2, 2, 4)
-        out = pool_local(b, p)
+        out = pool_local([b], p)
         assert np.allclose(out.tokens, x @ p.phi_v.T, atol=1e-12)
 
     def test_zero_query_means_window_mean(self):
         b = synth_bundle(1, 4, 4, 5, 3)
         p = pool_params(4, 4, 2, 5)
         p.q2d = np.zeros_like(p.q2d)
-        out = pool_local(b, p)
+        out = pool_local([b], p)
         x2d = b.patches.reshape(4, 4, 5)
         for i in range(2):
             for j in range(2):
@@ -295,7 +299,7 @@ class TestPoolLocal:
         gh, gw = grid
         b = synth_bundle(2, gh, gw, 5, 3)
         p = pool_params(gh, gw, stride, 5, seed=3)
-        out = pool_local(b, p)
+        out = pool_local([b], p)
         assert np.max(np.abs(out.tokens
                              - masked_attention_oracle(b, p))) <= 1e-9
 
@@ -306,7 +310,7 @@ class TestPoolLocal:
         gh, gw = grid
         b = synth_bundle(5, gh, gw, 7, 3)
         p = pool_params(gh, gw, stride, 7, seed=4, shared=shared)
-        out = pool_local(b, p)
+        out = pool_local([b], p)
         assert np.max(np.abs(out.tokens
                              - project_then_attend_oracle(b, p))) <= 1e-12
 
@@ -314,24 +318,24 @@ class TestPoolLocal:
         b = synth_bundle(0, 4, 4, 5, 3)
         p = pool_params(6, 6, 3, 5)  # expects a 6x6 grid
         with pytest.raises(ShapeError, match="stride"):
-            pool_local(b, p)
+            pool_local([b], p)
 
     def test_shared_phi_uses_one_projection(self):
         b = synth_bundle(3, 4, 4, 5, 3)
         p = pool_params(4, 4, 2, 5, shared=True)
         q = pool_params(4, 4, 2, 5, shared=False)
         q.phi_v = q.phi_k.copy()
-        assert np.allclose(pool_local(b, p).tokens,
-                           pool_local(b, q).tokens, atol=1e-15)
+        assert np.allclose(pool_local([b], p).tokens,
+                           pool_local([b], q).tokens, atol=1e-15)
 
     def test_not_permutation_invariant(self):
         # spatial branches must be order-sensitive
         b = synth_bundle(4, 4, 4, 5, 3)
         p = pool_params(4, 4, 2, 5)
-        base = pool_local(b, p).tokens
+        base = pool_local([b], p).tokens
         perm = np.roll(np.arange(16), 5)
         b.patches = b.patches[perm]
-        assert not np.allclose(pool_local(b, p).tokens, base, atol=1e-9)
+        assert not np.allclose(pool_local([b], p).tokens, base, atol=1e-9)
 
 
 def test_all_branches_emit_m_rows(tiny_bundle, tiny_params):

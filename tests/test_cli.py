@@ -416,3 +416,44 @@ def test_schema_follows_the_branch_list():
     assert alpha["minItems"] == alpha["maxItems"] == len(BRANCHES)
     assert members["items"]["enum"] == list(BRANCHES)
     assert members["maxItems"] == len(BRANCHES)
+
+
+# Each used to end in a traceback and exit 1: reading a directory as a
+# bundle, or writing a report or bundle into a directory that does not exist.
+UNUSABLE_PATHS = {
+    "features-dir": ["compress", "--features", "{tmp}", "--config", "{cfg}"],
+    "compress-out": ["compress", "--features", "{features}", "--config",
+                     "{cfg}", "--out", "{out}"],
+    "cost-out": ["cost", "--tokens", "144", "--out", "{out}"],
+    "train-toy-out": ["train-toy", "--config", "{cfg}", "--stage", "1",
+                      "--steps", "1", "--no-grad-check", "--out", "{out}"],
+    "synth-out": ["synth", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("case", UNUSABLE_PATHS)
+def test_unusable_path_is_usage_error(runner, workspace, case):
+    tmp, cfg, features = workspace
+    paths = dict(tmp=tmp, cfg=cfg, features=features,
+                 out=tmp / "nodir" / "report")
+    args = [a.format(**paths) for a in UNUSABLE_PATHS[case]]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    bad = str(tmp if case == "features-dir" else paths["out"])
+    assert [line for line in res.output.splitlines() if bad in line] != []
+    if case != "features-dir":     # click's usage error names the flag
+        assert res.output == f"cannot write {bad}: No such file or directory\n"
+    assert not (tmp / "nodir").exists()
+
+
+def test_cost_defaults_are_the_llava_dims(runner):
+    explicit = runner.invoke(main, ["cost", "--tokens", "144", "--n-in", "576",
+                                    "--cvis", "1024", "--ctxt", "768",
+                                    "--dllm", "4096"])
+    default = runner.invoke(main, ["cost", "--tokens", "144"])
+    assert default.exit_code == explicit.exit_code == 0
+    assert default.output == explicit.output
+    shown = runner.invoke(main, ["cost", "--help"]).output
+    for value in ("576", "1024", "768", "4096"):
+        assert f"[default: {value};" in shown

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from qmop import config
 from qmop.config import ConfigError, PipelineConfig, load_config, parse_mode
+from qmop.linalg import ShapeError
+from qmop.pipeline import pooled_grid
 from qmop.trainer import AnnealSchedule
 
 FIELDS = [f.name for f in dataclasses.fields(PipelineConfig)]
@@ -92,3 +94,18 @@ def test_ints_in_float_fields_are_kept(cfg_path):
 
 def test_domains_name_config_fields():
     assert set(config._DOMAINS) <= set(FIELDS)
+
+
+@pytest.mark.parametrize("geometry", [dict(grid_h=5), dict(pool_stride=3),
+                                      dict(m_tokens=5)],
+                         ids=["grid", "stride", "m_tokens"])
+def test_pooled_grid_rule_is_the_pipelines(geometry):
+    # the config checks its geometry with the function the params are
+    # built with, and says what that function says
+    with pytest.raises(ConfigError) as config_err:
+        PipelineConfig(**geometry)
+    cfg = {**dataclasses.asdict(PipelineConfig()), **geometry}
+    with pytest.raises(ShapeError) as shape_err:
+        pooled_grid(cfg["grid_h"], cfg["grid_w"], cfg["pool_stride"],
+                    cfg["m_tokens"])
+    assert str(config_err.value) == str(shape_err.value)

@@ -3,9 +3,8 @@ import dataclasses
 import pytest
 
 from qmop.costmodel import (
-    LlmCostAnchors,
+    LLM_FIT,
     cost_report,
-    fit_llm_model,
     kv_cache,
     llm_cost,
     projector_flops,
@@ -19,28 +18,16 @@ TABLE = {576: (3.82, 302.0), 144: (0.94, 75.5), 64: (0.42, 33.6),
 
 class TestLlmFit:
     def test_anchor_solve(self):
-        a, b = fit_llm_model()
+        a, b = LLM_FIT
         assert a == pytest.approx(6.493e-3, rel=1e-3)
         assert b == pytest.approx(2.411e-7, rel=1e-3)
-
-    def test_pure_linear_anchors_recover_zero_quadratic(self):
-        anchors = LlmCostAnchors(anchor_a=(100, 1.0), anchor_b=(200, 2.0))
-        a, b = fit_llm_model(anchors)
-        assert a == pytest.approx(0.01, abs=1e-12)
-        assert b == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_tokens_zero_cost(self):
         assert llm_cost(0) == 0.0
 
-    def test_identical_anchors_singular(self):
-        with pytest.raises(DomainError):
-            fit_llm_model(LlmCostAnchors(anchor_a=(100, 1.0),
-                                         anchor_b=(100, 2.0)))
-
     def test_anchors_reproduce_themselves(self):
-        fit = fit_llm_model()
-        assert llm_cost(576, fit) == pytest.approx(3.82, abs=1e-9)
-        assert llm_cost(144, fit) == pytest.approx(0.94, abs=1e-9)
+        assert llm_cost(576) == pytest.approx(3.82, abs=1e-9)
+        assert llm_cost(144) == pytest.approx(0.94, abs=1e-9)
 
     @pytest.mark.parametrize("tokens", [64, 36, 16])
     def test_nonanchor_rows(self, tokens):
@@ -110,7 +97,7 @@ class TestProjectorFlops:
 
 
 def test_cost_report_fields():
-    rep = dataclasses.asdict(cost_report(144))
+    rep = dataclasses.asdict(cost_report(144, 576, 1024, 768, 4096))
     assert set(rep) == {"n_tokens", "llm_tflops", "kv_cache_m",
                         "projector_gflops", "router_gflops"}
     assert rep["llm_tflops"] == pytest.approx(0.94, abs=1e-9)

@@ -1,15 +1,20 @@
 """No linter ships with the project, so this scans the package's modules
-for imported names they never use, and for functions that take a `cache`
-argument: a forward returns what its backward reads, so no side channel
-carries state between them."""
+for imported names they never use, for functions that take a `cache`
+argument (a forward returns what its backward reads, so no side channel
+carries state between them), and for defaulted parameters that no program
+caller ever sets (an option without a caller is a constant)."""
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qmop"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qmop"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# the program's own callers: the package and the benchmark, not the tests
+CALLERS = sorted([*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -60,3 +65,74 @@ def test_scanner_finds_cache_parameters():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_cache_parameter(path):
     assert cache_parameters(path.read_text()) == []
+
+
+def defaulted_parameters(source: str) -> list[tuple]:
+    """(bare name, qualified name, parameter, position) of each defaulted
+    parameter of a module-level function or method. The position is its
+    index among the positional arguments a call passes (a method's `self`
+    not counted), or None if it is keyword-only. Nested functions, such as
+    closures that bind a loop variable through a default, are not options
+    and are skipped."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs = []   # (function, qualified name, leading `self` to skip)
+    for node in ast.parse(source).body:
+        if isinstance(node, functions):
+            defs.append((node, node.name, 0))
+        elif isinstance(node, ast.ClassDef):
+            defs += [(f, f"{node.name}.{f.name}", 1) for f in node.body
+                     if isinstance(f, functions)]
+    found = []
+    for fn, qual, skip in defs:
+        a = fn.args
+        positional = (a.posonlyargs + a.args)[skip:]
+        first = len(positional) - len(a.defaults)
+        found += [(fn.name, qual, x.arg, i)
+                  for i, x in enumerate(positional) if i >= first]
+        found += [(fn.name, qual, x.arg, None)
+                  for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return found
+
+
+def call_arguments(source: str) -> list[tuple[str, float, set | None]]:
+    """(called name, positional count, keywords) of every call; a `*args`
+    counts as every position and a `**kwargs` as every keyword (None)."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        n_pos = (math.inf if any(isinstance(x, ast.Starred) for x in node.args)
+                 else len(node.args))
+        keywords = {k.arg for k in node.keywords}
+        calls.append((name, n_pos, None if None in keywords else keywords))
+    return calls
+
+
+def uncalled_defaults(definitions: list[str], callers: list[str]) -> list[str]:
+    """`function.parameter` for each defaulted parameter in `definitions`
+    that no call in `callers` passes, by keyword or by position."""
+    calls = [c for source in callers for c in call_arguments(source)]
+    return sorted(
+        f"{qual}.{param}" for source in definitions
+        for name, qual, param, pos in defaulted_parameters(source)
+        if not any(called == name and (keywords is None or param in keywords
+                                       or (pos is not None and n_pos > pos))
+                   for called, n_pos, keywords in calls))
+
+
+def test_scanner_finds_uncalled_defaults():
+    definitions = ["def f(a, b=1, *, c=2): pass\n"
+                   "def g(x=0): pass\n"
+                   "def h(y=0): pass\n"
+                   "class K:\n"
+                   "    def m(self, y=1, z=2): pass\n"
+                   "def outer():\n"
+                   "    def inner(q=1): pass\n"]
+    callers = ["f(1, 2)\nmod.g(**kw)\nh(*args)\nK().m(5)\n"]
+    assert uncalled_defaults(definitions, callers) == ["K.m.z", "f.c"]
+
+
+def test_every_default_has_a_caller():
+    sources = [p.read_text() for p in CALLERS]
+    assert uncalled_defaults([p.read_text() for p in MODULES], sources) == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmop.branches import CompressedTokens, pool_local, prune_scores, \
+from qmop.branches import CompressedTokens, _blend, pool_local, \
     prune_select, resample
 from qmop.linalg import ACTIVATIONS, NumericError, ShapeError, seeded_fill
 from test_trainer import params_to_vector
@@ -41,11 +41,12 @@ class TestRunBranches:
         outs = run_branches(tiny_bundle, tiny_params)
         assert np.array_equal(
             outs["pool"].tokens,
-            pool_local(tiny_bundle, tiny_params.pool).tokens)
+            pool_local([tiny_bundle], tiny_params.pool).tokens)
         assert np.array_equal(
             outs["resample"].tokens,
-            resample(tiny_bundle.patches, tiny_params.resampler).tokens)
-        scores = prune_scores(tiny_bundle, tiny_params.relevance, 0.5)
+            resample([tiny_bundle.patches], tiny_params.resampler).tokens)
+        projected = tiny_bundle.patches @ tiny_params.relevance.g.T
+        scores = _blend(tiny_bundle, projected, 0.5, "cosine")
         assert np.array_equal(
             outs["prune"].tokens,
             prune_select(tiny_bundle.patches, scores, 4).tokens)
@@ -116,7 +117,6 @@ class TestStage1Forward:
     def test_output_shape(self, tiny_bundle, tiny_params):
         out = stage1_forward(tiny_bundle, tiny_params)
         assert out.tokens.shape == (4, 8)
-        assert out.mode == "stage1"
         assert out.gates is None and out.active is None
 
     def test_zeroed_output_layer_gives_bias(self, tiny_bundle, tiny_params):

@@ -25,6 +25,9 @@ from qmop.trainer import (
 )
 
 TOL = 1e-4
+# the tensors each mode's backward reaches, by name prefix
+STAGE1_REACHES = ("resampler.", "pool.", "stage1_mlp.")
+TRAIN_REACHES = ("resampler.", "pool.", "router.", "out_mlp.")
 
 
 def make_params(seed=0):
@@ -104,36 +107,48 @@ class TestBackward:
 
     def test_stage1_router_grads_exactly_zero(self, tiny_bundle, tiny_params,
                                               tiny_target):
-        _, grads, _ = backward(tiny_bundle, tiny_params, tiny_target,
-                               ("stage1",))
-        for name in ("router.w1", "router.b1", "router.w2", "router.b2",
-                     "out_mlp.w_in", "relevance.g"):
-            assert np.count_nonzero(grads[name]) == 0
+        # a tensor the mode does not reach has no gradient entry at all
+        _, grads, gates = backward(tiny_bundle, tiny_params, tiny_target,
+                                   ("stage1",))
+        assert gates is None
+        assert set(grads) == {name for name, _ in tiny_params.named_tensors()
+                              if name.startswith(STAGE1_REACHES)}
 
     def test_train_stage1_mlp_grads_zero(self, tiny_bundle, tiny_params,
                                          tiny_target):
-        _, grads, _ = backward(tiny_bundle, tiny_params, tiny_target,
-                               ("train", 1.0, 0.0, 0))
-        for name in ("stage1_mlp.w_in", "stage1_mlp.b_out", "relevance.g"):
-            assert np.count_nonzero(grads[name]) == 0
+        _, grads, gates = backward(tiny_bundle, tiny_params, tiny_target,
+                                   ("train", 1.0, 0.0, 0))
+        assert len(gates) == 1
+        assert set(grads) == {name for name, _ in tiny_params.named_tensors()
+                              if name.startswith(TRAIN_REACHES)}
 
     @pytest.mark.parametrize("mode", [("stage1",), ("train", 1.3, 0.7, 0)])
     def test_reached_grads_own_their_memory(self, tiny_bundle, tiny_params,
                                             tiny_target, mode):
         # train_toy accumulates into and scales these arrays in place
-        _, grads, aux = backward(tiny_bundle, tiny_params, tiny_target, mode)
+        _, grads, gates = backward(tiny_bundle, tiny_params, tiny_target,
+                                   mode)
         tensors = dict(tiny_params.named_tensors())
         held = list(tensors.values()) + [
             tiny_bundle.patches, tiny_bundle.cls_token, tiny_bundle.eos_token,
             tiny_target]
-        for gate in aux["gates"] or ():
+        for gate in gates or ():
             held += [gate.alpha, gate.f, gate.h1, gate.a1]
-        reached = [grads[name] for name in aux["reached"]]
-        for name, grad in zip(aux["reached"], reached):
+        reached = list(grads.values())
+        for name, grad in grads.items():
             assert grad.shape == tensors[name].shape, name
             assert grad.flags.writeable, name
             others = held + [g for g in reached if g is not grad]
             assert not any(np.shares_memory(grad, o) for o in others), name
+
+    @pytest.mark.parametrize("mode", [("stage1",), ("train", 1.3, 0.7, 0)])
+    def test_gradcheck_covers_unreached_tensors(self, tiny_bundle,
+                                                tiny_params, tiny_target,
+                                                mode):
+        # a tensor backward does not reach is checked against zeros
+        report = gradcheck_params(tiny_bundle, tiny_params, tiny_target, mode)
+        assert list(report) == [n for n, _ in tiny_params.named_tensors()]
+        assert max(report.values()) <= TOL
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradcheck_stage1(self, seed):
@@ -415,9 +430,9 @@ def summed_backwards(params, bundles, targets, stage, seed):
         mode = step_mode(stage, seed, len(bundles))
         if stage == 2:
             mode = mode[:3] + (mode[3][i],)
-        loss, grads, aux = backward(bundle, params, target, mode)
+        loss, grads, _ = backward(bundle, params, target, mode)
         loss_sum += loss
-        for name in aux["reached"]:
+        for name in grads:
             if name in total:
                 total[name] += grads[name]
             else:
@@ -461,22 +476,25 @@ class TestOneGradientSet:
         params = init_projector_params(4, 4, 8, 6, 8, 4, 2, seed=9,
                                        shared_pool_phi=shared)
         bundles, targets = make_batch(9, n=3)
-        loss, grads, aux = backward(bundles, params, targets,
-                                    step_mode(stage, 9, 3))
+        loss, grads, _ = backward(bundles, params, targets,
+                                  step_mode(stage, 9, 3))
         loss_sum, total = summed_backwards(params, bundles, targets, stage, 9)
-        assert set(aux["reached"]) == set(total)
+        assert set(grads) == set(total)
         assert loss == pytest.approx(loss_sum / 3, rel=1e-12, abs=0)
         for name, acc in total.items():
             want = acc / 3
             err = np.max(np.abs(grads[name] - want))
             assert err <= 1e-12 * np.max(np.abs(want)), name
-        # the step subtracts exactly lr times that gradient
+        # the step subtracts exactly lr times that gradient, and leaves the
+        # tensors the stage does not reach as they were
         before = {name: arr.copy() for name, arr in params.named_tensors()}
         train_toy(params, TrainConfig(
             stage=stage, steps=1, lr=0.1, seed=9, bundles=bundles,
             targets=targets, final_grad_check=False))
         for name, arr in params.named_tensors():
-            assert np.array_equal(arr, before[name] - grads[name] * 0.1), name
+            want = before[name] - grads[name] * 0.1 if name in grads \
+                else before[name]
+            assert np.array_equal(arr, want), name
 
     @pytest.mark.parametrize("stage", [1, 2])
     def test_traced_peak_grows_by_activations_only(self, stage):
@@ -510,8 +528,8 @@ class TestOneGradientSet:
         per_sample = 8 * (3 * m * width + 4 * m * d + 2 * n * c + n * c2
                           + m * n)
         mode = ("stage1",) if stage == 1 else ("train", 1.0, 0.0, 0)
-        _, grads, aux = backward(bundles[0], params, targets[0], mode)
-        grad_set = sum(grads[name].nbytes for name in aux["reached"])
+        _, grads, _ = backward(bundles[0], params, targets[0], mode)
+        grad_set = sum(grad.nbytes for grad in grads.values())
         assert per_sample < grad_set
         assert step_peak(4)[0] - peak1 <= 3 * per_sample
 
