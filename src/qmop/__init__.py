@@ -6,6 +6,7 @@ from .bundle import FeatureBundle, read_bundle, synth_bundle, write_bundle
 from .pipeline import (
     ProjectedTokens,
     ProjectorParams,
+    forward,
     infer_forward,
     init_projector_params,
     stage1_forward,
@@ -16,6 +17,7 @@ __all__ = [
     "FeatureBundle",
     "ProjectedTokens",
     "ProjectorParams",
+    "forward",
     "infer_forward",
     "init_projector_params",
     "read_bundle",

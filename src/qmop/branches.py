@@ -9,8 +9,9 @@ Each takes a list of B samples (bundles, or token matrices for resample) and
 returns their outputs stacked sample by sample into B*M rows, so every
 product whose left side is per-row runs as one GEMM over the batch and every
 params-only product runs once per batch. A batch of one is a one-item list.
-Each also returns what its backward reads: prune its kept indices, pool and
-resample their inputs, attention and attended rows.
+Pool and resample also return what their backward reads: their inputs,
+attention and attended rows. Prune has no parameters to train, so it
+returns its tokens alone.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ class PoolParams:
 @dataclass
 class CompressedTokens:
     tokens: np.ndarray  # B*M x C, sample by sample
-    kept_indices: np.ndarray | None = None  # prune: each sample's, ascending
     # pool: B x M x s^2 x C windows; resample: each sample's N x C tokens
     inputs: np.ndarray | list[np.ndarray] | None = None
     pooled: np.ndarray | None = None  # B*M x C, before the value projection
@@ -102,33 +102,28 @@ def _blend(bundle: FeatureBundle, projected: np.ndarray, lam: float,
     return lam * importance + (1.0 - lam) * relevance
 
 
-def prune_select(tokens: np.ndarray, scores: np.ndarray,
-                 m_out: int) -> CompressedTokens:
-    """Keep the m_out highest-scoring rows, ties to the lower index,
-    output in ascending original index order."""
-    n = tokens.shape[0]
-    if scores.shape != (n,):
-        raise ShapeError(f"scores length {scores.shape} != token rows {n}")
+def prune_select(scores: np.ndarray, m_out: int) -> np.ndarray:
+    """Indices of the m_out highest scores, ties to the lower index, in
+    ascending order."""
+    n = len(scores)
     if not 1 <= m_out <= n:
         raise DomainError(f"m_out must be in [1, {n}], got {m_out}")
     order = np.argsort(-scores, kind="stable")  # stable: lower index wins ties
-    kept = np.sort(order[:m_out])
-    return CompressedTokens(tokens[kept], kept)
+    return np.sort(order[:m_out])
 
 
 def prune(bundles: list[FeatureBundle], rel: RelevanceMap,
           cfg: PruneConfig) -> CompressedTokens:
-    """`prune_select` on each bundle's `_blend` scores, with the relevance
-    projection of the whole batch run as one (B*N) x C GEMM."""
+    """Each bundle's patches at the `prune_select` indices of its `_blend`
+    scores, with the relevance projection of the whole batch run as one
+    (B*N) x C GEMM."""
     n = bundles[0].n_tokens
     projected = stack_rows([b.patches for b in bundles]) @ rel.g.T
-    picks = [prune_select(b.patches,
-                          _blend(b, projected[i * n:(i + 1) * n], cfg.lam,
-                                 cfg.metric),
-                          cfg.m_out)
-             for i, b in enumerate(bundles)]
-    return CompressedTokens(stack_rows([p.tokens for p in picks]),
-                            np.concatenate([p.kept_indices for p in picks]))
+    kept = [prune_select(_blend(b, projected[i * n:(i + 1) * n], cfg.lam,
+                                cfg.metric), cfg.m_out)
+            for i, b in enumerate(bundles)]
+    return CompressedTokens(stack_rows([b.patches[k]
+                                        for b, k in zip(bundles, kept)]))
 
 
 def resample(xs: list[np.ndarray],

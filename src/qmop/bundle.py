@@ -74,15 +74,6 @@ class FeatureBundle:
         if abs(s - 1.0) > attn_tol:
             raise ValidationError(f"cls_attention sums to {s}, expected 1")
 
-    def quantized(self) -> "FeatureBundle":
-        """The bundle as it would read back after a float32 disk round trip."""
-        f32 = lambda a: a.astype(np.float32).astype(np.float64)
-        return FeatureBundle(
-            self.grid_h, self.grid_w, self.c_vis, self.c_txt,
-            f32(self.patches), f32(self.cls_token), f32(self.eos_token),
-            f32(self.cls_attention), self.text_raw,
-        )
-
 
 def as_batch(bundles) -> list[FeatureBundle]:
     """The bundles of one step as a list; a single bundle is a batch of one.

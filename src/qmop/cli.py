@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -80,6 +81,33 @@ def _write_failed(path: str, exc: OSError):
     _fail(EXIT_USAGE, f"cannot write {path}: {exc.strerror or exc}")
 
 
+def _writable(ctx, param, path: str | None) -> str | None:
+    """`--out`'s callback: a path `_emit` could not open exits 2 before any
+    work. A file the probe creates is removed again."""
+    if path is not None:
+        existed = os.path.lexists(path)
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            _write_failed(path, exc)
+        if not existed:
+            os.remove(path)
+    return path
+
+
+_out_option = click.option("--out", type=click.Path(), default=None,
+                           callback=_writable)
+
+
+def _limit_gradcheck(cfg: PipelineConfig, what: str):
+    """Central differences take two forwards per parameter, too slow past
+    GRADCHECK_MAX_TOKENS patches: exit 2 before any work."""
+    if cfg.n_tokens > GRADCHECK_MAX_TOKENS:
+        _fail(EXIT_USAGE,
+              f"{what} limited to N <= {GRADCHECK_MAX_TOKENS} tokens, "
+              f"config has N = {cfg.n_tokens}")
+
+
 def _emit(report: dict, out_path: str | None):
     text = json.dumps(report, indent=2, sort_keys=True)
     if out_path:
@@ -122,7 +150,7 @@ def cmd_synth(seed, grid, cvis, ctxt, out):
 @click.option("--mode", "mode_spec", default=None,
               help="stage1 | train | topk:K | threshold:T "
                    "(default: config inference_mode)")
-@click.option("--out", type=click.Path(), default=None)
+@_out_option
 @click.option("--no-timing", is_flag=True, help="Omit wall-clock fields.")
 @click.option("--dump-tokens", is_flag=True, help="Embed full output tokens.")
 def cmd_compress(features, cfg, mode_spec, out, no_timing, dump_tokens):
@@ -147,13 +175,7 @@ def cmd_compress(features, cfg, mode_spec, out, no_timing, dump_tokens):
                   f"c_vis={cfg.c_vis} c_txt={cfg.c_txt}")
         t0 = time.perf_counter()
         try:
-            if mode[0] == "stage1":
-                result = pl.stage1_forward(bundle, params)
-            elif mode[0] == "train":
-                result = pl.train_forward(bundle, params, tau=1.0,
-                                          gumbel_scale=0.0)
-            else:
-                result = pl.infer_forward(bundle, params, mode)
+            result = pl.forward(bundle, params, mode)
             # train and stage1 return non-finite tokens as they are, since
             # training turns them into a DivergenceError
             if not np.isfinite(result.tokens).all():
@@ -200,10 +222,7 @@ def cmd_compress(features, cfg, mode_spec, out, no_timing, dump_tokens):
               show_default=True)
 def cmd_gradcheck(cfg, trials):
     """Verify analytic gradients against central differences, both stages."""
-    if cfg.n_tokens > GRADCHECK_MAX_TOKENS:
-        _fail(EXIT_USAGE,
-              f"gradcheck limited to N <= {GRADCHECK_MAX_TOKENS} tokens, "
-              f"config has N = {cfg.n_tokens}")
+    _limit_gradcheck(cfg, "gradcheck")
 
     worst: dict[str, float] = {}
     for trial in range(trials):
@@ -237,9 +256,12 @@ def cmd_gradcheck(cfg, trials):
               show_default=True, help="Text feature width.")
 @click.option("--dllm", type=click.IntRange(min=1), default=4096,
               show_default=True, help="LLM embedding width.")
-@click.option("--out", type=click.Path(), default=None)
+@_out_option
 def cmd_cost(tokens, n_in, cvis, ctxt, dllm, out):
     """Predicted LLM TFLOPs, KV cache, and projector overhead."""
+    if tokens > n_in:
+        _fail(EXIT_USAGE, f"--tokens {tokens} exceeds --n-in {n_in}: no "
+                          f"branch emits more tokens than it reads")
     report = costmodel.cost_report(tokens, n_in, cvis, ctxt, dllm)
     _emit(dataclasses.asdict(report), out)
 
@@ -253,9 +275,11 @@ def cmd_cost(tokens, n_in, cvis, ctxt, dllm, out):
               help="Batch size (default: config batch_size).")
 @click.option("--no-grad-check", is_flag=True,
               help="Skip the final gradient check.")
-@click.option("--out", type=click.Path(), default=None)
+@_out_option
 def cmd_train_toy(cfg, stage, steps, batch, no_grad_check, out):
     """Run the two-stage toy trainer on a synthetic batch."""
+    if not no_grad_check:
+        _limit_gradcheck(cfg, "train-toy without --no-grad-check")
     params = build_params(cfg)
     nb = batch or cfg.batch_size
     bundles = [synth_bundle(cfg.seed + i, cfg.grid_h, cfg.grid_w,
@@ -271,17 +295,7 @@ def cmd_train_toy(cfg, stage, steps, batch, no_grad_check, out):
         report = trainer.train_toy(params, tconf)
     except trainer.DivergenceError as exc:
         _fail(EXIT_DIVERGED, str(exc))
-    _emit({
-        "stage": stage,
-        "steps": steps,
-        "losses": report.losses,
-        "tau_trace": report.tau_trace,
-        "gumbel_trace": report.gumbel_trace,
-        "first_gate_entropy": report.first_gate_entropy,
-        "final_gate_entropy": report.final_gate_entropy,
-        "grad_check_max_rel_err": report.grad_check_max_rel_err,
-        "params_digest": report.params_digest,
-    }, out)
+    _emit({"stage": stage, "steps": steps, **dataclasses.asdict(report)}, out)
 
 
 if __name__ == "__main__":

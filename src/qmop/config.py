@@ -74,10 +74,13 @@ _DOMAINS = {
 }
 
 
-def parse_mode(spec: str) -> tuple[str, float]:
-    """'stage1' | 'train' | 'topk:K' | 'threshold:T' -> (kind, arg)."""
-    if spec in ("stage1", "train"):
-        return (spec, 0.0)
+def parse_mode(spec: str) -> tuple:
+    """'stage1' | 'train' | 'topk:K' | 'threshold:T' -> the mode tuple
+    `pipeline.forward` takes. 'train' is the noise-free gate at tau 1."""
+    if spec == "stage1":
+        return ("stage1",)
+    if spec == "train":
+        return ("train", 1.0, 0.0, 0)
     kind, _, arg = spec.partition(":")
     if kind == "topk":
         try:
@@ -87,7 +90,7 @@ def parse_mode(spec: str) -> tuple[str, float]:
         if not 1 <= k <= len(BRANCHES):
             raise ConfigError(
                 f"topk k must be in [1,{len(BRANCHES)}], got {k}")
-        return ("topk", float(k))
+        return ("topk", k)
     if kind == "threshold":
         try:
             theta = float(arg)

@@ -1,11 +1,13 @@
 """End-to-end projector forward passes.
 
-Three modes share the branch operators, taken in `router.BRANCHES` order:
-- stage1: channel-concat every branch's output, project with one MLP
+A forward mode is one tuple, and `forward` alone dispatches on it. The modes
+share the branch operators, taken in `router.BRANCHES` order:
+- ("stage1",): channel-concat every branch's output, project with one MLP
   (router off).
-- train: router-weighted sum over all branches, then the shared output MLP.
-- infer: run the gate noise-free, select active branches (top-k or
-  threshold), execute only those, fuse with renormalized weights.
+- ("train", tau, gumbel_scale, seeds): `fuse` all branches with the gate
+  weights, then the shared output MLP.
+- ("topk", k) | ("threshold", theta), infer: run the gate noise-free,
+  select active branches, execute only those, fuse with renormalized weights.
 
 stage1 and train run over a batch: each branch runs once over the B samples,
 and the MLP sees their B*M rows stacked sample by sample. A single bundle is
@@ -157,35 +159,24 @@ def scale_samples(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (x.reshape(len(weights), -1) * weights[:, None]).reshape(x.shape)
 
 
-def fuse(outputs: dict[str, br.CompressedTokens | None],
-         weights: np.ndarray) -> np.ndarray:
-    """Weighted sum of branch token matrices, row-aligned by position.
+def fuse(tokens: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
+    """Weighted sum of equally shaped token matrices, row-aligned by
+    position and summed in list order.
 
-    `weights` holds one row of branch weights per sample (B x branches), or
-    one vector for a batch of one. A branch whose weight is zero for every
-    sample is skipped entirely, so one-hot weights return the selected
-    branch bit-exactly; absent branches must carry weight 0.
+    `weights` holds one column per matrix and one row per sample (B x k),
+    or one vector for a batch of one. x * 1.0 is exact, so a one-hot weight
+    returns the selected matrix bit for bit.
     """
     weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
-    acc = None
-    shape = None
-    for name, wgt in zip(rt.BRANCHES, weights.T):
-        out = outputs.get(name)
-        if out is not None:
-            if shape is not None and out.tokens.shape != shape:
-                raise ShapeError(
-                    f"branch output shapes differ: {out.tokens.shape} vs {shape}"
-                )
-            shape = out.tokens.shape
-        if not wgt.any():
-            continue
-        if out is None:
-            raise ShapeError(f"branch {name!r} has weight {wgt} but no output")
-        term = out.tokens if (wgt == 1.0).all() \
-            else scale_samples(wgt, out.tokens)
-        acc = term if acc is None else acc + term
-    if acc is None:  # all weights zero
-        acc = np.zeros(shape)
+    if len(tokens) != weights.shape[1]:
+        raise ShapeError(f"{len(tokens)} token matrices for "
+                         f"{weights.shape[1]} weight columns")
+    if len({x.shape for x in tokens}) > 1:
+        raise ShapeError(f"branch output shapes differ: "
+                         f"{[x.shape for x in tokens]}")
+    acc = scale_samples(weights[:, 0], tokens[0])
+    for x, wgt in zip(tokens[1:], weights.T[1:]):
+        acc += scale_samples(wgt, x)
     return acc
 
 
@@ -212,9 +203,8 @@ def _gate(bundle: FeatureBundle, params: ProjectorParams, tau: float,
     return rt.gate_forward(f, params.router, tau, gumbel_scale, seed)
 
 
-def train_forward(bundles, params: ProjectorParams,
-                  tau: float = 1.0, gumbel_scale: float = 0.0,
-                  seed=0) -> ProjectedTokens:
+def train_forward(bundles, params: ProjectorParams, tau: float,
+                  gumbel_scale: float, seed) -> ProjectedTokens:
     """`seed` gives one gate-noise seed per bundle; an int is the seed of a
     batch of one."""
     bundles = as_batch(bundles)
@@ -225,32 +215,42 @@ def train_forward(bundles, params: ProjectorParams,
     gates = [_gate(b, params, tau, gumbel_scale, s)
              for b, s in zip(bundles, seeds)]
     outs = run_branches(bundles, params)
-    fused = fuse(outs, np.array([g.alpha for g in gates]))
+    fused = fuse([outs[name].tokens for name in rt.BRANCHES],
+                 np.array([g.alpha for g in gates]))
     tokens, h, a = _mlp_forward(params.out_mlp, fused)
     return ProjectedTokens(tokens, gates=gates, outputs=outs,
                            mlp=(fused, h, a))
 
 
 def infer_forward(bundle: FeatureBundle, params: ProjectorParams,
-                  mode: tuple[str, float]) -> ProjectedTokens:
+                  mode: tuple) -> ProjectedTokens:
+    """("topk", k) or ("threshold", theta) on one bundle."""
     kind, arg = mode
     gate = _gate(bundle, params, tau=1.0, gumbel_scale=0.0, seed=0)
     if kind == "topk":
-        active = rt.select_topk(gate, int(arg))
+        active = rt.select_topk(gate, arg)
     elif kind == "threshold":
-        active = rt.select_threshold(gate, float(arg))
+        active = rt.select_threshold(gate, arg)
     else:
         raise ValueError(f"unknown inference mode {kind!r}")
-    # only active branches are executed
-    outs: dict[str, br.CompressedTokens | None] = {}
-    weights = np.zeros(len(rt.BRANCHES))
-    for name, wgt in zip(active.members, active.renorm_weights):
-        # only the tokens: infer has no backward to read the rest
-        outs[name] = br.CompressedTokens(
-            _run_branch(name, [bundle], params).tokens)
-        weights[rt.BRANCHES.index(name)] = wgt
-    fused = fuse(outs, weights)
+    # only active branches are executed, and only their tokens are kept:
+    # infer has no backward to read the rest
+    fused = fuse([_run_branch(name, [bundle], params).tokens
+                  for name in active.members], active.renorm_weights)
     tokens = _mlp_forward(params.out_mlp, fused)[0]
     if not np.isfinite(tokens).all():
         raise NumericError("inference produced non-finite tokens")
     return ProjectedTokens(tokens, gates=[gate], active=active)
+
+
+def forward(bundles, params: ProjectorParams, mode: tuple) -> ProjectedTokens:
+    """The forward pass of `mode`: ("stage1",), ("train", tau, gumbel_scale,
+    seeds), or one bundle's ("topk", k) or ("threshold", theta)."""
+    kind = mode[0]
+    if kind == "stage1":
+        return stage1_forward(bundles, params)
+    if kind == "train":
+        return train_forward(bundles, params, *mode[1:])
+    if kind in ("topk", "threshold"):
+        return infer_forward(bundles, params, mode)
+    raise ValueError(f"unknown forward mode {kind!r}")

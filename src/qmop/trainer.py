@@ -6,12 +6,13 @@ Gumbel-noise annealing. The downstream language model is replaced by an MSE
 regression target, which still exercises every gradient path through the
 projector. A step is one forward and one backward over the whole batch:
 every weight gradient is one GEMM over the batch's stacked rows, and the
-loss is the batch mean of the per-sample losses. The backward reads only
-the `ProjectedTokens` its forward returns (branch outputs, MLP activations,
-gates), releases each tensor once its gradients are written, and returns
-gradients only for the tensors its mode reaches: stage 1 never reaches the
-router or `out_mlp`, stage 2 never reaches `stage1_mlp`, and neither reaches
-the relevance map.
+loss is the batch mean of the per-sample losses. `_step_mode` gives each
+step's mode, which `backward` runs through `pipeline.forward`, and the
+backward reads only the `ProjectedTokens` that forward returns (branch
+outputs, MLP activations, gates), releases each tensor once its gradients
+are written, and returns gradients only for the tensors its mode reaches:
+stage 1 never reaches the router or `out_mlp`, stage 2 never reaches
+`stage1_mlp`, and neither reaches the relevance map.
 
 The discrete top-M prune selection is treated as fixed indices: gradients
 flow through the selected token values only, never through the scores, so
@@ -169,18 +170,6 @@ def _branch_backward(params, name: str, out: CompressedTokens,
     # influence is detached, so no parameter receives gradient.
 
 
-def _forward(bundles, params: pl.ProjectorParams,
-             mode: tuple) -> pl.ProjectedTokens:
-    """The forward pass `backward` differentiates, for ("stage1",) or
-    ("train", tau, gumbel_scale, seeds)."""
-    if mode[0] == "stage1":
-        return pl.stage1_forward(bundles, params)
-    if mode[0] == "train":
-        _, tau, gscale, seeds = mode
-        return pl.train_forward(bundles, params, tau, gscale, seeds)
-    raise ValueError(f"unknown backward mode {mode[0]!r}")
-
-
 def _as_targets(targets) -> list[np.ndarray]:
     """One target per sample; a single array is the target of a batch of
     one."""
@@ -194,15 +183,18 @@ def backward(bundles, params: pl.ProjectorParams, targets, mode: tuple):
     One forward and one backward over the whole batch; a single bundle and
     target are a batch of one. mode is ("stage1",) or ("train", tau,
     gumbel_scale, seeds), with one gate-noise seed per bundle (an int for a
-    batch of one). Returns (loss, grads, gates): grads maps each reached
-    tensor's name to a fresh array, and a tensor the mode does not reach
-    has no entry, since its gradient is exactly zero. gates holds each
-    sample's forward gate in train mode and is None in stage 1.
+    batch of one); an infer mode has no backward. Returns (loss, grads,
+    gates): grads maps each reached tensor's name to a fresh array, and a
+    tensor the mode does not reach has no entry, since its gradient is
+    exactly zero. gates holds each sample's forward gate in train mode and
+    is None in stage 1.
     """
+    if mode[0] not in ("stage1", "train"):
+        raise ValueError(f"unknown backward mode {mode[0]!r}")
     bundles, targets = as_batch(bundles), _as_targets(targets)
     if len(targets) != len(bundles):
         raise ShapeError(f"{len(targets)} targets for {len(bundles)} bundles")
-    fwd = _forward(bundles, params, mode)
+    fwd = pl.forward(bundles, params, mode)
     outs, acts, gates = fwd.outputs, fwd.mlp, fwd.gates
     loss = batch_loss(fwd.tokens, targets)
     d_y = 2.0 * (fwd.tokens - stack_rows(targets)) / fwd.tokens.size
@@ -243,8 +235,8 @@ def backward(bundles, params: pl.ProjectorParams, targets, mode: tuple):
 def gradcheck_params(bundles, params: pl.ProjectorParams, targets,
                      mode: tuple) -> dict[str, float]:
     """Per-tensor max relative error of analytic vs central-difference grads
-    of the batch-mean loss, for a batch as `backward` takes it. Every tensor
-    is checked: one the mode does not reach against a zero gradient.
+    of the batch-mean loss, for a batch and mode as `backward` takes them.
+    Every tensor is checked: one the mode does not reach against zeros.
 
     Each tensor of a deep copy is perturbed in place through `arr.flat`,
     which writes through whatever the tensor's memory order, and restored
@@ -258,7 +250,8 @@ def gradcheck_params(bundles, params: pl.ProjectorParams, targets,
 
         def tensor_loss(flat, arr=arr):
             arr.flat[:] = flat
-            return batch_loss(_forward(bundles, work, mode).tokens, targets)
+            return batch_loss(pl.forward(bundles, work, mode).tokens,
+                              targets)
 
         analytic = grads[name].ravel() if name in grads else np.zeros(arr.size)
         report[name] = grad_check(tensor_loss, start, analytic)
@@ -285,6 +278,15 @@ def params_digest(params: pl.ProjectorParams) -> str:
     return digest.hexdigest()
 
 
+def _step_mode(config: TrainConfig, step: int, seeds) -> tuple:
+    """Training step `step`'s forward mode: stage 1's, or stage 2's with the
+    schedule's tau and noise scale at `step` and gate-noise `seeds`."""
+    if config.stage == 1:
+        return ("stage1",)
+    return ("train", tau_at(config.schedule, step),
+            gumbel_scale_at(config.schedule, step), seeds)
+
+
 def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
     """Plain gradient descent; deterministic for a fixed seed."""
     if len(config.bundles) != len(config.targets) or not config.bundles:
@@ -296,21 +298,16 @@ def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
     first_entropy = final_entropy = None
 
     for step in range(config.steps):
-        if config.stage == 1:
-            mode = ("stage1",)
-        else:
-            tau = tau_at(config.schedule, step)
-            gscale = gumbel_scale_at(config.schedule, step)
-            tau_trace.append(tau)
-            gumbel_trace.append(gscale)
-            seeds = [config.seed * 1000003 + step * n + i for i in range(n)]
-            mode = ("train", tau, gscale, seeds)
+        mode = _step_mode(config, step, [config.seed * 1000003 + step * n + i
+                                         for i in range(n)])
         loss, grads, gates = backward(config.bundles, params, config.targets,
                                       mode)
         if not math.isfinite(loss):
             raise DivergenceError(step)
         losses.append(loss)
-        if config.stage == 2:
+        if gates is not None:    # stage 2
+            tau_trace.append(mode[1])
+            gumbel_trace.append(mode[2])
             entropy = sum(gate_entropy(g.alpha) for g in gates) / n
             if step == 0:
                 first_entropy = entropy
@@ -322,14 +319,9 @@ def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
 
     gc_err = None
     if config.final_grad_check:
-        bundle, target = config.bundles[0], config.targets[0]
-        if config.stage == 1:
-            mode = ("stage1",)
-        else:
-            last = max(config.steps - 1, 0)
-            mode = ("train", tau_at(config.schedule, last),
-                    gumbel_scale_at(config.schedule, last), config.seed)
-        gc_err = max(gradcheck_params(bundle, params, target, mode).values())
+        mode = _step_mode(config, max(config.steps - 1, 0), config.seed)
+        gc_err = max(gradcheck_params(config.bundles[0], params,
+                                      config.targets[0], mode).values())
 
     return TrainReport(
         losses=losses,

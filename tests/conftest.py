@@ -4,11 +4,21 @@ import numpy as np
 import pytest
 
 from qmop import init_projector_params, pipeline, synth_bundle
+from qmop.bundle import FeatureBundle
 from qmop.linalg import seeded_fill
 
 # tiny default geometry used across the suite
 TINY = dict(grid_h=4, grid_w=4, c_vis=8, c_txt=6, d_llm=8,
             m_tokens=4, stride=2)
+
+
+def quantized(b: FeatureBundle) -> FeatureBundle:
+    """The bundle as it would read back after a float32 disk round trip."""
+    f32 = lambda a: a.astype(np.float32).astype(np.float64)
+    return FeatureBundle(
+        b.grid_h, b.grid_w, b.c_vis, b.c_txt, f32(b.patches),
+        f32(b.cls_token), f32(b.eos_token), f32(b.cls_attention), b.text_raw,
+    )
 
 
 @pytest.fixture

@@ -7,10 +7,12 @@ from qmop.branches import (
     CompressedTokens,
     PoolParams,
     PruneConfig,
+    RelevanceMap,
     ResamplerParams,
     _blend,
     _minmax,
     pool_local,
+    prune,
     prune_select,
     resample,
 )
@@ -91,20 +93,15 @@ def sort_oracle(scores, m):
 
 class TestPruneSelect:
     def test_keep_all_preserves_order(self):
-        tokens = seeded_fill(0, 5, 3)
-        out = prune_select(tokens, seeded_fill(1, 1, 5)[0], 5)
-        assert np.array_equal(out.tokens, tokens)
-        assert list(out.kept_indices) == [0, 1, 2, 3, 4]
+        kept = prune_select(seeded_fill(1, 1, 5)[0], 5)
+        assert list(kept) == [0, 1, 2, 3, 4]
 
     def test_hand_case(self):
-        tokens = seeded_fill(0, 4, 3)
-        out = prune_select(tokens, np.array([0.5, 0.25, 0.35, 0.4]), 2)
-        assert list(out.kept_indices) == [0, 3]
-        assert np.array_equal(out.tokens, tokens[[0, 3]])
+        kept = prune_select(np.array([0.5, 0.25, 0.35, 0.4]), 2)
+        assert list(kept) == [0, 3]
 
     def test_all_ties_keep_lowest_indices(self):
-        out = prune_select(seeded_fill(0, 4, 2), np.full(4, 0.7), 2)
-        assert list(out.kept_indices) == [0, 1]
+        assert list(prune_select(np.full(4, 0.7), 2)) == [0, 1]
 
     def test_matches_sort_oracle_including_ties(self):
         rng = np.random.default_rng(0)
@@ -112,40 +109,38 @@ class TestPruneSelect:
             n = int(rng.integers(4, 65))
             scores = np.round(rng.random(n), 2)  # rounding forces ties
             m = int(rng.integers(1, n + 1))
-            tokens = rng.normal(size=(n, 3))
-            out = prune_select(tokens, scores, m)
-            assert list(out.kept_indices) == sort_oracle(scores, m)
-            assert np.array_equal(out.tokens, tokens[out.kept_indices])
+            assert list(prune_select(scores, m)) == sort_oracle(scores, m)
 
-    def test_rows_bit_identical_to_input(self):
-        tokens = seeded_fill(3, 8, 4)
-        out = prune_select(tokens, seeded_fill(4, 1, 8)[0], 3)
-        for row, idx in zip(out.tokens, out.kept_indices):
-            assert row.tobytes() == tokens[idx].tobytes()
+    def test_rows_bit_identical_to_input(self, tiny_bundle):
+        # prune returns the bundle's own rows at the selected indices
+        rel = RelevanceMap(g=seeded_fill(4, 6, 8))
+        out = prune([tiny_bundle], rel, PruneConfig(m_out=3))
+        scores = _blend(tiny_bundle, tiny_bundle.patches @ rel.g.T, 0.5,
+                        "cosine")
+        kept = prune_select(scores, 3)
+        assert out.tokens.shape == (3, 8)
+        for row, idx in zip(out.tokens, kept):
+            assert row.tobytes() == tiny_bundle.patches[idx].tobytes()
 
     def test_score_monotone(self):
         rng = np.random.default_rng(1)
-        tokens = rng.normal(size=(8, 3))
         scores = rng.random(8)
-        kept = set(prune_select(tokens, scores, 4).kept_indices)
+        kept = set(prune_select(scores, 4))
         for i in list(kept):
             bumped = scores.copy()
             bumped[i] += 0.5
-            assert i in set(prune_select(tokens, bumped, 4).kept_indices)
+            assert i in set(prune_select(bumped, 4))
 
     def test_rank_invariance(self):
         rng = np.random.default_rng(2)
-        tokens = rng.normal(size=(10, 3))
         scores = rng.random(10)
-        base = list(prune_select(tokens, scores, 4).kept_indices)
-        assert list(prune_select(tokens, 3.7 * scores + 11.0, 4)
-                    .kept_indices) == base
+        base = list(prune_select(scores, 4))
+        assert list(prune_select(3.7 * scores + 11.0, 4)) == base
 
     def test_m_out_of_range(self):
-        tokens = seeded_fill(0, 4, 2)
         for m in (0, 5):
             with pytest.raises(DomainError):
-                prune_select(tokens, np.ones(4), m)
+                prune_select(np.ones(4), m)
 
 
 class TestResample:

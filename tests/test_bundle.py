@@ -19,6 +19,7 @@ from qmop.bundle import (
     synth_bundle,
     write_bundle,
 )
+from conftest import quantized
 
 
 def assert_bundles_equal(a: FeatureBundle, b: FeatureBundle):
@@ -36,7 +37,7 @@ class TestRoundTrip:
         b = synth_bundle(3, 4, 4, 8, 6)
         path = tmp_path / "b.qmop"
         write_bundle(b, path)
-        assert_bundles_equal(read_bundle(path), b.quantized())
+        assert_bundles_equal(read_bundle(path), quantized(b))
 
     def test_with_text(self, tmp_path):
         b = synth_bundle(3, 2, 2, 4, 3)
@@ -274,4 +275,4 @@ def test_hundred_random_round_trips(tmp_path):
             b.text_raw = f"sample {i}"
         path = tmp_path / "b.qmop"
         write_bundle(b, path)
-        assert_bundles_equal(read_bundle(path), b.quantized())
+        assert_bundles_equal(read_bundle(path), quantized(b))

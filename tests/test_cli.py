@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT202012
 
-from qmop import cli
+from qmop import cli, trainer
 from qmop.bundle import read_bundle
 from qmop.cli import main
 from qmop.router import BRANCHES
@@ -136,6 +136,17 @@ class TestCompress:
                                    "--config", str(cfg)])
         assert res.exit_code == 3
         assert "grid=6x6" in res.output and "grid=4x4" in res.output
+
+    def test_failed_run_leaves_no_report(self, runner, workspace, tmp_path):
+        # `--out` is probed before the run; the probe must not leave an
+        # empty report behind when the run then fails
+        tmp, cfg, _ = workspace
+        other, out = tmp_path / "other.qmop", tmp_path / "report.json"
+        runner.invoke(main, ["synth", "--grid", "6x6", "--out", str(other)])
+        res = runner.invoke(main, ["compress", "--features", str(other),
+                                   "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 3
+        assert not out.exists()
 
     def test_missing_file_exit_2(self, runner, workspace):
         tmp, cfg, _ = workspace
@@ -291,6 +302,17 @@ class TestCost:
         assert report["kv_cache_m"] == 0.0
         assert report["projector_gflops"] == 0.0
 
+    @pytest.mark.parametrize("args", [["--tokens", "1000"],
+                                      ["--tokens", "17", "--n-in", "16"]])
+    def test_more_tokens_than_inputs_is_usage_error(self, runner, args):
+        # no branch emits more tokens than it reads
+        res = runner.invoke(main, ["cost", *args])
+        assert res.exit_code == 2
+        assert len(res.output.splitlines()) == 1
+        assert "--n-in" in res.output
+        res = runner.invoke(main, ["cost", "--tokens", "16", "--n-in", "16"])
+        assert res.exit_code == 0, res.output
+
 
 class TestTrainToy:
     def test_stage1_smoke(self, runner, workspace):
@@ -324,6 +346,25 @@ class TestTrainToy:
                                        "--no-grad-check"])
             digests.append(json.loads(res.output)["params_digest"])
         assert digests[0] == digests[1]
+
+    def test_size_rule(self, runner, tmp_path, spy):
+        # the final check takes central differences over every parameter,
+        # so train-toy has gradcheck's size rule unless it skips the check
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"grid_h": 10, "grid_w": 10, "c_vis": 2,
+                                   "c_txt": 2, "d_llm": 2, "m_tokens": 25,
+                                   "pool_stride": 2}))
+        steps = spy(trainer, "backward")
+        args = ["train-toy", "--config", str(big), "--stage", "1",
+                "--steps", "1"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert len(res.output.splitlines()) == 1
+        assert "--no-grad-check" in res.output
+        assert steps["backward"] == 0
+        res = runner.invoke(main, args + ["--no-grad-check"])
+        assert res.exit_code == 0, res.output
+        assert steps["backward"] == 1
 
 
 @pytest.mark.parametrize("value", [0, -3, True])
@@ -420,24 +461,28 @@ def test_schema_follows_the_branch_list():
 
 # Each used to end in a traceback and exit 1: reading a directory as a
 # bundle, or writing a report or bundle into a directory that does not exist.
+# A report path is checked before the command reads or trains anything.
 UNUSABLE_PATHS = {
     "features-dir": ["compress", "--features", "{tmp}", "--config", "{cfg}"],
     "compress-out": ["compress", "--features", "{features}", "--config",
                      "{cfg}", "--out", "{out}"],
     "cost-out": ["cost", "--tokens", "144", "--out", "{out}"],
     "train-toy-out": ["train-toy", "--config", "{cfg}", "--stage", "1",
-                      "--steps", "1", "--no-grad-check", "--out", "{out}"],
+                      "--steps", "100", "--out", "{out}"],
     "synth-out": ["synth", "--out", "{out}"],
 }
 
 
 @pytest.mark.parametrize("case", UNUSABLE_PATHS)
-def test_unusable_path_is_usage_error(runner, workspace, case):
+def test_unusable_path_is_usage_error(runner, workspace, spy, case):
     tmp, cfg, features = workspace
     paths = dict(tmp=tmp, cfg=cfg, features=features,
                  out=tmp / "nodir" / "report")
     args = [a.format(**paths) for a in UNUSABLE_PATHS[case]]
+    reads = spy(cli, "read_bundle")
+    steps = spy(trainer, "backward")
     res = runner.invoke(main, args)
+    assert reads["read_bundle"] == steps["backward"] == 0
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
     bad = str(tmp if case == "features-dir" else paths["out"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qmop import config
 from qmop.config import ConfigError, PipelineConfig, load_config, parse_mode
 from qmop.linalg import ShapeError
-from qmop.pipeline import pooled_grid
+from qmop.pipeline import forward, pooled_grid
 from qmop.trainer import AnnealSchedule
 
 FIELDS = [f.name for f in dataclasses.fields(PipelineConfig)]
@@ -90,6 +90,17 @@ def test_ints_in_float_fields_are_kept(cfg_path):
     assert_well_typed(cfg)
     assert dataclasses.asdict(cfg)["schedule"]["tau0"] == 6
     assert type(cfg.lr) is int
+
+
+@pytest.mark.parametrize("spec,mode", [
+    ("stage1", ("stage1",)), ("train", ("train", 1.0, 0.0, 0)),
+    ("topk:2", ("topk", 2)), ("threshold:0.3", ("threshold", 0.3))])
+def test_parse_mode_gives_forward_modes(tiny_bundle, tiny_params, spec,
+                                        mode):
+    parsed = parse_mode(spec)
+    assert parsed == mode
+    assert [type(x) for x in parsed] == [type(x) for x in mode]
+    assert forward(tiny_bundle, tiny_params, parsed).tokens.shape == (4, 8)
 
 
 def test_domains_name_config_fields():

@@ -1,8 +1,9 @@
 """No linter ships with the project, so this scans the package's modules
 for imported names they never use, for functions that take a `cache`
 argument (a forward returns what its backward reads, so no side channel
-carries state between them), and for defaulted parameters that no program
-caller ever sets (an option without a caller is a constant)."""
+carries state between them), for defaulted parameters that no program
+caller ever sets (an option without a caller is a constant), and for public
+functions that no program code refers to (code only tests call is dead)."""
 
 import ast
 import math
@@ -67,23 +68,28 @@ def test_no_cache_parameter(path):
     assert cache_parameters(path.read_text()) == []
 
 
-def defaulted_parameters(source: str) -> list[tuple]:
-    """(bare name, qualified name, parameter, position) of each defaulted
-    parameter of a module-level function or method. The position is its
-    index among the positional arguments a call passes (a method's `self`
-    not counted), or None if it is keyword-only. Nested functions, such as
-    closures that bind a loop variable through a default, are not options
-    and are skipped."""
+def definitions(source: str) -> list[tuple]:
+    """(function, qualified name, leading `self` to skip) of each
+    module-level function and method. Nested functions, such as closures
+    that bind a loop variable through a default, are skipped."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-    defs = []   # (function, qualified name, leading `self` to skip)
+    defs = []
     for node in ast.parse(source).body:
         if isinstance(node, functions):
             defs.append((node, node.name, 0))
         elif isinstance(node, ast.ClassDef):
             defs += [(f, f"{node.name}.{f.name}", 1) for f in node.body
                      if isinstance(f, functions)]
+    return defs
+
+
+def defaulted_parameters(source: str) -> list[tuple]:
+    """(bare name, qualified name, parameter, position) of each defaulted
+    parameter of a module-level function or method. The position is its
+    index among the positional arguments a call passes (a method's `self`
+    not counted), or None if it is keyword-only."""
     found = []
-    for fn, qual, skip in defs:
+    for fn, qual, skip in definitions(source):
         a = fn.args
         positional = (a.posonlyargs + a.args)[skip:]
         first = len(positional) - len(a.defaults)
@@ -136,3 +142,53 @@ def test_scanner_finds_uncalled_defaults():
 def test_every_default_has_a_caller():
     sources = [p.read_text() for p in CALLERS]
     assert uncalled_defaults([p.read_text() for p in MODULES], sources) == []
+
+
+def unreferenced_functions(modules: list[str],
+                           callers: list[str]) -> list[str]:
+    """Qualified names of the public module-level functions and methods in
+    `modules` whose bare name no `Name` or attribute in `callers` reads.
+    Dunders and click commands (under a `.command(...)` or `.group(...)`
+    decorator: click calls them) are exempt. Names match bare, so a
+    same-named attribute anywhere counts as a reference."""
+    read = set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+
+    def click_command(fn):
+        return any(isinstance(d, ast.Call)
+                   and getattr(d.func, "attr", None) in ("command", "group")
+                   for d in fn.decorator_list)
+
+    return sorted(qual for source in modules
+                  for fn, qual, _ in definitions(source)
+                  if not fn.name.startswith("_") and not click_command(fn)
+                  and fn.name not in read)
+
+
+def test_scanner_finds_unreferenced_functions():
+    modules = ["def used(): pass\n"
+               "def unused(): pass\n"
+               "def _private(): pass\n"
+               "class K:\n"
+               "    def __init__(self): pass\n"
+               "    def method(self): pass\n"
+               "    def stale(self): pass\n"
+               "@main.command('x')\n"
+               "def cmd(): pass\n"
+               "@click.group()\n"
+               "def main(): pass\n"
+               "def outer():\n"
+               "    def inner(): pass\n"]
+    callers = ["used()\nK().method\n"]
+    assert unreferenced_functions(modules, callers) == [
+        "K.stale", "outer", "unused"]
+
+
+def test_every_public_function_has_a_caller():
+    assert unreferenced_functions([p.read_text() for p in MODULES],
+                                  [p.read_text() for p in CALLERS]) == []

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from qmop.branches import CompressedTokens, _blend, pool_local, \
-    prune_select, resample
+from qmop import pipeline
+from qmop.branches import _blend, pool_local, prune_select, resample
 from qmop.linalg import ACTIVATIONS, NumericError, ShapeError, seeded_fill
 from test_trainer import params_to_vector
 from qmop.pipeline import (
+    forward,
     fuse,
     infer_forward,
     init_projector_params,
@@ -49,7 +50,7 @@ class TestRunBranches:
         scores = _blend(tiny_bundle, projected, 0.5, "cosine")
         assert np.array_equal(
             outs["prune"].tokens,
-            prune_select(tiny_bundle.patches, scores, 4).tokens)
+            tiny_bundle.patches[prune_select(scores, 4)])
 
     def test_counters(self, tiny_bundle, tiny_params, branch_calls):
         run_branches(tiny_bundle, tiny_params)
@@ -58,20 +59,19 @@ class TestRunBranches:
 
 class TestFuse:
     def outputs(self, seed=0):
-        return {name: CompressedTokens(seeded_fill(seed + i, 4, 8))
-                for i, name in enumerate(("pool", "resample", "prune"))}
+        return [seeded_fill(seed + i, 4, 8) for i in range(3)]
 
     def test_one_hot_bit_exact(self):
         outs = self.outputs()
-        fused = fuse(outs, np.array([1.0, 0.0, 0.0]))
-        assert fused.tobytes() == outs["pool"].tokens.tobytes()
+        for i in range(3):
+            fused = fuse(outs, np.eye(3)[i])
+            assert fused.tobytes() == outs[i].tobytes()
+        # a single active branch at weight 1, as topk:1 fuses it
+        assert fuse(outs[1:2], np.ones(1)).tobytes() == outs[1].tobytes()
 
     def test_equal_matrices_convexity(self):
         a = seeded_fill(0, 4, 8)
-        outs = {"pool": CompressedTokens(a),
-                "resample": CompressedTokens(a.copy()),
-                "prune": None}
-        assert np.allclose(fuse(outs, np.array([0.5, 0.5, 0.0])), a,
+        assert np.allclose(fuse([a, a.copy()], np.array([0.5, 0.5])), a,
                            atol=1e-15)
 
     def test_matches_scalar_loop(self):
@@ -80,9 +80,9 @@ class TestFuse:
         ref = np.zeros((4, 8))
         for i in range(4):
             for j in range(8):
-                ref[i, j] = (0.625 * outs["pool"].tokens[i, j]
-                             + 0.375 * outs["resample"].tokens[i, j])
+                ref[i, j] = (0.625 * outs[0][i, j] + 0.375 * outs[1][i, j])
         assert np.allclose(fuse(outs, w), ref, atol=1e-12)
+        assert np.allclose(fuse(outs[:2], w[:2]), ref, atol=1e-12)
 
     def test_linear_in_weights(self):
         outs = self.outputs(5)
@@ -95,22 +95,23 @@ class TestFuse:
         outs = self.outputs(7)
         w = np.array([0.2, 0.5, 0.3])
         fused = fuse(outs, w)
-        stack = np.stack([outs[n].tokens for n in ("pool", "resample",
-                                                   "prune")])
+        stack = np.stack(outs)
         assert (fused >= stack.min(axis=0) - 1e-12).all()
         assert (fused <= stack.max(axis=0) + 1e-12).all()
 
     def test_shape_mismatch(self):
         outs = self.outputs()
-        outs["prune"] = CompressedTokens(seeded_fill(9, 3, 8))
-        with pytest.raises(ShapeError):
+        outs[2] = seeded_fill(9, 3, 8)
+        with pytest.raises(ShapeError, match="shapes differ"):
             fuse(outs, np.array([0.3, 0.3, 0.4]))
 
     def test_missing_branch_with_weight(self):
+        # a weight column with no matrix, and a matrix with no weight column
         outs = self.outputs()
-        outs["prune"] = None
-        with pytest.raises(ShapeError):
-            fuse(outs, np.array([0.3, 0.3, 0.4]))
+        with pytest.raises(ShapeError, match="weight columns"):
+            fuse(outs[:2], np.array([0.3, 0.3, 0.4]))
+        with pytest.raises(ShapeError, match="weight columns"):
+            fuse(outs, np.array([[0.5, 0.5], [0.2, 0.8]]))
 
 
 class TestStage1Forward:
@@ -150,20 +151,20 @@ class TestStage1Forward:
 class TestTrainForward:
     def test_zero_logits_fuse_to_mean(self, tiny_bundle, tiny_params):
         force_logits(tiny_params, [0.0, 0.0, 0.0])
-        out = train_forward(tiny_bundle, tiny_params)
+        out = train_forward(tiny_bundle, tiny_params, 1.0, 0.0, 0)
         mean = sum(out.outputs[n].tokens for n in out.outputs) / 3.0
         fused, _, _ = out.mlp
         assert np.allclose(fused, mean, atol=1e-12)
 
     def test_deterministic_without_noise(self, tiny_bundle, tiny_params):
-        a = train_forward(tiny_bundle, tiny_params, seed=1)
-        b = train_forward(tiny_bundle, tiny_params, seed=2)
+        a = train_forward(tiny_bundle, tiny_params, 1.0, 0.0, seed=1)
+        b = train_forward(tiny_bundle, tiny_params, 1.0, 0.0, seed=2)
         assert a.tokens.tobytes() == b.tokens.tobytes()
 
     def test_sharp_gate_approaches_single_branch(self, tiny_bundle,
                                                  tiny_params):
         force_logits(tiny_params, [2.0, 1.0, 0.0])  # pool wins
-        sharp = train_forward(tiny_bundle, tiny_params, tau=0.01)
+        sharp = train_forward(tiny_bundle, tiny_params, 0.01, 0.0, 0)
         single = infer_forward(tiny_bundle, tiny_params, ("topk", 1))
         assert single.active.members == ("pool",)
         rel = np.linalg.norm(sharp.tokens - single.tokens) \
@@ -174,7 +175,7 @@ class TestTrainForward:
 class TestInferForward:
     def test_topk3_equals_train(self, tiny_bundle, tiny_params):
         inf = infer_forward(tiny_bundle, tiny_params, ("topk", 3))
-        trn = train_forward(tiny_bundle, tiny_params, tau=1.0)
+        trn = train_forward(tiny_bundle, tiny_params, 1.0, 0.0, 0)
         assert np.max(np.abs(inf.tokens - trn.tokens)) <= 1e-12
 
     def test_topk1_is_single_branch_through_mlp(self, tiny_bundle,
@@ -220,6 +221,35 @@ class TestInferForward:
         with pytest.raises(NumericError, match="non-finite"), \
                 np.errstate(over="ignore", invalid="ignore"):
             infer_forward(tiny_bundle, tiny_params, ("topk", k))
+
+
+class TestForward:
+    FORWARDS = ("stage1_forward", "train_forward", "infer_forward")
+
+    @pytest.mark.parametrize("mode,target", [
+        (("stage1",), "stage1_forward"),
+        (("train", 1.3, 0.7, 5), "train_forward"),
+        (("topk", 2), "infer_forward"),
+        (("threshold", 0.25), "infer_forward")])
+    def test_dispatches_each_kind(self, tiny_bundle, tiny_params, spy, mode,
+                                  target):
+        calls = {name: spy(pipeline, name) for name in self.FORWARDS}
+        forward(tiny_bundle, tiny_params, mode)
+        assert {n: sum(c.values()) for n, c in calls.items()} == {
+            n: int(n == target) for n in self.FORWARDS}
+
+    def test_train_takes_the_mode_fields_in_order(self, tiny_bundle,
+                                                  tiny_params):
+        out = forward(tiny_bundle, tiny_params, ("train", 1.3, 0.7, 5))
+        direct = train_forward(tiny_bundle, tiny_params, 1.3, 0.7, 5)
+        assert out.tokens.tobytes() == direct.tokens.tobytes()
+
+    @pytest.mark.parametrize("mode", [("bogus",), ("topk:2",), ("Train",)])
+    def test_unknown_kind_raises(self, tiny_bundle, tiny_params,
+                                 branch_calls, mode):
+        with pytest.raises(ValueError, match="unknown forward mode"):
+            forward(tiny_bundle, tiny_params, mode)
+        assert branch_calls == {}
 
 
 class TestParamsVector:

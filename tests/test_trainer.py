@@ -8,7 +8,7 @@ import pytest
 from qmop import (init_projector_params, pipeline, stage1_forward,
                   synth_bundle, trainer)
 from qmop.linalg import ShapeError, grad_check, seeded_fill
-from qmop.pipeline import train_forward
+from qmop.pipeline import forward
 from qmop.router import BRANCHES
 from qmop.trainer import (
     DIGEST_CHUNK,
@@ -194,11 +194,7 @@ class TestBackward:
         _, grads, _ = backward(bundle, params, target, mode)
 
         def loss():
-            if mode[0] == "stage1":
-                out = stage1_forward(bundle, params)
-            else:
-                out = train_forward(bundle, params, *mode[1:])
-            return loss_mse(out.tokens, target)
+            return loss_mse(forward(bundle, params, mode).tokens, target)
 
         for attr in ("queries", "w_k", "w_v"):
             tensor = getattr(params.resampler, attr)
@@ -236,6 +232,17 @@ class TestBackward:
                                          tiny_params.named_tensors()):
             assert np.array_equal(old, new), name
         assert tiny_params.pool.phi_k.flags.f_contiguous
+
+    @pytest.mark.parametrize("check", [backward, gradcheck_params],
+                             ids=["backward", "gradcheck_params"])
+    @pytest.mark.parametrize("mode", [("topk", 2), ("threshold", 0.3),
+                                      ("bogus",)])
+    def test_unknown_backward_mode(self, tiny_bundle, tiny_params,
+                                   tiny_target, branch_calls, check, mode):
+        # the infer modes have a forward but no backward
+        with pytest.raises(ValueError, match="unknown backward mode"):
+            check(tiny_bundle, tiny_params, tiny_target, mode)
+        assert branch_calls == {}
 
     @pytest.mark.parametrize("mode", [("stage1",), ("train", 1.3, 0.7, 3)])
     def test_layers_called_through_module_attributes(
