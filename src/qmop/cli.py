@@ -1,7 +1,8 @@
 """Command-line surface. All outputs are machine-readable JSON.
 
-Exit codes: 0 success, 2 usage/input error, 3 dimension mismatch,
-4 verification failure, 5 training divergence.
+Exit codes: 0 success, 2 usage/input error (dims that do not fit in memory
+included), 3 dimension mismatch, 4 verification failure, 5 training
+divergence.
 """
 
 from __future__ import annotations
@@ -120,7 +121,19 @@ def _emit(report: dict, out_path: str | None):
         click.echo(text)
 
 
-@click.group()
+class _Commands(click.Group):
+    """Dims that pass the config rules but do not fit in memory exit 2 with
+    one line from every command, wherever the allocation falls: in
+    `build_params` or in the first read of the stage-1 head."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except MemoryError as exc:
+            _fail(EXIT_USAGE, f"out of memory: {exc}")
+
+
+@click.group(cls=_Commands)
 def main():
     """Query-guided mixture-of-projector token compression toolkit."""
 

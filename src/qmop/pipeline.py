@@ -18,7 +18,9 @@ output, the MLP's activations and (train) each sample's gate.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,16 +40,36 @@ class Mlp:
     activation: str = "gelu"
 
 
+def _init_mlp(seed_in: int, seed_out: int, width: int, d_out: int,
+              activation: str) -> Mlp:
+    """width -> width -> d_out: gaussian weights at 1/sqrt(width) drawn at
+    the two subseeds, zero biases."""
+    sigma = 1.0 / math.sqrt(width)
+    return Mlp(w_in=seeded_fill(seed_in, width, width, sigma=sigma),
+               b_in=np.zeros(width),
+               w_out=seeded_fill(seed_out, d_out, width, sigma=sigma),
+               b_out=np.zeros(d_out), activation=activation)
+
+
 @dataclass
 class ProjectorParams:
+    """Every learnable tensor of the projector. `stage1_mlp` is drawn by
+    `draw_stage1_mlp` the first time something reads it (`stage1_forward`,
+    the stage-1 `backward`, `named_tensors`), and later reads return that
+    same `Mlp`. Inference never reads it, so it never holds the head, which
+    is most of the params at paper dims."""
     prune_cfg: br.PruneConfig
     relevance: br.RelevanceMap
     resampler: br.ResamplerParams
     pool: br.PoolParams
     router: rt.RouterParams
-    stage1_mlp: Mlp            # BC -> BC -> D_llm, B branches
+    draw_stage1_mlp: Callable[[], Mlp]
     out_mlp: Mlp               # C -> C -> D_llm
     m_tokens: int
+
+    @functools.cached_property
+    def stage1_mlp(self) -> Mlp:   # BC -> BC -> D_llm, B branches
+        return self.draw_stage1_mlp()
 
     def named_tensors(self):
         yield "relevance.g", self.relevance.g
@@ -99,7 +121,9 @@ def init_projector_params(
     metric: str = "cosine", activation: str = "gelu",
     shared_pool_phi: bool = False,
 ) -> ProjectorParams:
-    """Gaussian init with 1/sqrt(fan_in) scale, one subseed per tensor."""
+    """Gaussian init with 1/sqrt(fan_in) scale, one subseed per tensor.
+    `stage1_mlp` gets a draw at its subseeds that runs on its first read,
+    bit-identical to drawing it here."""
     h, w = pooled_grid(grid_h, grid_w, stride, m_tokens)
     c, c2, nb = c_vis, c_txt, len(rt.BRANCHES)
     d = rt.hidden_width(c + c2, router_hidden)
@@ -122,16 +146,9 @@ def init_projector_params(
             w1=g(7, d, c + c2, c + c2), b1=np.zeros(d),
             w2=g(8, nb, d, d), b2=np.zeros(nb), activation=activation,
         ),
-        stage1_mlp=Mlp(
-            w_in=g(9, nb * c, nb * c, nb * c), b_in=np.zeros(nb * c),
-            w_out=g(10, d_llm, nb * c, nb * c), b_out=np.zeros(d_llm),
-            activation=activation,
-        ),
-        out_mlp=Mlp(
-            w_in=g(11, c, c, c), b_in=np.zeros(c),
-            w_out=g(12, d_llm, c, c), b_out=np.zeros(d_llm),
-            activation=activation,
-        ),
+        draw_stage1_mlp=functools.partial(_init_mlp, s[9], s[10], nb * c,
+                                          d_llm, activation),
+        out_mlp=_init_mlp(s[11], s[12], c, d_llm, activation),
         m_tokens=m_tokens,
     )
 

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT202012
 
-from qmop import cli, trainer
+from qmop import cli, pipeline, trainer
 from qmop.bundle import read_bundle
 from qmop.cli import main
 from qmop.router import BRANCHES
@@ -490,6 +490,63 @@ def test_unusable_path_is_usage_error(runner, workspace, spy, case):
     if case != "features-dir":     # click's usage error names the flag
         assert res.output == f"cannot write {bad}: No such file or directory\n"
     assert not (tmp / "nodir").exists()
+
+
+@pytest.fixture
+def refuse_draw(monkeypatch):
+    """refuse_draw(seed) makes `seeded_fill`, as `pipeline` and `cli` call
+    it, raise numpy's out-of-memory error for `seed` and draw every other
+    seed as before: dims too large for memory, without allocating them. At
+    config seed 0, tensor i of `init_projector_params` is drawn at seed i
+    (9: the stage-1 head's w_in, 12: out_mlp's w_out), and the CLI draws
+    its regression targets from seed 7919 on."""
+    def install(bad_seed):
+        real = pipeline.seeded_fill
+
+        def fill(seed, *args, **kwargs):
+            if seed == bad_seed:
+                raise MemoryError("Unable to allocate 5.96 GiB for an array "
+                                  "with shape (100000000, 8) and data type "
+                                  "float64")
+            return real(seed, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "seeded_fill", fill)
+        monkeypatch.setattr(cli, "seeded_fill", fill)
+    return install
+
+
+# Each used to end in a numpy traceback and exit 1. The stage-1 head is
+# drawn on its first read, inside the forward, backward or SGD update.
+@pytest.mark.parametrize("command,bad_seed", [
+    (["compress", "--features", "{features}", "--mode", "stage1"], 9),
+    (["compress", "--features", "{features}", "--mode", "topk:2"], 12),
+    (["train-toy", "--stage", "1", "--steps", "1"], 9),
+    (["train-toy", "--stage", "2", "--steps", "1"], 9),
+    (["train-toy", "--stage", "2", "--steps", "1"], 7919),
+    (["gradcheck", "--trials", "1"], 9),
+    (["gradcheck", "--trials", "1"], 7919)])
+def test_out_of_memory_is_usage_error(runner, workspace, refuse_draw,
+                                      command, bad_seed):
+    tmp, cfg, features = workspace
+    refuse_draw(bad_seed)
+    args = [a.format(features=features) for a in command]
+    res = runner.invoke(main, args + ["--config", str(cfg)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == ("out of memory: Unable to allocate 5.96 GiB for an "
+                          "array with shape (100000000, 8) and data type "
+                          "float64\n")
+
+
+@pytest.mark.parametrize("mode", ["topk:1", "topk:2", "topk:3",
+                                  "threshold:0.3", "train"])
+def test_compress_never_draws_the_stage1_head(runner, workspace, refuse_draw,
+                                              mode):
+    tmp, cfg, features = workspace
+    refuse_draw(9)
+    res = runner.invoke(main, ["compress", "--features", str(features),
+                               "--config", str(cfg), "--mode", mode])
+    assert res.exit_code == 0, res.output
 
 
 def test_cost_defaults_are_the_llava_dims(runner):

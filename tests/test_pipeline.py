@@ -1,7 +1,11 @@
+import copy
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qmop import pipeline
+from qmop import pipeline, synth_bundle
 from qmop.branches import _blend, pool_local, prune_select, resample
 from qmop.linalg import ACTIVATIONS, NumericError, ShapeError, seeded_fill
 from test_trainer import params_to_vector
@@ -15,6 +19,7 @@ from qmop.pipeline import (
     train_forward,
 )
 from qmop.router import BRANCHES
+from qmop.trainer import TrainConfig, backward, params_digest, train_toy
 
 
 def force_logits(params, logits):
@@ -250,6 +255,78 @@ class TestForward:
         with pytest.raises(ValueError, match="unknown forward mode"):
             forward(tiny_bundle, tiny_params, mode)
         assert branch_calls == {}
+
+
+class TestStage1Head:
+    """`stage1_mlp` is drawn on its first read and kept from then on."""
+
+    @pytest.mark.parametrize("mode", [
+        ("topk", 1), ("topk", 2), ("topk", 3), ("threshold", 0.3),
+        ("train", 1.3, 0.7, 5)])
+    def test_other_forwards_never_draw_it(self, tiny_bundle, tiny_params,
+                                          mode):
+        forward(tiny_bundle, tiny_params, mode)
+        assert "stage1_mlp" not in vars(tiny_params)
+
+    @pytest.mark.parametrize("read", [
+        lambda b, p, t: stage1_forward(b, p),
+        lambda b, p, t: backward(b, p, t, ("stage1",)),
+        lambda b, p, t: params_digest(p),
+        lambda b, p, t: list(p.named_tensors())],
+        ids=["stage1_forward", "backward", "params_digest", "named_tensors"])
+    def test_first_read_draws_it_once(self, tiny_bundle, tiny_params,
+                                      tiny_target, read):
+        read(tiny_bundle, tiny_params, tiny_target)
+        head = vars(tiny_params)["stage1_mlp"]
+        assert tiny_params.stage1_mlp is head
+
+    def test_training_keeps_its_updates(self, tiny_bundle, tiny_target):
+        # two steps, so the second reads the head the first updated
+        digests = []
+        for read_first in (True, False):
+            params = init_projector_params(4, 4, 8, 6, 8, 4, 2, seed=0)
+            if read_first:
+                params.stage1_mlp   # draws the head before the first step
+            report = train_toy(params, TrainConfig(
+                stage=1, steps=2, lr=0.1, seed=0, bundles=[tiny_bundle],
+                targets=[tiny_target], final_grad_check=False))
+            digests.append(report.params_digest)
+        assert digests[0] == digests[1]
+        fresh = init_projector_params(4, 4, 8, 6, 8, 4, 2, seed=0)
+        assert not np.array_equal(params.stage1_mlp.w_out,
+                                  fresh.stage1_mlp.w_out)
+
+    @pytest.mark.parametrize("clone", [
+        copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["deepcopy", "pickle"])
+    def test_copy_before_the_draw(self, tiny_params, clone):
+        twin = clone(tiny_params)
+        assert "stage1_mlp" not in vars(twin)
+        mine, theirs = tiny_params.stage1_mlp, twin.stage1_mlp
+        assert mine is not theirs
+        for name in ("w_in", "b_in", "w_out", "b_out"):
+            a, b = getattr(mine, name), getattr(theirs, name)
+            assert a is not b and a.tobytes() == b.tobytes()
+        assert mine.activation == theirs.activation
+
+    def test_inference_holds_no_head(self):
+        # the traced peak of init plus one topk:2 forward: the params
+        # without the head, plus the forward's activations (about 0.25 MiB
+        # at these dims)
+        m, d, c, c2 = 16, 512, 128, 96
+        bundle = synth_bundle(0, 8, 8, c, c2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            params = init_projector_params(8, 8, c, c2, d, m, 2, seed=0)
+            infer_forward(bundle, params, ("topk", 2))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        sizes = {n: a.nbytes for n, a in params.named_tensors()}
+        head = sum(v for n, v in sizes.items() if n.startswith("stage1_mlp."))
+        assert head > 1 << 20
+        assert peak < sum(sizes.values()) - head + (1 << 19)
 
 
 class TestParamsVector:

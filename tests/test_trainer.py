@@ -577,3 +577,17 @@ def test_params_digest_across_chunk_boundaries(tiny_params):
     vec, _ = params_to_vector(tiny_params)
     expected = hashlib.sha256(vec.astype("<f4").tobytes()).hexdigest()
     assert params_digest(tiny_params) == expected
+
+
+# Fixed values: a change to the order, subseeds or shapes of the init draws,
+# or to when they run, must not move them.
+@pytest.mark.parametrize("dims,seed,digest", [
+    ((4, 4, 8, 6, 8, 4, 2), 0,
+     "8e4dbcca499218d5170b0b6fc6ec02fe9e229c0c86b68d824ce7909294f2d754"),
+    ((4, 4, 8, 6, 8, 4, 2), 2**64 - 1,
+     "deb5a87702150e11e1e80555dd05b024033c16b8a3b7a2572ff6529e51ceb273"),
+    ((24, 24, 1024, 768, 4096, 144, 2), 0,     # paper dims, about 1 s
+     "76a76f27533159d857b000702754b7dceb858477e0bacb3295ecf92660bd9e7f")],
+    ids=["desk", "desk-max-seed", "paper"])
+def test_params_digest_is_pinned(dims, seed, digest):
+    assert params_digest(init_projector_params(*dims, seed=seed)) == digest
