@@ -8,7 +8,6 @@ divergence.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -42,12 +41,6 @@ def build_params(cfg: PipelineConfig) -> pl.ProjectorParams:
         metric=cfg.relevance_metric, activation=cfg.activation,
         shared_pool_phi=cfg.shared_pool_phi,
     )
-
-
-def tokens_digest(tokens: np.ndarray) -> str:
-    return hashlib.sha256(
-        np.ascontiguousarray(tokens, dtype="<f4").tobytes()
-    ).hexdigest()
 
 
 def _fail(code: int, message: str):
@@ -207,11 +200,11 @@ def cmd_compress(features, cfg, mode_spec, out, no_timing, dump_tokens):
             "mode": mode_spec or cfg.inference_mode,
             "output_rows": int(result.tokens.shape[0]),
             "output_cols": int(result.tokens.shape[1]),
-            "output_digest": tokens_digest(result.tokens),
-            "gate": None if result.gates is None else {
-                "alpha": [float(a) for a in result.gates[0].alpha],
-                "tau": result.gates[0].tau_used,
-                "gumbel_applied": result.gates[0].gumbel_applied,
+            "output_digest": trainer.float32_digest([result.tokens]),
+            "gate": None if result.gate is None else {
+                "alpha": [float(a) for a in result.gate.alpha[0]],
+                "tau": result.gate.tau_used,
+                "gumbel_applied": result.gate.gumbel_applied,
             },
             "active": None if result.active is None else {
                 "members": list(result.active.members),

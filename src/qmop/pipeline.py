@@ -9,11 +9,11 @@ share the branch operators, taken in `router.BRANCHES` order:
 - ("topk", k) | ("threshold", theta), infer: run the gate noise-free,
   select active branches, execute only those, fuse with renormalized weights.
 
-stage1 and train run over a batch: each branch runs once over the B samples,
-and the MLP sees their B*M rows stacked sample by sample. A single bundle is
-a batch of one. infer runs one bundle as a batch of one.
+stage1 and train run over a batch: each branch and the gate run once over
+the B samples, and the MLP sees their B*M rows stacked sample by sample. A
+single bundle is a batch of one. infer runs one bundle as a batch of one.
 stage1 and train also return what `trainer.backward` reads: every branch's
-output, the MLP's activations and (train) each sample's gate.
+output, the MLP's activations and (train) the gate, one row per sample.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ class ProjectorParams:
     router: rt.RouterParams
     draw_stage1_mlp: Callable[[], Mlp]
     out_mlp: Mlp               # C -> C -> D_llm
-    m_tokens: int
 
     @functools.cached_property
     def stage1_mlp(self) -> Mlp:   # BC -> BC -> D_llm, B branches
@@ -93,7 +92,7 @@ class ProjectorParams:
 @dataclass
 class ProjectedTokens:
     tokens: np.ndarray  # B*M x D_llm, sample by sample
-    gates: list[rt.GateWeights] | None = None  # one per sample
+    gate: rt.GateWeights | None = None  # one row per sample
     active: rt.ActiveSet | None = None
     # stage1 and train: the branch outputs and the MLP's (x, h, activation)
     outputs: dict[str, br.CompressedTokens] | None = None
@@ -149,7 +148,6 @@ def init_projector_params(
         draw_stage1_mlp=functools.partial(_init_mlp, s[9], s[10], nb * c,
                                           d_llm, activation),
         out_mlp=_init_mlp(s[11], s[12], c, d_llm, activation),
-        m_tokens=m_tokens,
     )
 
 
@@ -180,11 +178,10 @@ def fuse(tokens: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
     """Weighted sum of equally shaped token matrices, row-aligned by
     position and summed in list order.
 
-    `weights` holds one column per matrix and one row per sample (B x k),
-    or one vector for a batch of one. x * 1.0 is exact, so a one-hot weight
-    returns the selected matrix bit for bit.
+    `weights` holds one column per matrix and one row per sample (B x k).
+    x * 1.0 is exact, so a one-hot weight returns the selected matrix bit
+    for bit.
     """
-    weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
     if len(tokens) != weights.shape[1]:
         raise ShapeError(f"{len(tokens)} token matrices for "
                          f"{weights.shape[1]} weight columns")
@@ -214,50 +211,40 @@ def stage1_forward(bundles, params: ProjectorParams) -> ProjectedTokens:
     return ProjectedTokens(tokens, outputs=outs, mlp=(concat, h, a))
 
 
-def _gate(bundle: FeatureBundle, params: ProjectorParams, tau: float,
-          gumbel_scale: float, seed: int) -> rt.GateWeights:
-    f = rt.build_context(bundle.cls_token, bundle.eos_token)
-    return rt.gate_forward(f, params.router, tau, gumbel_scale, seed)
-
-
 def train_forward(bundles, params: ProjectorParams, tau: float,
                   gumbel_scale: float, seed) -> ProjectedTokens:
     """`seed` gives one gate-noise seed per bundle; an int is the seed of a
     batch of one."""
     bundles = as_batch(bundles)
     seeds = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
-    if len(seeds) != len(bundles):
-        raise ShapeError(f"{len(seeds)} gate-noise seeds for "
-                         f"{len(bundles)} bundles")
-    gates = [_gate(b, params, tau, gumbel_scale, s)
-             for b, s in zip(bundles, seeds)]
+    gate = rt.gate_forward(rt.build_context(bundles), params.router, tau,
+                           gumbel_scale, seeds)
     outs = run_branches(bundles, params)
-    fused = fuse([outs[name].tokens for name in rt.BRANCHES],
-                 np.array([g.alpha for g in gates]))
+    fused = fuse([outs[name].tokens for name in rt.BRANCHES], gate.alpha)
     tokens, h, a = _mlp_forward(params.out_mlp, fused)
-    return ProjectedTokens(tokens, gates=gates, outputs=outs,
-                           mlp=(fused, h, a))
+    return ProjectedTokens(tokens, gate=gate, outputs=outs, mlp=(fused, h, a))
 
 
 def infer_forward(bundle: FeatureBundle, params: ProjectorParams,
                   mode: tuple) -> ProjectedTokens:
     """("topk", k) or ("threshold", theta) on one bundle."""
     kind, arg = mode
-    gate = _gate(bundle, params, tau=1.0, gumbel_scale=0.0, seed=0)
+    gate = rt.gate_forward(rt.build_context([bundle]), params.router, 1.0,
+                           0.0, [0])
     if kind == "topk":
-        active = rt.select_topk(gate, arg)
+        active = rt.select_topk(gate.alpha[0], arg)
     elif kind == "threshold":
-        active = rt.select_threshold(gate, arg)
+        active = rt.select_threshold(gate.alpha[0], arg)
     else:
         raise ValueError(f"unknown inference mode {kind!r}")
     # only active branches are executed, and only their tokens are kept:
     # infer has no backward to read the rest
     fused = fuse([_run_branch(name, [bundle], params).tokens
-                  for name in active.members], active.renorm_weights)
+                  for name in active.members], active.renorm_weights[None])
     tokens = _mlp_forward(params.out_mlp, fused)[0]
     if not np.isfinite(tokens).all():
         raise NumericError("inference produced non-finite tokens")
-    return ProjectedTokens(tokens, gates=[gate], active=active)
+    return ProjectedTokens(tokens, gate=gate, active=active)
 
 
 def forward(bundles, params: ProjectorParams, mode: tuple) -> ProjectedTokens:

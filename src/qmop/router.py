@@ -1,6 +1,7 @@
-"""Query-guided gating: a two-layer MLP over the joint image-text context
-vector produces softmax weights over the branches, with temperature and
-optional Gumbel noise, plus top-k / threshold branch selection.
+"""Query-guided gating: a two-layer MLP over each sample's joint image-text
+context vector produces softmax weights over the branches, with temperature
+and optional Gumbel noise, plus top-k / threshold branch selection. The gate
+runs once over a batch: one `GateWeights` holds one row per sample.
 
 `BRANCHES` is the one place that names the branches and fixes their order:
 gate weights, fusion, the stage-1 concat and the cost model all follow it.
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bundle import FeatureBundle
 from .linalg import ACTIVATIONS, DomainError, ShapeError, rng_for, softmax_rows
 
 BRANCHES = ("pool", "resample", "prune")
@@ -28,7 +30,7 @@ class RouterParams:
 
 @dataclass
 class GateWeights:
-    alpha: np.ndarray    # one per branch in BRANCHES order, sums to 1
+    alpha: np.ndarray    # B x branches in BRANCHES order, rows sum to 1
     tau_used: float
     gumbel_applied: bool
     # read by the router backward: context, hidden pre-activation, activation
@@ -48,10 +50,12 @@ def hidden_width(context: int, router_hidden: int | None = None) -> int:
     return router_hidden if router_hidden is not None else -(-context // 2)
 
 
-def build_context(v_cls: np.ndarray, t_eos: np.ndarray) -> np.ndarray:
-    if v_cls.size == 0 or t_eos.size == 0:
+def build_context(bundles: list[FeatureBundle]) -> np.ndarray:
+    """B x (C+C2): each bundle's class token, then its text EOS token."""
+    if not bundles[0].cls_token.size or not bundles[0].eos_token.size:
         raise ShapeError("context halves must be nonempty")
-    return np.concatenate([v_cls, t_eos])
+    return np.stack([np.concatenate([b.cls_token, b.eos_token])
+                     for b in bundles])
 
 
 def sample_gumbel(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -62,22 +66,27 @@ def sample_gumbel(rng: np.random.Generator, n: int) -> np.ndarray:
     return -np.log(-np.log(u))
 
 
-def gate_forward(f: np.ndarray, params: RouterParams, tau: float = 1.0,
-                 gumbel_scale: float = 0.0, seed: int = 0) -> GateWeights:
-    """MLP logits over branches, optional Gumbel noise, tempered softmax."""
+def gate_forward(f: np.ndarray, params: RouterParams, tau: float,
+                 gumbel_scale: float, seeds) -> GateWeights:
+    """MLP logits over branches, optional Gumbel noise drawn at `seeds[i]`,
+    tempered softmax, for each row i of the B x (C+C2) context `f`."""
+    if len(seeds) != len(f):
+        raise ShapeError(f"{len(seeds)} gate-noise seeds for {len(f)} "
+                         f"context rows")
     if tau <= 0:
         raise DomainError(f"tau must be > 0, got {tau}")
     if gumbel_scale < 0:
         raise DomainError(f"gumbel_scale must be >= 0, got {gumbel_scale}")
     act, _ = ACTIVATIONS[params.activation]
-    h1 = params.w1 @ f + params.b1
+    # row by row: a B-row GEMM may round differently from one row's product
+    h1 = (f[:, None] @ params.w1.T)[:, 0] + params.b1
     a1 = act(h1)
-    base = params.w2 @ a1 + params.b2
-    logits = base
+    logits = (a1[:, None] @ params.w2.T)[:, 0] + params.b2
     if gumbel_scale > 0:
-        noise = sample_gumbel(rng_for(seed), len(BRANCHES))
-        logits = base + gumbel_scale * noise
-    alpha = softmax_rows(logits[None, :], temperature=tau)[0]
+        noise = np.stack([sample_gumbel(rng_for(s), len(BRANCHES))
+                          for s in seeds])
+        logits = logits + gumbel_scale * noise
+    alpha = softmax_rows(logits, temperature=tau)
     return GateWeights(alpha, tau, gumbel_scale > 0, f, h1, a1)
 
 
@@ -87,20 +96,22 @@ def _renorm(alpha: np.ndarray, idx: np.ndarray) -> ActiveSet:
     return ActiveSet(members, w / w.sum())
 
 
-def select_topk(weights: GateWeights, k: int) -> ActiveSet:
+def select_topk(alpha: np.ndarray, k: int) -> ActiveSet:
+    """The k heaviest branches of one sample's gate weights `alpha`."""
     if not 1 <= k <= len(BRANCHES):
         raise DomainError(f"k must be in [1,{len(BRANCHES)}], got {k}")
-    order = np.argsort(-weights.alpha, kind="stable")  # ties: branch order
-    return _renorm(weights.alpha, np.sort(order[:k]))
+    order = np.argsort(-alpha, kind="stable")  # ties: branch order
+    return _renorm(alpha, np.sort(order[:k]))
 
 
-def select_threshold(weights: GateWeights, theta: float) -> ActiveSet:
+def select_threshold(alpha: np.ndarray, theta: float) -> ActiveSet:
+    """One sample's branches with `alpha` above theta, else its heaviest."""
     if not 0.0 <= theta < 1.0:
         raise DomainError(f"theta must be in [0,1), got {theta}")
-    idx = np.flatnonzero(weights.alpha > theta)
+    idx = np.flatnonzero(alpha > theta)
     if idx.size == 0:
-        idx = np.array([int(np.argmax(weights.alpha))])
-    return _renorm(weights.alpha, idx)
+        idx = np.array([int(np.argmax(alpha))])
+    return _renorm(alpha, idx)
 
 
 def gate_entropy(alpha: np.ndarray) -> float:

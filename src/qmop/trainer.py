@@ -9,10 +9,10 @@ every weight gradient is one GEMM over the batch's stacked rows, and the
 loss is the batch mean of the per-sample losses. `_step_mode` gives each
 step's mode, which `backward` runs through `pipeline.forward`, and the
 backward reads only the `ProjectedTokens` that forward returns (branch
-outputs, MLP activations, gates), releases each tensor once its gradients
-are written, and returns gradients only for the tensors its mode reaches:
-stage 1 never reaches the router or `out_mlp`, stage 2 never reaches
-`stage1_mlp`, and neither reaches the relevance map.
+outputs, MLP activations, the gate with one row per sample), releases each
+tensor once its gradients are written, and returns gradients only for the
+tensors its mode reaches: stage 1 never reaches the router or `out_mlp`,
+stage 2 never reaches `stage1_mlp`, and neither reaches the relevance map.
 
 The discrete top-M prune selection is treated as fixed indices: gradients
 flow through the selected token values only, never through the scores, so
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import pipeline as pl
 from .branches import CompressedTokens
-from .bundle import as_batch
+from .bundle import FeatureBundle, as_batch
 from .linalg import ACTIVATIONS, ShapeError, grad_check, stack_rows
 from .router import BRANCHES, gate_entropy
 
@@ -57,6 +57,8 @@ class AnnealSchedule:
             raise ValueError("need tau0 >= tau_min > 0")
         if not (0 < self.decay < 1 and 0 < self.gumbel_decay < 1):
             raise ValueError("decay factors must be in (0,1)")
+        if self.gumbel0 < 0:
+            raise ValueError("need gumbel0 >= 0")
 
 
 def tau_at(schedule: AnnealSchedule, step: int) -> float:
@@ -184,10 +186,10 @@ def backward(bundles, params: pl.ProjectorParams, targets, mode: tuple):
     target are a batch of one. mode is ("stage1",) or ("train", tau,
     gumbel_scale, seeds), with one gate-noise seed per bundle (an int for a
     batch of one); an infer mode has no backward. Returns (loss, grads,
-    gates): grads maps each reached tensor's name to a fresh array, and a
+    gate): grads maps each reached tensor's name to a fresh array, and a
     tensor the mode does not reach has no entry, since its gradient is
-    exactly zero. gates holds each sample's forward gate in train mode and
-    is None in stage 1.
+    exactly zero. gate is the forward's gate record, one row per sample, in
+    train mode and None in stage 1.
     """
     if mode[0] not in ("stage1", "train"):
         raise ValueError(f"unknown backward mode {mode[0]!r}")
@@ -195,7 +197,7 @@ def backward(bundles, params: pl.ProjectorParams, targets, mode: tuple):
     if len(targets) != len(bundles):
         raise ShapeError(f"{len(targets)} targets for {len(bundles)} bundles")
     fwd = pl.forward(bundles, params, mode)
-    outs, acts, gates = fwd.outputs, fwd.mlp, fwd.gates
+    outs, acts, gate = fwd.outputs, fwd.mlp, fwd.gate
     loss = batch_loss(fwd.tokens, targets)
     d_y = 2.0 * (fwd.tokens - stack_rows(targets)) / fwd.tokens.size
     del fwd
@@ -212,24 +214,23 @@ def backward(bundles, params: pl.ProjectorParams, targets, mode: tuple):
 
     d_fused = _mlp_backward(params.out_mlp, acts, d_y, grads, "out_mlp")
     del acts, d_y
-    alpha = np.array([g.alpha for g in gates])         # B x branches
     d_alpha = np.stack([(d_fused * outs[name].tokens)
-                        .reshape(len(gates), -1).sum(axis=1)
-                        for name in BRANCHES], axis=1)
-    for name, weight in zip(BRANCHES, alpha.T):
+                        .reshape(len(gate.alpha), -1).sum(axis=1)
+                        for name in BRANCHES], axis=1)  # B x branches
+    for name, weight in zip(BRANCHES, gate.alpha.T):
         _branch_backward(params, name, outs.pop(name),
                          pl.scale_samples(weight, d_fused), grads)
 
     # gate: alpha = softmax((base_logits + noise)/tau), noise constant
-    d_logits = _softmax_backward(alpha, d_alpha) / gates[0].tau_used
-    grads["router.w2"] = d_logits.T @ np.array([g.a1 for g in gates])
+    d_logits = _softmax_backward(gate.alpha, d_alpha) / gate.tau_used
+    grads["router.w2"] = d_logits.T @ gate.a1
     grads["router.b2"] = d_logits.sum(axis=0)
     d_a1 = d_logits @ params.router.w2
     _, act_grad = ACTIVATIONS[params.router.activation]
-    d_h1 = d_a1 * act_grad(np.array([g.h1 for g in gates]))
-    grads["router.w1"] = d_h1.T @ np.array([g.f for g in gates])
+    d_h1 = d_a1 * act_grad(gate.h1)
+    grads["router.w1"] = d_h1.T @ gate.f
     grads["router.b1"] = d_h1.sum(axis=0)
-    return loss, grads, gates
+    return loss, grads, gate
 
 
 def gradcheck_params(bundles, params: pl.ProjectorParams, targets,
@@ -262,20 +263,25 @@ def gradcheck_params(bundles, params: pl.ProjectorParams, targets,
 DIGEST_CHUNK = 1 << 18   # float32 elements cast and hashed at a time
 
 
-def params_digest(params: pl.ProjectorParams) -> str:
-    """sha256 of every tensor as little-endian float32, in `named_tensors`
-    order: the bytes of the flat parameter vector, cast chunk by chunk into
-    one reused buffer and hashed as they go."""
+def float32_digest(arrays) -> str:
+    """sha256 of the arrays' elements in C order as little-endian float32,
+    one array after another, cast chunk by chunk into one reused buffer and
+    hashed as they go. Every output and params digest has this format."""
     digest = hashlib.sha256()
     buf = np.empty(DIGEST_CHUNK, dtype="<f4")
-    for _, arr in params.named_tensors():
-        flat = arr.reshape(-1)   # a view of the C-contiguous params we make
+    for arr in arrays:
+        flat = arr.reshape(-1)   # a view of a C-contiguous array
         for start in range(0, arr.size, DIGEST_CHUNK):
             part = flat[start:start + DIGEST_CHUNK]
             chunk = buf[:len(part)]
             chunk[...] = part
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def params_digest(params: pl.ProjectorParams) -> str:
+    """`float32_digest` of every tensor, in `named_tensors` order."""
+    return float32_digest(arr for _, arr in params.named_tensors())
 
 
 def _step_mode(config: TrainConfig, step: int, seeds) -> tuple:
@@ -300,15 +306,15 @@ def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
     for step in range(config.steps):
         mode = _step_mode(config, step, [config.seed * 1000003 + step * n + i
                                          for i in range(n)])
-        loss, grads, gates = backward(config.bundles, params, config.targets,
-                                      mode)
+        loss, grads, gate = backward(config.bundles, params, config.targets,
+                                     mode)
         if not math.isfinite(loss):
             raise DivergenceError(step)
         losses.append(loss)
-        if gates is not None:    # stage 2
+        if gate is not None:    # stage 2
             tau_trace.append(mode[1])
             gumbel_trace.append(mode[2])
-            entropy = sum(gate_entropy(g.alpha) for g in gates) / n
+            entropy = sum(gate_entropy(alpha) for alpha in gate.alpha) / n
             if step == 0:
                 first_entropy = entropy
             final_entropy = entropy

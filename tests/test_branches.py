@@ -337,4 +337,4 @@ def test_all_branches_emit_m_rows(tiny_bundle, tiny_params):
     from qmop.pipeline import run_branches
     outs = run_branches(tiny_bundle, tiny_params)
     for out in outs.values():
-        assert out.tokens.shape[0] == tiny_params.m_tokens
+        assert out.tokens.shape[0] == tiny_params.prune_cfg.m_out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -115,6 +116,16 @@ class TestCompress:
                                        "--no-timing"])
             digests.append(json.loads(res.output)["runs"][0]["output_digest"])
         assert digests[0] == digests[1]
+
+    def test_output_digest_hashes_the_float32_tokens(self, runner,
+                                                     workspace):
+        tmp, cfg, features = workspace
+        res = runner.invoke(main, ["compress", "--features", str(features),
+                                   "--config", str(cfg), "--dump-tokens"])
+        run = json.loads(res.output)["runs"][0]
+        tokens = np.array(run["tokens"], dtype="<f4")
+        assert run["output_digest"] == \
+            hashlib.sha256(tokens.tobytes()).hexdigest()
 
     def test_byte_identical_json_without_timing(self, runner, workspace):
         tmp, cfg, features = workspace
@@ -413,6 +424,7 @@ def test_compress_reports_the_configured_router_cost(runner, workspace):
 MALFORMED = {
     "tau0": '"schedule": {"tau0": 0}',
     "decay": '"schedule": {"decay": "a"}',
+    "gumbel0-negative": '"schedule": {"gumbel0": -1}',
     "schedule-bool": '"schedule": {"tau0": true}',
     "grid-float": '"grid_h": 4.0',
     "dim-float": '"d_llm": 8.0',

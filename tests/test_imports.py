@@ -2,11 +2,16 @@
 for imported names they never use, for functions that take a `cache`
 argument (a forward returns what its backward reads, so no side channel
 carries state between them), for defaulted parameters that no program
-caller ever sets (an option without a caller is a constant), and for public
-functions that no program code refers to (code only tests call is dead)."""
+caller ever sets (an option without a caller is a constant), for public
+functions that no program code refers to (code only tests call is dead),
+and for annotations that name something the module never binds."""
 
 import ast
+import importlib
+import inspect
 import math
+import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -192,3 +197,33 @@ def test_scanner_finds_unreferenced_functions():
 def test_every_public_function_has_a_caller():
     assert unreferenced_functions([p.read_text() for p in MODULES],
                                   [p.read_text() for p in CALLERS]) == []
+
+
+def annotated_objects(module) -> list:
+    """The classes and functions `module` defines, and the methods of those
+    classes: everything whose annotations `typing.get_type_hints` reads."""
+    own = [obj for obj in vars(module).values()
+           if (inspect.isclass(obj) or inspect.isfunction(obj))
+           and obj.__module__ == module.__name__]
+    return own + [m for cls in own if inspect.isclass(cls)
+                  for m in vars(cls).values() if inspect.isfunction(m)]
+
+
+def test_scanner_finds_unresolved_annotations():
+    module = types.ModuleType("fake")
+    exec("from __future__ import annotations\n"
+         "from os.path import join\n"
+         "class K:\n"
+         "    def m(self) -> Missing: pass\n"
+         "def f(x: int) -> int: pass\n", vars(module))
+    found = annotated_objects(module)
+    assert sorted(obj.__qualname__ for obj in found) == ["K", "K.m", "f"]
+    with pytest.raises(NameError):
+        typing.get_type_hints(module.K.m)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_annotations_resolve(path):
+    module = importlib.import_module(f"qmop.{path.stem}")
+    for obj in annotated_objects(module):
+        typing.get_type_hints(obj)   # raises NameError on an unbound name

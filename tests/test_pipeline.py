@@ -69,36 +69,37 @@ class TestFuse:
     def test_one_hot_bit_exact(self):
         outs = self.outputs()
         for i in range(3):
-            fused = fuse(outs, np.eye(3)[i])
+            fused = fuse(outs, np.eye(3)[[i]])
             assert fused.tobytes() == outs[i].tobytes()
         # a single active branch at weight 1, as topk:1 fuses it
-        assert fuse(outs[1:2], np.ones(1)).tobytes() == outs[1].tobytes()
+        fused = fuse(outs[1:2], np.ones((1, 1)))
+        assert fused.tobytes() == outs[1].tobytes()
 
     def test_equal_matrices_convexity(self):
         a = seeded_fill(0, 4, 8)
-        assert np.allclose(fuse([a, a.copy()], np.array([0.5, 0.5])), a,
+        assert np.allclose(fuse([a, a.copy()], np.array([[0.5, 0.5]])), a,
                            atol=1e-15)
 
     def test_matches_scalar_loop(self):
         outs = self.outputs(3)
-        w = np.array([0.625, 0.375, 0.0])
+        w = np.array([[0.625, 0.375, 0.0]])
         ref = np.zeros((4, 8))
         for i in range(4):
             for j in range(8):
                 ref[i, j] = (0.625 * outs[0][i, j] + 0.375 * outs[1][i, j])
         assert np.allclose(fuse(outs, w), ref, atol=1e-12)
-        assert np.allclose(fuse(outs[:2], w[:2]), ref, atol=1e-12)
+        assert np.allclose(fuse(outs[:2], w[:, :2]), ref, atol=1e-12)
 
     def test_linear_in_weights(self):
         outs = self.outputs(5)
-        w1 = np.array([0.2, 0.3, 0.1])
-        w2 = np.array([0.1, 0.05, 0.4])
+        w1 = np.array([[0.2, 0.3, 0.1]])
+        w2 = np.array([[0.1, 0.05, 0.4]])
         assert np.allclose(fuse(outs, w1 + w2),
                            fuse(outs, w1) + fuse(outs, w2), atol=1e-12)
 
     def test_convex_combination_bounds(self):
         outs = self.outputs(7)
-        w = np.array([0.2, 0.5, 0.3])
+        w = np.array([[0.2, 0.5, 0.3]])
         fused = fuse(outs, w)
         stack = np.stack(outs)
         assert (fused >= stack.min(axis=0) - 1e-12).all()
@@ -108,13 +109,13 @@ class TestFuse:
         outs = self.outputs()
         outs[2] = seeded_fill(9, 3, 8)
         with pytest.raises(ShapeError, match="shapes differ"):
-            fuse(outs, np.array([0.3, 0.3, 0.4]))
+            fuse(outs, np.array([[0.3, 0.3, 0.4]]))
 
     def test_missing_branch_with_weight(self):
         # a weight column with no matrix, and a matrix with no weight column
         outs = self.outputs()
         with pytest.raises(ShapeError, match="weight columns"):
-            fuse(outs[:2], np.array([0.3, 0.3, 0.4]))
+            fuse(outs[:2], np.array([[0.3, 0.3, 0.4]]))
         with pytest.raises(ShapeError, match="weight columns"):
             fuse(outs, np.array([[0.5, 0.5], [0.2, 0.8]]))
 
@@ -123,7 +124,7 @@ class TestStage1Forward:
     def test_output_shape(self, tiny_bundle, tiny_params):
         out = stage1_forward(tiny_bundle, tiny_params)
         assert out.tokens.shape == (4, 8)
-        assert out.gates is None and out.active is None
+        assert out.gate is None and out.active is None
 
     def test_zeroed_output_layer_gives_bias(self, tiny_bundle, tiny_params):
         tiny_params.stage1_mlp.w_out[:] = 0.0

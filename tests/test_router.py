@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from qmop.bundle import FeatureBundle
 from qmop.linalg import DomainError, ShapeError, seeded_fill, softmax_rows
 from qmop.router import (
-    GateWeights,
     RouterParams,
     build_context,
     gate_entropy,
     gate_forward,
+    hidden_width,
     select_threshold,
     select_topk,
 )
@@ -30,49 +31,64 @@ def random_router(seed, width=10):
     )
 
 
+def gate(f, params, tau=1.0, gumbel_scale=0.0, seed=0):
+    """The gate of one context vector `f`: a batch of one."""
+    return gate_forward(np.asarray(f, dtype=float)[None], params, tau,
+                        gumbel_scale, [seed])
+
+
 def gw(alpha):
-    alpha = np.asarray(alpha, dtype=float)
-    return GateWeights(alpha, 1.0, False)
+    return np.asarray(alpha, dtype=float)
+
+
+def context_bundle(cls_token, eos_token):
+    """A 1x1-grid bundle that carries the given context halves."""
+    cls_token, eos_token = np.asarray(cls_token), np.asarray(eos_token)
+    return FeatureBundle(1, 1, cls_token.size, eos_token.size,
+                         np.zeros((1, cls_token.size)), cls_token, eos_token,
+                         np.ones(1))
 
 
 class TestBuildContext:
     def test_concatenation(self):
-        out = build_context(np.array([1.0, 2.0]), np.array([3.0]))
-        assert np.array_equal(out, [1.0, 2.0, 3.0])
+        out = build_context([context_bundle([1.0, 2.0], [3.0]),
+                             context_bundle([4.0, 5.0], [6.0])])
+        assert np.array_equal(out, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 
     def test_empty_half_rejected(self):
         with pytest.raises(ShapeError):
-            build_context(np.array([]), np.array([1.0]))
+            build_context([context_bundle([], [1.0])])
 
     def test_length(self):
-        assert build_context(np.zeros(4), np.zeros(3)).shape == (7,)
+        bundle = context_bundle(np.zeros(4), np.zeros(3))
+        assert build_context([bundle]).shape == (1, 7)
+        assert build_context([bundle] * 3).shape == (3, 7)
 
 
 class TestGateForward:
     def test_zero_logits_uniform(self):
         params = router_with_logits([0.0, 0.0, 0.0])
         for tau in (0.3, 1.0, 7.0):
-            g = gate_forward(seeded_fill(0, 1, 4)[0], params, tau=tau)
+            g = gate(seeded_fill(0, 1, 4)[0], params, tau=tau)
             assert np.allclose(g.alpha, 1 / 3, atol=1e-12)
 
     def test_closed_form_softmax(self):
-        g = gate_forward(np.zeros(4), router_with_logits([2.0, 1.0, 0.0]))
-        assert np.allclose(g.alpha, [0.66524, 0.24473, 0.09003], atol=1e-5)
+        g = gate(np.zeros(4), router_with_logits([2.0, 1.0, 0.0]))
+        assert np.allclose(g.alpha, [[0.66524, 0.24473, 0.09003]], atol=1e-5)
 
     def test_low_temperature_sharpens(self):
-        g = gate_forward(np.zeros(4), router_with_logits([2.0, 1.0, 0.0]),
-                         tau=0.05)
-        assert g.alpha[0] >= 0.999
+        g = gate(np.zeros(4), router_with_logits([2.0, 1.0, 0.0]), tau=0.05)
+        assert g.alpha[0, 0] >= 0.999
 
     def test_bad_tau(self):
         with pytest.raises(DomainError):
-            gate_forward(np.zeros(4), router_with_logits([0, 0, 0]), tau=0.0)
+            gate(np.zeros(4), router_with_logits([0, 0, 0]), tau=0.0)
 
     def test_deterministic_for_seed(self):
         params = random_router(0)
         f = seeded_fill(5, 1, 10)[0]
-        a = gate_forward(f, params, gumbel_scale=1.0, seed=42)
-        b = gate_forward(f, params, gumbel_scale=1.0, seed=42)
+        a = gate(f, params, gumbel_scale=1.0, seed=42)
+        b = gate(f, params, gumbel_scale=1.0, seed=42)
         assert np.array_equal(a.alpha, b.alpha)
         assert a.gumbel_applied
 
@@ -81,9 +97,8 @@ class TestGateForward:
         for trial in range(200):
             params = random_router(trial)
             f = rng.normal(size=10)
-            g = gate_forward(f, params, tau=float(rng.uniform(0.1, 10)),
-                             gumbel_scale=float(rng.uniform(0, 2)),
-                             seed=trial)
+            g = gate(f, params, tau=float(rng.uniform(0.1, 10)),
+                     gumbel_scale=float(rng.uniform(0, 2)), seed=trial)
             assert abs(g.alpha.sum() - 1.0) <= 1e-9
             # sharp temperatures can underflow losers to exactly 0.0
             assert (g.alpha >= 0).all() and (g.alpha <= 1).all()
@@ -92,15 +107,35 @@ class TestGateForward:
         for trial in range(30):
             params = random_router(trial + 100)
             f = seeded_fill(trial, 1, 10)[0]
-            winners = {int(np.argmax(gate_forward(f, params, tau=t).alpha))
+            winners = {int(np.argmax(gate(f, params, tau=t).alpha))
                        for t in (0.1, 1.0, 10.0)}
             assert len(winners) == 1
 
     def test_relu_activation(self):
         params = random_router(3)
         params.activation = "relu"
-        g = gate_forward(seeded_fill(1, 1, 10)[0], params)
+        g = gate(seeded_fill(1, 1, 10)[0], params)
         assert abs(g.alpha.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("context", [8 + 6, 1024 + 768], ids=["desk", "paper"])
+@pytest.mark.parametrize("gumbel_scale", [0.0, 0.7])
+def test_batch_rows_equal_one_row_calls(context, gumbel_scale):
+    # each row must equal the sample's batch-of-one gate bit for bit, so a
+    # sample's gate, and every digest after it, does not depend on its batch
+    d = hidden_width(context)
+    params = RouterParams(
+        w1=seeded_fill(1, d, context, sigma=context ** -0.5),
+        b1=seeded_fill(2, 1, d)[0], w2=seeded_fill(3, 3, d, sigma=d ** -0.5),
+        b2=seeded_fill(4, 1, 3)[0])
+    f = seeded_fill(5, 3, context)
+    batch = gate_forward(f, params, 1.3, gumbel_scale, [7, 8, 9])
+    assert batch.gumbel_applied == (gumbel_scale > 0)
+    for i, seed in enumerate((7, 8, 9)):
+        row = gate_forward(f[i:i + 1], params, 1.3, gumbel_scale, [seed])
+        for field in ("alpha", "f", "h1", "a1"):
+            assert np.array_equal(getattr(batch, field)[i],
+                                  getattr(row, field)[0]), (i, field)
 
 
 class TestSelectTopk:
@@ -164,12 +199,10 @@ class TestGumbelMax:
         logits = [0.7, 0.1, -0.4]
         params = router_with_logits(logits)
         probs = softmax_rows(np.array([logits]))[0]
-        f = np.zeros(4)
-        counts = np.zeros(3)
         n = 100_000
-        for seed in range(n):
-            g = gate_forward(f, params, tau=1.0, gumbel_scale=1.0, seed=seed)
-            counts[int(np.argmax(g.alpha))] += 1
+        # one batch of n rows, row i's noise drawn at seed i
+        g = gate_forward(np.zeros((n, 4)), params, 1.0, 1.0, range(n))
+        counts = np.bincount(np.argmax(g.alpha, axis=1), minlength=3)
         assert np.abs(counts / n - probs).max() <= 0.02
 
 

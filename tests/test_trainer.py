@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmop import (init_projector_params, pipeline, stage1_forward,
+from qmop import (init_projector_params, pipeline, router, stage1_forward,
                   synth_bundle, trainer)
 from qmop.linalg import ShapeError, grad_check, seeded_fill
 from qmop.pipeline import forward
@@ -74,6 +74,9 @@ class TestSchedules:
             AnnealSchedule(tau0=0.1, tau_min=0.5)
         with pytest.raises(ValueError):
             AnnealSchedule(decay=1.5)
+        with pytest.raises(ValueError):
+            AnnealSchedule(gumbel0=-1.0)
+        assert AnnealSchedule(gumbel0=0.0).gumbel0 == 0.0
 
 
 class TestLoss:
@@ -108,17 +111,17 @@ class TestBackward:
     def test_stage1_router_grads_exactly_zero(self, tiny_bundle, tiny_params,
                                               tiny_target):
         # a tensor the mode does not reach has no gradient entry at all
-        _, grads, gates = backward(tiny_bundle, tiny_params, tiny_target,
-                                   ("stage1",))
-        assert gates is None
+        _, grads, gate = backward(tiny_bundle, tiny_params, tiny_target,
+                                  ("stage1",))
+        assert gate is None
         assert set(grads) == {name for name, _ in tiny_params.named_tensors()
                               if name.startswith(STAGE1_REACHES)}
 
     def test_train_stage1_mlp_grads_zero(self, tiny_bundle, tiny_params,
                                          tiny_target):
-        _, grads, gates = backward(tiny_bundle, tiny_params, tiny_target,
-                                   ("train", 1.0, 0.0, 0))
-        assert len(gates) == 1
+        _, grads, gate = backward(tiny_bundle, tiny_params, tiny_target,
+                                  ("train", 1.0, 0.0, 0))
+        assert gate.alpha.shape == (1, len(BRANCHES))
         assert set(grads) == {name for name, _ in tiny_params.named_tensors()
                               if name.startswith(TRAIN_REACHES)}
 
@@ -126,13 +129,13 @@ class TestBackward:
     def test_reached_grads_own_their_memory(self, tiny_bundle, tiny_params,
                                             tiny_target, mode):
         # train_toy accumulates into and scales these arrays in place
-        _, grads, gates = backward(tiny_bundle, tiny_params, tiny_target,
-                                   mode)
+        _, grads, gate = backward(tiny_bundle, tiny_params, tiny_target,
+                                  mode)
         tensors = dict(tiny_params.named_tensors())
         held = list(tensors.values()) + [
             tiny_bundle.patches, tiny_bundle.cls_token, tiny_bundle.eos_token,
             tiny_target]
-        for gate in gates or ():
+        if gate is not None:
             held += [gate.alpha, gate.f, gate.h1, gate.a1]
         reached = list(grads.values())
         for name, grad in grads.items():
@@ -258,11 +261,13 @@ class TestBackward:
         assert res["_resample_backward"] == 1
 
         # one train_toy step over a batch of 3 is one forward and one
-        # backward, with each branch run once over the stacked batch
+        # backward, with each branch and (stage 2) the gate run once over
+        # the stacked batch
         stage = 1 if mode[0] == "stage1" else 2
         forward = spy(pipeline, "stage1_forward" if stage == 1
                       else "train_forward")
         step = spy(trainer, "backward")
+        gate = spy(router, "gate_forward")
         for calls in (branch_calls, pool, res):
             calls.clear()
         bundles, targets = make_batch(3, n=3)
@@ -271,6 +276,7 @@ class TestBackward:
             targets=targets, final_grad_check=False))
         assert sum(forward.values()) == 1
         assert step["backward"] == 1
+        assert gate["gate_forward"] == (stage == 2)
         assert branch_calls == dict.fromkeys(BRANCHES, 1)
         assert pool["_pool_backward"] == 1
         assert res["_resample_backward"] == 1
