@@ -5,11 +5,13 @@
 - resample: M learnable queries cross-attend over all N tokens.
 - pool: a 2D query map where each query attends only to its own s x s window.
 
+Resample and pool are one operator, `_attend`, at two key scopes.
+
 Each takes a list of B samples (bundles, or token matrices for resample) and
 returns their outputs stacked sample by sample into B*M rows, so every
 product whose left side is per-row runs as one GEMM over the batch and every
 params-only product runs once per batch. A batch of one is a one-item list.
-Pool and resample also return what their backward reads: their inputs,
+Pool and resample also return what their backward reads: their keys,
 attention and attended rows. Prune has no parameters to train, so it
 returns its tokens alone.
 """
@@ -68,10 +70,12 @@ class PoolParams:
 @dataclass
 class CompressedTokens:
     tokens: np.ndarray  # B*M x C, sample by sample
-    # pool: B x M x s^2 x C windows; resample: each sample's N x C tokens
-    inputs: np.ndarray | list[np.ndarray] | None = None
-    pooled: np.ndarray | None = None  # B*M x C, before the value projection
-    attn: np.ndarray | None = None    # pool: B x M x s^2; resample: B*M x N
+    # `_attend`'s record: each sample's G x W x C keys (pool: M windows of
+    # s^2 cells; resample: one group of all N tokens), its G x R x W
+    # attention, and the B*M x C attended rows before the value projection
+    keys: list[np.ndarray] | None = None
+    attn: list[np.ndarray] | None = None
+    pooled: np.ndarray | None = None
 
 
 def _minmax(v: np.ndarray) -> np.ndarray:
@@ -126,62 +130,51 @@ def prune(bundles: list[FeatureBundle], rel: RelevanceMap,
                                         for b, k in zip(bundles, kept)]))
 
 
-def resample(xs: list[np.ndarray],
-             params: ResamplerParams) -> CompressedTokens:
-    """Cross-attention of M learnable queries over projected keys/values.
+def _attend(keys: list[np.ndarray], qk: np.ndarray,
+            w_v: np.ndarray) -> CompressedTokens:
+    """Cross-attention of group g's R folded queries `qk` (G x R x C) over
+    that group's W raw keys, in each sample's G x W x C block of `keys`.
 
-    `xs` holds each sample's N x C tokens. As in pool, both projections
-    fold onto the M query rows instead of the N tokens:
-    q.(w_k x) = (q w_k).x and sum_n a_n (w_v x_n) = w_v (sum_n a_n x_n).
-    A batch is then one M x C x C GEMM for the keys, two M x N x C ones per
-    sample, and one (B*M) x C x C GEMM for the values.
+    Both projections fold onto the queries instead of the keys:
+    q.(w_k x) = (q w_k).x = qk.x and sum_w a_w (w_v x_w) = w_v (sum_w a_w x_w),
+    so a batch is batched matmuls over the raw keys and one GEMM with w_v.
     """
-    c = params.queries.shape[1]
-    for x in xs:
-        if x.shape[1] != c:
-            raise ShapeError(f"token width {x.shape[1]} != query width {c}")
-    qk = params.queries @ params.w_k                   # M x C
-    attn = stack_rows([softmax_rows(qk @ x.T / math.sqrt(c))
-                       for x in xs])                   # B*M x N
-    pooled = stack_rows([a @ x for a, x in zip(np.split(attn, len(xs)), xs)])
-    return CompressedTokens(pooled @ params.w_v.T, inputs=xs, pooled=pooled,
+    c = qk.shape[-1]
+    for k in keys:
+        if k.shape[-1] != c:
+            raise ShapeError(f"token width {k.shape[-1]} != query width {c}")
+    attn = [softmax_rows(qk @ k.swapaxes(1, 2) / math.sqrt(c)) for k in keys]
+    pooled = stack_rows([(a @ k).reshape(-1, c) for a, k in zip(attn, keys)])
+    return CompressedTokens(pooled @ w_v.T, keys=keys, pooled=pooled,
                             attn=attn)
 
 
-def _pool_windows(bundles: list[FeatureBundle],
-                  params: PoolParams) -> np.ndarray:
-    """Every bundle's s x s windows as B x M x s^2 x C, cells in raster
-    order, written straight into one array."""
+def resample(xs: list[np.ndarray],
+             params: ResamplerParams) -> CompressedTokens:
+    """M learnable queries cross-attend over each sample's N x C tokens in
+    `xs`: `_attend` with one group of M queries over all N tokens."""
+    qk = params.queries @ params.w_k                   # M x C
+    return _attend([x[None] for x in xs], qk[None], params.w_v)
+
+
+def _pool_windows(bundle: FeatureBundle, params: PoolParams) -> np.ndarray:
+    """The bundle's s x s windows as M x s^2 x C, cells in raster order."""
     s = params.stride
     h, w = params.grid_h, params.grid_w
-    c = bundles[0].c_vis
-    win = np.empty((len(bundles), h, w, s, s, c))
-    for out, bundle in zip(win, bundles):
-        if bundle.grid_h != s * h or bundle.grid_w != s * w:
-            raise ShapeError(
-                f"grid {bundle.grid_h}x{bundle.grid_w} not {s}*({h}x{w}) "
-                f"for stride {s}"
-            )
-        out[...] = bundle.patches.reshape(h, s, w, s, c).transpose(0, 2, 1, 3, 4)
-    return win.reshape(len(bundles), h * w, s * s, c)
+    if bundle.grid_h != s * h or bundle.grid_w != s * w:
+        raise ShapeError(
+            f"grid {bundle.grid_h}x{bundle.grid_w} not {s}*({h}x{w}) "
+            f"for stride {s}"
+        )
+    return (bundle.patches.reshape(h, s, w, s, -1).swapaxes(1, 2)
+            .reshape(h * w, s * s, -1))
 
 
 def pool_local(bundles: list[FeatureBundle],
                params: PoolParams) -> CompressedTokens:
-    """Each query cell attends only to its own s x s spatial window.
-
-    Keys and values are linear maps of the window cells, so both projections
-    fold onto the M rows instead of the N cells: q.(phi_k x) = (q phi_k).x
-    and sum_w a_w (phi_v x_w) = phi_v (sum_w a_w x_w). A batch is then one
-    M x C x C GEMM for the keys, one (B*M) x C x C GEMM for the values and
-    O(B*N*C) window work.
-    """
-    win = _pool_windows(bundles, params)              # B x M x s^2 x C
-    b, m, _, c = win.shape
+    """Each query cell attends only to its own s x s spatial window:
+    `_attend` with M groups of one query over its window's s^2 cells."""
     phi_v = params.phi_k if params.shared_phi else params.phi_v
     qk = params.q2d @ params.phi_k                     # M x C
-    scores = np.einsum("bmwc,mc->bmw", win, qk) / math.sqrt(c)
-    attn = softmax_rows(scores.reshape(b * m, -1)).reshape(scores.shape)
-    pooled = np.einsum("bmw,bmwc->bmc", attn, win).reshape(b * m, c)
-    return CompressedTokens(pooled @ phi_v.T, inputs=win, pooled=pooled,
-                            attn=attn)
+    return _attend([_pool_windows(b, params) for b in bundles], qk[:, None],
+                   phi_v)

@@ -69,6 +69,7 @@ _DOMAINS = {
                      "batch_size"), (">= 1", lambda v: v >= 1)),
     "seed": ("in [0, 2**64)", lambda v: 0 <= v < SEED_BOUND),
     "prune_lambda": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "lr": ("> 0", lambda v: v > 0),
     "relevance_metric": (f"one of {list(METRICS)}", METRICS.__contains__),
     "activation": (f"one of {list(ACTIVATIONS)}", ACTIVATIONS.__contains__),
 }

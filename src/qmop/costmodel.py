@@ -55,6 +55,12 @@ def kv_cache(n_tokens: float) -> float:
     return n_tokens * KV_M_PER_TOKEN
 
 
+def _attend_flops(m: int, keys_read: int, c: int) -> int:
+    """`branches._attend`: q @ w_k and pooled @ w_v.T on the M rows, plus
+    scores and weighted sum over every (query, key) pair read."""
+    return 2 * 2 * m * c * c + 2 * 2 * keys_read * c
+
+
 def projector_flops(
     n_in: int, m_out: int, c_vis: int, c_txt: int, d_llm: int,
     router_hidden: int | None = None,
@@ -63,8 +69,9 @@ def projector_flops(
     """Per-branch, router, and output-MLP GFLOPs (2 FLOPs per MAC).
 
     The text encoder that produces the query is outside this model, so only
-    the gate MLP itself is counted. Pool and resample fold their K/V
-    projections onto the M queries, so their C^2 terms scale with M, not N.
+    the gate MLP itself is counted. Pool and resample are one attention
+    operator, priced by `_attend_flops`: their K/V projections fold onto the
+    M queries, so their C^2 terms scale with M, not N.
     Branch terms are reported separately so top-k skipping is visible.
     """
     if min(n_in, m_out) <= 0:
@@ -74,12 +81,10 @@ def projector_flops(
     n, m = n_in, m_out
 
     flops = {
-        # queries @ w_k and pooled @ w_v.T on the M rows + M queries
-        # attending over the N raw tokens (scores and weighted sum)
-        "resample": 2 * 2 * m * c * c + 2 * 2 * m * n * c,
-        # q2d @ phi_k and pooled @ phi_v.T on the M rows + per-window
-        # scores and weighted sum over the raw cells (M windows of s^2 = N/M)
-        "pool": 2 * 2 * m * c * c + 2 * 2 * n * c,
+        # resample: each of the M queries reads all N tokens; pool: each
+        # reads its own window, N/M cells
+        "resample": _attend_flops(m, m * n, c),
+        "pool": _attend_flops(m, n, c),
         # relevance projection to text space + cosine dot/norms
         "prune": 2 * n * c2 * c + 2 * 3 * n * c2,
         # shared output MLP on the fused M tokens

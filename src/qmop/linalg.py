@@ -1,4 +1,4 @@
-"""Dense float64 tensor primitives: shape-checked coercion, row softmax,
+"""Dense float64 tensor primitives: shape-checked coercion, last-axis softmax,
 activations, a central-difference gradient checker, and deterministic seeded
 gaussian initialization.
 
@@ -28,13 +28,6 @@ class NumericError(ArithmeticError):
     """A computation produced a non-finite value."""
 
 
-def as_matrix(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2D matrix, got shape {a.shape}")
-    return a
-
-
 def as_vector(x) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 1:
@@ -48,14 +41,14 @@ def stack_rows(arrays: list[np.ndarray]) -> np.ndarray:
 
 
 def softmax_rows(x: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Row-wise softmax of x / temperature, max-subtracted for stability."""
+    """Softmax of x / temperature over the last axis of an array of any
+    rank, max-subtracted for stability."""
     if temperature <= 0:
         raise DomainError(f"softmax temperature must be > 0, got {temperature}")
-    x = as_matrix(x)
-    z = x / temperature
-    z = z - z.max(axis=1, keepdims=True)
+    z = np.asarray(x, dtype=np.float64) / temperature
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:

@@ -13,6 +13,9 @@ outputs, MLP activations, the gate with one row per sample), releases each
 tensor once its gradients are written, and returns gradients only for the
 tensors its mode reaches: stage 1 never reaches the router or `out_mlp`,
 stage 2 never reaches `stage1_mlp`, and neither reaches the relevance map.
+Pool and resample share one backward, `_attend_backward`, as they share
+one forward; `_pool_backward` and `_resample_backward` map its d(qk) and
+the attended rows onto their own tensors.
 
 The discrete top-M prune selection is treated as fixed indices: gradients
 flow through the selected token values only, never through the scores, so
@@ -22,7 +25,6 @@ the relevance map receives zero gradient by construction.
 from __future__ import annotations
 
 import copy
-import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -125,34 +127,35 @@ def _softmax_backward(p: np.ndarray, d_p: np.ndarray) -> np.ndarray:
     return p * (d_p - inner)
 
 
+def _attend_backward(out: CompressedTokens,
+                     d_pooled: np.ndarray) -> np.ndarray:
+    """d loss / d qk, summed over the batch as one M x C matrix, for the
+    `branches._attend` record `out` given d loss / d pooled (B*M x C)."""
+    c = d_pooled.shape[1]
+    scale = 1.0 / math.sqrt(c)
+    parts = []     # each sample's G x R x C; they sum to the batch's
+    for keys, attn, d in zip(out.keys, out.attn,
+                             np.split(d_pooled, len(out.keys))):
+        d_attn = d.reshape(attn.shape[:2] + (c,)) @ keys.swapaxes(1, 2)
+        parts.append((_softmax_backward(attn, d_attn) * scale) @ keys)
+    return sum(parts[1:], parts[0]).reshape(-1, c)
+
+
 def _resample_backward(params: pl.ProjectorParams, out: CompressedTokens,
                        d_out: np.ndarray, grads: dict) -> None:
-    xs, pooled, attn = out.inputs, out.pooled, out.attn
     res = params.resampler
-    scale = 1.0 / math.sqrt(res.queries.shape[1])
-    grads["resampler.w_v"] = d_out.T @ pooled
-    d_pooled = d_out @ res.w_v                         # B*M x C
-    # each sample attends over its own tokens; their d_qk sum to the batch's
-    d_qk = functools.reduce(np.add, (
-        (_softmax_backward(a, d @ x.T) * scale) @ x    # M x C
-        for a, d, x in zip(np.split(attn, len(xs)),
-                           np.split(d_pooled, len(xs)), xs)))
+    grads["resampler.w_v"] = d_out.T @ out.pooled
+    d_qk = _attend_backward(out, d_out @ res.w_v)
     grads["resampler.queries"] = d_qk @ res.w_k.T
     grads["resampler.w_k"] = res.queries.T @ d_qk
 
 
 def _pool_backward(params: pl.ProjectorParams, out: CompressedTokens,
                    d_out: np.ndarray, grads: dict) -> None:
-    win, pooled, attn = out.inputs, out.pooled, out.attn
     pool = params.pool
-    b, m, _, c = win.shape
-    scale = 1.0 / math.sqrt(c)
     phi_v = pool.phi_k if pool.shared_phi else pool.phi_v
-    d_phi_v = d_out.T @ pooled
-    d_pooled = (d_out @ phi_v).reshape(b, m, c)
-    d_attn = np.einsum("bmc,bmwc->bmw", d_pooled, win)
-    d_s = _softmax_backward(attn, d_attn) * scale
-    d_qk = np.einsum("bmw,bmwc->mc", d_s, win)         # M x C, batch summed
+    d_phi_v = d_out.T @ out.pooled
+    d_qk = _attend_backward(out, d_out @ phi_v)
     grads["pool.q2d"] = d_qk @ pool.phi_k.T
     d_phi_k = pool.q2d.T @ d_qk
     if pool.shared_phi:

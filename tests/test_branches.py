@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qmop.branches import (
 )
 from qmop.bundle import synth_bundle
 from qmop.linalg import DomainError, ShapeError, seeded_fill, softmax_rows
+from qmop.trainer import _pool_backward, _resample_backward
 
 
 def relevance_oracle(bundle, g):
@@ -203,12 +205,15 @@ class TestResample:
                              - project_every_token_oracle(x, p))) <= 1e-12
 
     def test_returned_fields_rebuild_output(self):
+        # one group of all N tokens per sample, viewed, not copied
         p = self.params(m=3, c=4)
         x = seeded_fill(12, 5, 4)
         out = resample([x], p)
-        assert len(out.inputs) == 1 and out.inputs[0] is x
-        assert out.attn.shape == (3, 5)
-        assert np.allclose(out.attn.sum(axis=1), 1.0, atol=1e-15)
+        assert len(out.keys) == 1 and out.keys[0].shape == (1, 5, 4)
+        assert np.shares_memory(out.keys[0], x)
+        assert np.array_equal(out.keys[0][0], x)
+        assert len(out.attn) == 1 and out.attn[0].shape == (1, 3, 5)
+        assert np.allclose(out.attn[0].sum(axis=-1), 1.0, atol=1e-15)
         assert np.array_equal(out.pooled @ p.w_v.T, out.tokens)
 
 
@@ -331,6 +336,43 @@ class TestPoolLocal:
         perm = np.roll(np.arange(16), 5)
         b.patches = b.patches[perm]
         assert not np.allclose(pool_local([b], p).tokens, base, atol=1e-9)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_returned_fields_rebuild_output(self, shared):
+        # M groups of one query per sample, each over its window's cells
+        bundles = [synth_bundle(6 + i, 4, 6, 5, 3) for i in range(2)]
+        p = pool_params(4, 6, 2, 5, seed=7, shared=shared)
+        out = pool_local(bundles, p)
+        phi_v = p.phi_k if shared else p.phi_v
+        assert len(out.keys) == len(out.attn) == 2
+        for b, keys, attn in zip(bundles, out.keys, out.attn):
+            assert keys.shape == (6, 4, 5) and attn.shape == (6, 1, 4)
+            x2d = b.patches.reshape(4, 6, 5)
+            assert np.array_equal(keys[1], x2d[0:2, 2:4].reshape(4, 5))
+            assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-15)
+        assert np.array_equal(out.pooled @ phi_v.T, out.tokens)
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+def test_pool_over_the_whole_grid_is_resample(batch):
+    # pool and resample are one operator at two key scopes: a pool whose one
+    # window spans the grid (stride = grid side, M = 1) is a resample of its
+    # one query over every token, forward and backward
+    pool = pool_params(4, 4, 4, 5, seed=9)
+    res = ResamplerParams(queries=pool.q2d, w_k=pool.phi_k, w_v=pool.phi_v)
+    params = SimpleNamespace(pool=pool, resampler=res)
+    bundles = [synth_bundle(10 + i, 4, 4, 5, 3) for i in range(batch)]
+    by_pool = pool_local(bundles, pool)
+    by_res = resample([b.patches for b in bundles], res)
+    assert np.max(np.abs(by_pool.tokens - by_res.tokens)) <= 1e-12
+    d_out = seeded_fill(11, batch, 5)
+    grads = {}
+    _pool_backward(params, by_pool, d_out, grads)
+    _resample_backward(params, by_res, d_out, grads)
+    for ours, theirs in (("q2d", "queries"), ("phi_k", "w_k"),
+                         ("phi_v", "w_v")):
+        assert np.max(np.abs(grads[f"pool.{ours}"]
+                             - grads[f"resampler.{theirs}"])) <= 1e-12
 
 
 def test_all_branches_emit_m_rows(tiny_bundle, tiny_params):

@@ -436,6 +436,8 @@ MALFORMED = {
     "mode-int": '"inference_mode": 3',
     "lr-string": '"lr": "x"',
     "lr-overflow": '"lr": 1e400',
+    "lr-negative": '"lr": -1.0',
+    "lr-zero": '"lr": 0',
     "batch-zero": '"batch_size": 0',
     "batch-bool": '"batch_size": true',
     "flag-string": '"shared_pool_phi": "yes"',

@@ -46,7 +46,7 @@ def assert_well_typed(cfg):
     assert rh is None or (type(rh) is int and rh >= 1)
     assert type(cfg.seed) is int and 0 <= cfg.seed < 2 ** 64
     assert finite_number(cfg.prune_lambda) and 0 <= cfg.prune_lambda <= 1
-    assert finite_number(cfg.lr)
+    assert finite_number(cfg.lr) and cfg.lr > 0
     assert cfg.relevance_metric in ("cosine", "neg_euclidean")
     assert cfg.activation in ("gelu", "relu")
     assert type(cfg.shared_pool_phi) is bool

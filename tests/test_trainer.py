@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmop import (init_projector_params, pipeline, router, stage1_forward,
-                  synth_bundle, trainer)
+from qmop import (branches, init_projector_params, pipeline, router,
+                  stage1_forward, synth_bundle, trainer)
 from qmop.linalg import ShapeError, grad_check, seeded_fill
 from qmop.pipeline import forward
 from qmop.router import BRANCHES
@@ -255,10 +255,12 @@ class TestBackward:
         # call that bypassed the attribute would time that layer as zero
         pool = spy(trainer, "_pool_backward")
         res = spy(trainer, "_resample_backward")
+        attend = spy(branches, "_attend")   # pool's and resample's one core
         backward(tiny_bundle, tiny_params, tiny_target, mode)
         assert branch_calls == dict.fromkeys(BRANCHES, 1)
         assert pool["_pool_backward"] == 1
         assert res["_resample_backward"] == 1
+        assert attend["_attend"] == 2
 
         # one train_toy step over a batch of 3 is one forward and one
         # backward, with each branch and (stage 2) the gate run once over
@@ -268,7 +270,7 @@ class TestBackward:
                       else "train_forward")
         step = spy(trainer, "backward")
         gate = spy(router, "gate_forward")
-        for calls in (branch_calls, pool, res):
+        for calls in (branch_calls, pool, res, attend):
             calls.clear()
         bundles, targets = make_batch(3, n=3)
         train_toy(tiny_params, TrainConfig(
@@ -280,6 +282,15 @@ class TestBackward:
         assert branch_calls == dict.fromkeys(BRANCHES, 1)
         assert pool["_pool_backward"] == 1
         assert res["_resample_backward"] == 1
+        assert attend["_attend"] == 2
+
+        # infer runs `_attend` once per active pool or resample branch
+        for k in range(1, len(BRANCHES) + 1):
+            attend.clear()
+            active = pipeline.infer_forward(tiny_bundle, tiny_params,
+                                            ("topk", k)).active
+            assert attend["_attend"] == len({"pool", "resample"}
+                                            & set(active.members))
 
     @pytest.mark.parametrize("stage", [1, 2])
     def test_gradcheck_batch_of_three(self, stage):
