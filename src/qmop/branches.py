@@ -33,9 +33,9 @@ METRICS = ("cosine", "neg_euclidean")
 
 @dataclass
 class PruneConfig:
-    lam: float = 0.5          # importance/relevance mix
-    m_out: int = 1
-    metric: str = "cosine"    # one of METRICS
+    lam: float      # importance/relevance mix
+    m_out: int
+    metric: str     # one of METRICS
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
@@ -61,10 +61,10 @@ class PoolParams:
     q2d: np.ndarray      # (h*w) x C, raster-ordered query map
     phi_k: np.ndarray    # C x C
     phi_v: np.ndarray    # C x C
-    stride: int = 2
-    grid_h: int = 0      # h (query rows); grid shape the map was built for
-    grid_w: int = 0      # w
-    shared_phi: bool = False  # ablation: one projection for both K and V
+    stride: int
+    grid_h: int          # h (query rows); grid shape the map was built for
+    grid_w: int          # w
+    shared_phi: bool     # ablation: one projection for both K and V
 
 
 @dataclass

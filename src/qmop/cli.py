@@ -301,6 +301,8 @@ def cmd_train_toy(cfg, stage, steps, batch, no_grad_check, out):
         report = trainer.train_toy(params, tconf)
     except trainer.DivergenceError as exc:
         _fail(EXIT_DIVERGED, str(exc))
+    except NumericError as exc:   # from the final check over diverged params
+        _fail(EXIT_DIVERGED, f"final gradient check diverged: {exc}")
     _emit({"stage": stage, "steps": steps, **dataclasses.asdict(report)}, out)
 
 

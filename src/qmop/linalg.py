@@ -1,6 +1,6 @@
-"""Dense float64 tensor primitives: shape-checked coercion, last-axis softmax,
-activations, a central-difference gradient checker, and deterministic seeded
-gaussian initialization.
+"""Dense float64 tensor primitives: batch row-stacking, last-axis softmax,
+activations, a central-difference gradient checker that perturbs a tensor in
+place, and deterministic seeded gaussian initialization.
 
 Everything downstream operates on plain numpy arrays (2D "matrices", 1D
 "vectors") in float64. Shapes are validated eagerly so errors surface at the
@@ -26,13 +26,6 @@ class DomainError(ValueError):
 
 class NumericError(ArithmeticError):
     """A computation produced a non-finite value."""
-
-
-def as_vector(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 1:
-        raise ShapeError(f"expected a 1D vector, got shape {a.shape}")
-    return a
 
 
 def stack_rows(arrays: list[np.ndarray]) -> np.ndarray:
@@ -78,36 +71,35 @@ ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
 FD_STEP = 1e-5   # central-difference step of `grad_check`
 
 
-def grad_check(
-    f: Callable[[np.ndarray], float],
-    point: np.ndarray,
-    analytic_grad: np.ndarray,
-) -> float:
-    """Max relative error between analytic_grad and central differences of f
-    with step `FD_STEP`.
+def grad_check(loss: Callable[[], float], arr: np.ndarray,
+               analytic: np.ndarray) -> float:
+    """Max relative error between `analytic`, the gradient of `loss` with
+    respect to `arr`, and central differences with step `FD_STEP`.
 
-    Relative error per coordinate is |analytic - fd| / max(1, |fd|); the
-    maximum over coordinates is returned.
+    Each element `arr.flat[i]` in turn is moved by +-FD_STEP in place, for
+    one call of the zero-argument `loss` each, and restored before the next,
+    whatever `loss` does. `arr.flat` walks C order in any memory layout.
+    Relative error per element is |analytic - fd| / max(1, |fd|); the
+    maximum over elements is returned.
     """
-    point = as_vector(point)
-    analytic_grad = as_vector(analytic_grad)
-    if point.shape != analytic_grad.shape:
+    if arr.shape != analytic.shape:
         raise ShapeError(
-            f"point/gradient length mismatch: {point.shape} vs {analytic_grad.shape}"
+            f"tensor/gradient shape mismatch: {arr.shape} vs {analytic.shape}"
         )
     worst = 0.0
-    x = point.copy()
-    for i in range(x.size):
-        orig = x[i]
-        x[i] = orig + FD_STEP
-        fp = f(x)
-        x[i] = orig - FD_STEP
-        fm = f(x)
-        x[i] = orig
+    for i in range(arr.size):
+        orig = arr.flat[i]
+        try:
+            arr.flat[i] = orig + FD_STEP
+            fp = loss()
+            arr.flat[i] = orig - FD_STEP
+            fm = loss()
+        finally:
+            arr.flat[i] = orig
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise NumericError(f"non-finite function value near coordinate {i}")
         fd = (fp - fm) / (2.0 * FD_STEP)
-        err = abs(analytic_grad[i] - fd) / max(1.0, abs(fd))
+        err = abs(analytic.flat[i] - fd) / max(1.0, abs(fd))
         worst = max(worst, err)
     return worst
 

@@ -4,8 +4,9 @@ A forward mode is one tuple, and `forward` alone dispatches on it. The modes
 share the branch operators, taken in `router.BRANCHES` order:
 - ("stage1",): channel-concat every branch's output, project with one MLP
   (router off).
-- ("train", tau, gumbel_scale, seeds): `fuse` all branches with the gate
-  weights, then the shared output MLP.
+- ("train", tau, gumbel_scale, seed): `fuse` all branches with the gate
+  weights, then the shared output MLP. Bundle i of the batch draws its gate
+  noise at `seed + i`.
 - ("topk", k) | ("threshold", theta), infer: run the gate noise-free,
   select active branches, execute only those, fuse with renormalized weights.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,7 +38,7 @@ class Mlp:
     b_in: np.ndarray   # hidden
     w_out: np.ndarray  # out x hidden
     b_out: np.ndarray  # out
-    activation: str = "gelu"
+    activation: str
 
 
 def _init_mlp(seed_in: int, seed_out: int, width: int, d_out: int,
@@ -71,22 +72,15 @@ class ProjectorParams:
         return self.draw_stage1_mlp()
 
     def named_tensors(self):
-        yield "relevance.g", self.relevance.g
-        yield "resampler.queries", self.resampler.queries
-        yield "resampler.w_k", self.resampler.w_k
-        yield "resampler.w_v", self.resampler.w_v
-        yield "pool.q2d", self.pool.q2d
-        yield "pool.phi_k", self.pool.phi_k
-        yield "pool.phi_v", self.pool.phi_v
-        yield "router.w1", self.router.w1
-        yield "router.b1", self.router.b1
-        yield "router.w2", self.router.w2
-        yield "router.b2", self.router.b2
-        for tag, mlp in (("stage1_mlp", self.stage1_mlp), ("out_mlp", self.out_mlp)):
-            yield f"{tag}.w_in", mlp.w_in
-            yield f"{tag}.b_in", mlp.b_in
-            yield f"{tag}.w_out", mlp.w_out
-            yield f"{tag}.b_out", mlp.b_out
+        """("record.field", array) for each array field of each learnable
+        record, in field order."""
+        for tag in ("relevance", "resampler", "pool", "router", "stage1_mlp",
+                    "out_mlp"):
+            record = getattr(self, tag)
+            for f in fields(record):
+                value = getattr(record, f.name)
+                if isinstance(value, np.ndarray):
+                    yield f"{tag}.{f.name}", value
 
 
 @dataclass
@@ -212,13 +206,11 @@ def stage1_forward(bundles, params: ProjectorParams) -> ProjectedTokens:
 
 
 def train_forward(bundles, params: ProjectorParams, tau: float,
-                  gumbel_scale: float, seed) -> ProjectedTokens:
-    """`seed` gives one gate-noise seed per bundle; an int is the seed of a
-    batch of one."""
+                  gumbel_scale: float, seed: int) -> ProjectedTokens:
+    """Bundle i draws its gate noise at `seed + i`."""
     bundles = as_batch(bundles)
-    seeds = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
     gate = rt.gate_forward(rt.build_context(bundles), params.router, tau,
-                           gumbel_scale, seeds)
+                           gumbel_scale, seed)
     outs = run_branches(bundles, params)
     fused = fuse([outs[name].tokens for name in rt.BRANCHES], gate.alpha)
     tokens, h, a = _mlp_forward(params.out_mlp, fused)
@@ -230,7 +222,7 @@ def infer_forward(bundle: FeatureBundle, params: ProjectorParams,
     """("topk", k) or ("threshold", theta) on one bundle."""
     kind, arg = mode
     gate = rt.gate_forward(rt.build_context([bundle]), params.router, 1.0,
-                           0.0, [0])
+                           0.0, 0)
     if kind == "topk":
         active = rt.select_topk(gate.alpha[0], arg)
     elif kind == "threshold":
@@ -249,7 +241,7 @@ def infer_forward(bundle: FeatureBundle, params: ProjectorParams,
 
 def forward(bundles, params: ProjectorParams, mode: tuple) -> ProjectedTokens:
     """The forward pass of `mode`: ("stage1",), ("train", tau, gumbel_scale,
-    seeds), or one bundle's ("topk", k) or ("threshold", theta)."""
+    seed), or one bundle's ("topk", k) or ("threshold", theta)."""
     kind = mode[0]
     if kind == "stage1":
         return stage1_forward(bundles, params)

@@ -1,7 +1,8 @@
 """Query-guided gating: a two-layer MLP over each sample's joint image-text
 context vector produces softmax weights over the branches, with temperature
 and optional Gumbel noise, plus top-k / threshold branch selection. The gate
-runs once over a batch: one `GateWeights` holds one row per sample.
+runs once over a batch: one `GateWeights` holds one row per sample, and row
+i draws its noise at the batch's seed plus i.
 
 `BRANCHES` is the one place that names the branches and fixes their order:
 gate weights, fusion, the stage-1 concat and the cost model all follow it.
@@ -25,7 +26,7 @@ class RouterParams:
     b1: np.ndarray  # d
     w2: np.ndarray  # len(BRANCHES) x d
     b2: np.ndarray  # len(BRANCHES)
-    activation: str = "gelu"
+    activation: str
 
 
 @dataclass
@@ -34,9 +35,9 @@ class GateWeights:
     tau_used: float
     gumbel_applied: bool
     # read by the router backward: context, hidden pre-activation, activation
-    f: np.ndarray | None = None
-    h1: np.ndarray | None = None
-    a1: np.ndarray | None = None
+    f: np.ndarray
+    h1: np.ndarray
+    a1: np.ndarray
 
 
 @dataclass
@@ -67,12 +68,9 @@ def sample_gumbel(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def gate_forward(f: np.ndarray, params: RouterParams, tau: float,
-                 gumbel_scale: float, seeds) -> GateWeights:
-    """MLP logits over branches, optional Gumbel noise drawn at `seeds[i]`,
+                 gumbel_scale: float, seed: int) -> GateWeights:
+    """MLP logits over branches, optional Gumbel noise drawn at `seed + i`,
     tempered softmax, for each row i of the B x (C+C2) context `f`."""
-    if len(seeds) != len(f):
-        raise ShapeError(f"{len(seeds)} gate-noise seeds for {len(f)} "
-                         f"context rows")
     if tau <= 0:
         raise DomainError(f"tau must be > 0, got {tau}")
     if gumbel_scale < 0:
@@ -83,8 +81,8 @@ def gate_forward(f: np.ndarray, params: RouterParams, tau: float,
     a1 = act(h1)
     logits = (a1[:, None] @ params.w2.T)[:, 0] + params.b2
     if gumbel_scale > 0:
-        noise = np.stack([sample_gumbel(rng_for(s), len(BRANCHES))
-                          for s in seeds])
+        noise = np.stack([sample_gumbel(rng_for(seed + i), len(BRANCHES))
+                          for i in range(len(f))])
         logits = logits + gumbel_scale * noise
     alpha = softmax_rows(logits, temperature=tau)
     return GateWeights(alpha, tau, gumbel_scale > 0, f, h1, a1)

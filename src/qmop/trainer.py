@@ -79,8 +79,8 @@ class TrainConfig:
     seed: int
     bundles: list[FeatureBundle]
     targets: list[np.ndarray]       # per-bundle M x D_llm
+    final_grad_check: bool
     schedule: AnnealSchedule = field(default_factory=AnnealSchedule)
-    final_grad_check: bool = True
 
 
 @dataclass
@@ -187,8 +187,8 @@ def backward(bundles, params: pl.ProjectorParams, targets, mode: tuple):
 
     One forward and one backward over the whole batch; a single bundle and
     target are a batch of one. mode is ("stage1",) or ("train", tau,
-    gumbel_scale, seeds), with one gate-noise seed per bundle (an int for a
-    batch of one); an infer mode has no backward. Returns (loss, grads,
+    gumbel_scale, seed), where bundle i draws its gate noise at `seed + i`;
+    an infer mode has no backward. Returns (loss, grads,
     gate): grads maps each reached tensor's name to a fresh array, and a
     tensor the mode does not reach has no entry, since its gradient is
     exactly zero. gate is the forward's gate record, one row per sample, in
@@ -242,25 +242,18 @@ def gradcheck_params(bundles, params: pl.ProjectorParams, targets,
     of the batch-mean loss, for a batch and mode as `backward` takes them.
     Every tensor is checked: one the mode does not reach against zeros.
 
-    Each tensor of a deep copy is perturbed in place through `arr.flat`,
-    which writes through whatever the tensor's memory order, and restored
-    before the next one, so the caller's params are never touched."""
+    `grad_check` perturbs each tensor of a deep copy in place, so the
+    caller's params are never touched."""
     bundles, targets = as_batch(bundles), _as_targets(targets)
     _, grads, _ = backward(bundles, params, targets, mode)
     work = copy.deepcopy(params)
-    report = {}
-    for name, arr in work.named_tensors():
-        start = arr.flatten()   # a copy in C order, as `arr.flat` walks
 
-        def tensor_loss(flat, arr=arr):
-            arr.flat[:] = flat
-            return batch_loss(pl.forward(bundles, work, mode).tokens,
-                              targets)
+    def loss():
+        return batch_loss(pl.forward(bundles, work, mode).tokens, targets)
 
-        analytic = grads[name].ravel() if name in grads else np.zeros(arr.size)
-        report[name] = grad_check(tensor_loss, start, analytic)
-        arr.flat[:] = start
-    return report
+    return {name: grad_check(loss, arr, grads[name] if name in grads
+                             else np.zeros(arr.shape))
+            for name, arr in work.named_tensors()}
 
 
 DIGEST_CHUNK = 1 << 18   # float32 elements cast and hashed at a time
@@ -269,7 +262,8 @@ DIGEST_CHUNK = 1 << 18   # float32 elements cast and hashed at a time
 def float32_digest(arrays) -> str:
     """sha256 of the arrays' elements in C order as little-endian float32,
     one array after another, cast chunk by chunk into one reused buffer and
-    hashed as they go. Every output and params digest has this format."""
+    hashed as they go. Every output and params digest has this format. A
+    value beyond float32 range casts to, and hashes as, +-inf."""
     digest = hashlib.sha256()
     buf = np.empty(DIGEST_CHUNK, dtype="<f4")
     for arr in arrays:
@@ -277,7 +271,8 @@ def float32_digest(arrays) -> str:
         for start in range(0, arr.size, DIGEST_CHUNK):
             part = flat[start:start + DIGEST_CHUNK]
             chunk = buf[:len(part)]
-            chunk[...] = part
+            with np.errstate(over="ignore"):
+                chunk[...] = part
             digest.update(chunk)
     return digest.hexdigest()
 
@@ -287,17 +282,19 @@ def params_digest(params: pl.ProjectorParams) -> str:
     return float32_digest(arr for _, arr in params.named_tensors())
 
 
-def _step_mode(config: TrainConfig, step: int, seeds) -> tuple:
+def _step_mode(config: TrainConfig, step: int, seed: int) -> tuple:
     """Training step `step`'s forward mode: stage 1's, or stage 2's with the
-    schedule's tau and noise scale at `step` and gate-noise `seeds`."""
+    schedule's tau and noise scale at `step` and gate-noise `seed`."""
     if config.stage == 1:
         return ("stage1",)
     return ("train", tau_at(config.schedule, step),
-            gumbel_scale_at(config.schedule, step), seeds)
+            gumbel_scale_at(config.schedule, step), seed)
 
 
 def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
-    """Plain gradient descent; deterministic for a fixed seed."""
+    """Plain gradient descent; deterministic for a fixed seed. Step k's
+    gate-noise seed is `seed * 1000003 + k * B` for a batch of B, so bundle
+    i draws its noise at that plus i."""
     if len(config.bundles) != len(config.targets) or not config.bundles:
         raise ValueError("need equal, nonzero numbers of bundles and targets")
     n = len(config.bundles)
@@ -307,8 +304,7 @@ def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
     first_entropy = final_entropy = None
 
     for step in range(config.steps):
-        mode = _step_mode(config, step, [config.seed * 1000003 + step * n + i
-                                         for i in range(n)])
+        mode = _step_mode(config, step, config.seed * 1000003 + step * n)
         loss, grads, gate = backward(config.bundles, params, config.targets,
                                      mode)
         if not math.isfinite(loss):
@@ -329,8 +325,11 @@ def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
     gc_err = None
     if config.final_grad_check:
         mode = _step_mode(config, max(config.steps - 1, 0), config.seed)
-        gc_err = max(gradcheck_params(config.bundles[0], params,
-                                      config.targets[0], mode).values())
+        # over diverged params the check raises NumericError, which says
+        # all that numpy's overflow warnings would
+        with np.errstate(over="ignore", invalid="ignore"):
+            gc_err = max(gradcheck_params(config.bundles[0], params,
+                                          config.targets[0], mode).values())
 
     return TrainReport(
         losses=losses,

@@ -103,7 +103,7 @@ def test_criterion_5_gate_properties():
     probs = softmax_rows(np.array([logits]))[0]
     n = 100_000
     # one batch of n rows, row i's noise drawn at seed i
-    g = gate_forward(np.zeros((n, 4)), params, 1.0, 1.0, range(n))
+    g = gate_forward(np.zeros((n, 4)), params, 1.0, 1.0, 0)
     counts = np.bincount(np.argmax(g.alpha, axis=1), minlength=3)
     ok &= np.abs(counts / n - probs).max() <= 0.02
     report("5 gate properties", ok)

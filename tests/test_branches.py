@@ -77,7 +77,7 @@ class TestPruneScores:
     def test_bad_lambda(self):
         # prune reads lambda from its config, which checks it once
         with pytest.raises(DomainError):
-            PruneConfig(lam=1.5)
+            PruneConfig(lam=1.5, m_out=1, metric="cosine")
 
     def test_neg_euclidean_metric(self, tiny_bundle):
         g = seeded_fill(2, 6, 8)
@@ -116,7 +116,8 @@ class TestPruneSelect:
     def test_rows_bit_identical_to_input(self, tiny_bundle):
         # prune returns the bundle's own rows at the selected indices
         rel = RelevanceMap(g=seeded_fill(4, 6, 8))
-        out = prune([tiny_bundle], rel, PruneConfig(m_out=3))
+        out = prune([tiny_bundle], rel,
+                    PruneConfig(lam=0.5, m_out=3, metric="cosine"))
         scores = _blend(tiny_bundle, tiny_bundle.patches @ rel.g.T, 0.5,
                         "cosine")
         kept = prune_select(scores, 3)

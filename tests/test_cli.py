@@ -377,6 +377,39 @@ class TestTrainToy:
         assert res.exit_code == 0, res.output
         assert steps["backward"] == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("stage,lr", [(1, 1e4), (2, 1e8)])
+    def test_final_check_over_diverged_params_exits_5(self, runner, tmp_path,
+                                                      stage, lr):
+        # the steps' losses stay finite, but the final check's forwards
+        # over the trained params overflow: that is a divergence, reported
+        # in one line, with no report and no numpy warning
+        cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+        cfg.write_text(json.dumps({"lr": lr}))
+        res = runner.invoke(main, ["train-toy", "--config", str(cfg),
+                                   "--stage", str(stage), "--steps", "3",
+                                   "--batch", "2", "--out", str(out)])
+        assert res.exit_code == 5, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        assert "final gradient check" in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_params_beyond_float32_digest_without_warning(self, runner,
+                                                          tmp_path):
+        # losses reach ~3e43, past float32's range: the digest hashes those
+        # values as inf, and stderr stays empty
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lr": 100}))
+        res = runner.invoke(main, ["train-toy", "--config", str(cfg),
+                                   "--stage", "1", "--steps", "3",
+                                   "--batch", "2"])
+        assert res.exit_code == 0, res.output
+        assert res.stderr == ""
+        assert max(json.loads(res.stdout)["losses"]) > 1e40
+
 
 @pytest.mark.parametrize("value", [0, -3, True])
 @pytest.mark.parametrize("command", [

@@ -2,7 +2,8 @@
 for imported names they never use, for functions that take a `cache`
 argument (a forward returns what its backward reads, so no side channel
 carries state between them), for defaulted parameters that no program
-caller ever sets (an option without a caller is a constant), for public
+caller ever sets (an option without a caller is a constant), for
+dataclass field defaults that no program code relies on, for public
 functions that no program code refers to (code only tests call is dead),
 and for annotations that name something the module never binds."""
 
@@ -147,6 +148,106 @@ def test_scanner_finds_uncalled_defaults():
 def test_every_default_has_a_caller():
     sources = [p.read_text() for p in CALLERS]
     assert uncalled_defaults([p.read_text() for p in MODULES], sources) == []
+
+
+def defaulted_fields(source: str) -> list[tuple[str, str, int]]:
+    """(class, field, position) of each field with a default, plain or
+    through `field(default=...)` / `field(default_factory=...)`, of each
+    module-level `@dataclass` class. The position is the field's index
+    among the class's fields, as its constructor takes them."""
+    def is_dataclass(decorator):
+        target = getattr(decorator, "func", decorator)    # @dataclass(...)
+        return getattr(target, "id", getattr(target, "attr", None)) == \
+            "dataclass"
+
+    def has_default(value):
+        if value is None:
+            return False
+        if isinstance(value, ast.Call) and getattr(
+                value.func, "id", getattr(value.func, "attr", None)) == "field":
+            return any(k.arg in ("default", "default_factory")
+                       for k in value.keywords)
+        return True
+
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(
+                is_dataclass(d) for d in node.decorator_list):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)
+                      and isinstance(f.target, ast.Name)]
+            found += [(node.name, f.target.id, i) for i, f in enumerate(fields)
+                      if has_default(f.value)]
+    return found
+
+
+def value_references(source: str) -> set[str]:
+    """Bare names read as values: a `Name` or attribute that is neither
+    the callee of a call nor part of an annotation."""
+    tree = ast.parse(source)
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            skip.add(id(node.func))
+        for note in (getattr(node, "annotation", None),
+                     getattr(node, "returns", None)):
+            if isinstance(note, ast.AST):
+                skip |= {id(n) for n in ast.walk(note)}
+    return {getattr(n, "id", getattr(n, "attr", None))
+            for n in ast.walk(tree) if id(n) not in skip
+            and isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def unused_field_defaults(definitions: list[str],
+                          callers: list[str]) -> list[str]:
+    """`class.field` for each defaulted dataclass field in `definitions`
+    whose default no code in `callers` relies on. A call of the class that
+    passes neither the field's keyword nor its position relies on it, and
+    a class read as a value (`default_factory=K`, `_from_json(K, raw)`)
+    relies on all of its defaults."""
+    calls = [c for source in callers for c in call_arguments(source)]
+    values = set().union(*(value_references(source) for source in callers))
+    return sorted(
+        f"{cls}.{name}" for source in definitions
+        for cls, name, pos in defaulted_fields(source)
+        if cls not in values
+        and not any(called == cls and keywords is not None
+                    and name not in keywords and n_pos <= pos
+                    for called, n_pos, keywords in calls))
+
+
+def test_scanner_finds_unused_field_defaults():
+    definitions = ["from dataclasses import dataclass, field\n"
+                   "import dataclasses\n"
+                   "@dataclass\n"
+                   "class A:\n"
+                   "    x: int\n"
+                   "    w: int = field(repr=False)\n"
+                   "    y: int = 1\n"
+                   "    z: list = field(default_factory=list)\n"
+                   "@dataclasses.dataclass(frozen=True)\n"
+                   "class B:\n"
+                   "    p: int = 0\n"
+                   "    q: int = 0\n"
+                   "@dataclass\n"
+                   "class C:\n"
+                   "    r: int = 0\n"
+                   "@dataclass\n"
+                   "class D:\n"
+                   "    s: int = 0\n"
+                   "class Plain:\n"
+                   "    t: int = 0\n"]
+    callers = ["A(1, 2, y=3)\n"        # omits z only
+               "m.B(p=1)\n"            # omits q
+               "B(*args)\n"            # a star reaches every position
+               "def f(c: C) -> C: pass\n"     # annotations are no use
+               "g(D)\n"]               # passed as a value: all defaults
+    assert unused_field_defaults(definitions, callers) == ["A.y", "B.p",
+                                                           "C.r"]
+
+
+def test_every_field_default_has_a_caller():
+    assert unused_field_defaults([p.read_text() for p in MODULES],
+                                 [p.read_text() for p in CALLERS]) == []
 
 
 def unreferenced_functions(modules: list[str],

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from qmop.linalg import (
     DomainError,
     NumericError,
+    ShapeError,
     grad_check,
     seeded_fill,
     softmax_rows,
@@ -62,18 +63,18 @@ class TestSoftmaxRows:
 class TestGradCheck:
     def test_quadratic_exact(self):
         x = seeded_fill(0, 1, 5)[0]
-        err = grad_check(lambda v: 0.5 * float(v @ v), x, x)
+        err = grad_check(lambda: 0.5 * float(x @ x), x, x.copy())
         assert err <= 1e-8
 
     def test_softmax_cross_entropy(self):
         target = 1
+        x = np.array([0.3, -0.2, 0.9])
 
-        def f(logits):
-            e = np.exp(logits - logits.max())
+        def f():
+            e = np.exp(x - x.max())
             p = e / e.sum()
             return -math.log(p[target])
 
-        x = np.array([0.3, -0.2, 0.9])
         e = np.exp(x - x.max())
         p = e / e.sum()
         analytic = p.copy()
@@ -82,12 +83,60 @@ class TestGradCheck:
 
     def test_detects_doubled_gradient(self):
         x = seeded_fill(0, 1, 5)[0]
-        err = grad_check(lambda v: 0.5 * float(v @ v), x, 2.0 * x)
+        err = grad_check(lambda: 0.5 * float(x @ x), x, 2.0 * x)
         assert err == pytest.approx(1.0, abs=0.2)
 
     def test_nonfinite_raises(self):
         with pytest.raises(NumericError):
-            grad_check(lambda v: float("nan"), np.ones(2), np.ones(2))
+            grad_check(lambda: float("nan"), np.ones(2), np.ones(2))
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ShapeError):
+            grad_check(lambda: 0.0, np.ones((2, 3)), np.ones(6))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_perturbs_in_c_order_and_restores(self, order):
+        # element i of the C-order walk is the one moved for loss call 2i
+        # and 2i + 1, whatever the memory order, and the tensor comes back
+        # bit for bit
+        x = np.asarray(seeded_fill(1, 3, 4), order=order)
+        start = x.copy(order=order)
+        seen = []
+
+        def loss():
+            seen.append(x - start)
+            return float((x * x).sum())
+
+        assert grad_check(loss, x, 2.0 * start) <= 1e-8
+        assert len(seen) == 2 * x.size
+        for i, moved in enumerate(seen):
+            assert np.count_nonzero(moved) == 1
+            assert np.flatnonzero(moved)[0] == i // 2
+        assert x.tobytes(order="A") == start.tobytes(order="A")
+        assert x.flags.f_contiguous == (order == "F")
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_restores_after_nonfinite_loss(self, order):
+        # a loss that turns NaN half-way through the walk, and one that
+        # raises, still leave the tensor bit-identical
+        x = np.asarray(seeded_fill(2, 3, 4), order=order)
+        start = x.copy(order=order)
+        calls = []
+
+        def loss():
+            calls.append(None)
+            return float("nan") if len(calls) == 8 else float(x.sum())
+
+        with pytest.raises(NumericError, match="coordinate 3"):
+            grad_check(loss, x, np.ones(x.shape))
+        assert x.tobytes(order="A") == start.tobytes(order="A")
+
+        def failing():
+            raise ZeroDivisionError
+
+        with pytest.raises(ZeroDivisionError):
+            grad_check(failing, x, np.ones(x.shape))
+        assert x.tobytes(order="A") == start.tobytes(order="A")
 
 
 class TestSeededFill:

@@ -20,6 +20,7 @@ def router_with_logits(logits):
     return RouterParams(
         w1=np.zeros((d, 4)), b1=np.zeros(d),
         w2=np.zeros((3, d)), b2=np.asarray(logits, dtype=float),
+        activation="gelu",
     )
 
 
@@ -28,13 +29,14 @@ def random_router(seed, width=10):
     return RouterParams(
         w1=seeded_fill(seed, d, width), b1=seeded_fill(seed + 1, 1, d)[0],
         w2=seeded_fill(seed + 2, 3, d), b2=seeded_fill(seed + 3, 1, 3)[0],
+        activation="gelu",
     )
 
 
 def gate(f, params, tau=1.0, gumbel_scale=0.0, seed=0):
     """The gate of one context vector `f`: a batch of one."""
     return gate_forward(np.asarray(f, dtype=float)[None], params, tau,
-                        gumbel_scale, [seed])
+                        gumbel_scale, seed)
 
 
 def gw(alpha):
@@ -122,17 +124,18 @@ class TestGateForward:
 @pytest.mark.parametrize("gumbel_scale", [0.0, 0.7])
 def test_batch_rows_equal_one_row_calls(context, gumbel_scale):
     # each row must equal the sample's batch-of-one gate bit for bit, so a
-    # sample's gate, and every digest after it, does not depend on its batch
+    # sample's gate, and every digest after it, does not depend on its
+    # batch: row i of a batch gated at seed s is a batch of one at s + i
     d = hidden_width(context)
     params = RouterParams(
         w1=seeded_fill(1, d, context, sigma=context ** -0.5),
         b1=seeded_fill(2, 1, d)[0], w2=seeded_fill(3, 3, d, sigma=d ** -0.5),
-        b2=seeded_fill(4, 1, 3)[0])
+        b2=seeded_fill(4, 1, 3)[0], activation="gelu")
     f = seeded_fill(5, 3, context)
-    batch = gate_forward(f, params, 1.3, gumbel_scale, [7, 8, 9])
+    batch = gate_forward(f, params, 1.3, gumbel_scale, 7)
     assert batch.gumbel_applied == (gumbel_scale > 0)
-    for i, seed in enumerate((7, 8, 9)):
-        row = gate_forward(f[i:i + 1], params, 1.3, gumbel_scale, [seed])
+    for i in range(len(f)):
+        row = gate_forward(f[i:i + 1], params, 1.3, gumbel_scale, 7 + i)
         for field in ("alpha", "f", "h1", "a1"):
             assert np.array_equal(getattr(batch, field)[i],
                                   getattr(row, field)[0]), (i, field)
@@ -201,7 +204,7 @@ class TestGumbelMax:
         probs = softmax_rows(np.array([logits]))[0]
         n = 100_000
         # one batch of n rows, row i's noise drawn at seed i
-        g = gate_forward(np.zeros((n, 4)), params, 1.0, 1.0, range(n))
+        g = gate_forward(np.zeros((n, 4)), params, 1.0, 1.0, 0)
         counts = np.bincount(np.argmax(g.alpha, axis=1), minlength=3)
         assert np.abs(counts / n - probs).max() <= 0.02
 
