@@ -9,8 +9,10 @@ Resample and pool are one operator, `_attend`, at two key scopes.
 
 Each takes a list of B samples (bundles, or token matrices for resample) and
 returns their outputs stacked sample by sample into B*M rows, so every
-product whose left side is per-row runs as one GEMM over the batch and every
-params-only product runs once per batch. A batch of one is a one-item list.
+product whose left side is per-row runs as one GEMM over the batch. Pool and
+resample take their params-only product, the queries folded through the key
+projection, from the caller (`pipeline.query_products`), which computes it at
+most once per batch. A batch of one is a one-item list.
 Pool and resample also return what their backward reads: their keys,
 attention and attended rows. Prune has no parameters to train, so it
 returns its tokens alone.
@@ -149,11 +151,11 @@ def _attend(keys: list[np.ndarray], qk: np.ndarray,
                             attn=attn)
 
 
-def resample(xs: list[np.ndarray],
-             params: ResamplerParams) -> CompressedTokens:
+def resample(xs: list[np.ndarray], params: ResamplerParams,
+             qk: np.ndarray) -> CompressedTokens:
     """M learnable queries cross-attend over each sample's N x C tokens in
-    `xs`: `_attend` with one group of M queries over all N tokens."""
-    qk = params.queries @ params.w_k                   # M x C
+    `xs`: `_attend` with one group of M queries over all N tokens. `qk` is
+    `params.queries @ params.w_k`, M x C."""
     return _attend([x[None] for x in xs], qk[None], params.w_v)
 
 
@@ -170,11 +172,11 @@ def _pool_windows(bundle: FeatureBundle, params: PoolParams) -> np.ndarray:
             .reshape(h * w, s * s, -1))
 
 
-def pool_local(bundles: list[FeatureBundle],
-               params: PoolParams) -> CompressedTokens:
+def pool_local(bundles: list[FeatureBundle], params: PoolParams,
+               qk: np.ndarray) -> CompressedTokens:
     """Each query cell attends only to its own s x s spatial window:
-    `_attend` with M groups of one query over its window's s^2 cells."""
+    `_attend` with M groups of one query over its window's s^2 cells. `qk`
+    is `params.q2d @ params.phi_k`, M x C."""
     phi_v = params.phi_k if params.shared_phi else params.phi_v
-    qk = params.q2d @ params.phi_k                     # M x C
     return _attend([_pool_windows(b, params) for b in bundles], qk[:, None],
                    phi_v)

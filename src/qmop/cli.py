@@ -1,14 +1,16 @@
 """Command-line surface. All outputs are machine-readable JSON.
 
 Exit codes: 0 success, 2 usage/input error (dims that do not fit in memory
-included), 3 dimension mismatch, 4 verification failure, 5 training
-divergence.
+included), 3 dimension mismatch, 4 verification failure (`gradcheck`, and
+`train-toy`'s final gradient check, above `trainer.GRADCHECK_TOL`), 5
+training divergence.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -29,7 +31,6 @@ EXIT_DIMS = 3
 EXIT_VERIFY = 4
 EXIT_DIVERGED = 5
 
-GRADCHECK_TOL = 1e-4
 GRADCHECK_MAX_TOKENS = 64
 
 
@@ -240,13 +241,14 @@ def cmd_gradcheck(cfg, trials):
         for mode in (("stage1",), ("train", 1.3, 0.7, seed)):
             report = trainer.gradcheck_params(bundle, params, target, mode)
             for name, err in report.items():
-                worst[name] = max(worst.get(name, 0.0), err)
+                # a NaN would compare false and drop out of the max
+                worst[name] = max(worst.get(name, 0.0),
+                                  math.inf if math.isnan(err) else err)
 
-    passed = all(err <= GRADCHECK_TOL for err in worst.values())
-    _emit({"max_rel_err": worst, "threshold": GRADCHECK_TOL,
-           "trials": trials, "pass": passed}, None)
-    if not passed:
-        offenders = sorted(n for n, e in worst.items() if e > GRADCHECK_TOL)
+    offenders = trainer.over_bound(worst)
+    _emit({"max_rel_err": worst, "threshold": trainer.GRADCHECK_TOL,
+           "trials": trials, "pass": not offenders}, None)
+    if offenders:
         _fail(EXIT_VERIFY, f"gradient check failed for: {', '.join(offenders)}")
 
 
@@ -303,6 +305,8 @@ def cmd_train_toy(cfg, stage, steps, batch, no_grad_check, out):
         _fail(EXIT_DIVERGED, str(exc))
     except NumericError as exc:   # from the final check over diverged params
         _fail(EXIT_DIVERGED, f"final gradient check diverged: {exc}")
+    except trainer.GradCheckError as exc:
+        _fail(EXIT_VERIFY, str(exc))
     _emit({"stage": stage, "steps": steps, **dataclasses.asdict(report)}, out)
 
 

@@ -56,9 +56,14 @@ def kv_cache(n_tokens: float) -> float:
 
 
 def _attend_flops(m: int, keys_read: int, c: int) -> int:
-    """`branches._attend`: q @ w_k and pooled @ w_v.T on the M rows, plus
-    scores and weighted sum over every (query, key) pair read."""
-    return 2 * 2 * m * c * c + 2 * 2 * keys_read * c
+    """`branches._attend` as one inference request runs it: pooled @ w_v.T
+    on the M rows, plus scores and weighted sum over every (query, key) pair
+    read. Its folded queries, q @ w_k, depend only on the params, and
+    inference computes them once per params object
+    (`pipeline.ProjectorParams.query_fold`), so they are not priced here. A
+    training forward computes them on every call: 2*M*C^2 more per attention
+    branch."""
+    return 2 * m * c * c + 2 * 2 * keys_read * c
 
 
 def projector_flops(
@@ -71,7 +76,8 @@ def projector_flops(
     The text encoder that produces the query is outside this model, so only
     the gate MLP itself is counted. Pool and resample are one attention
     operator, priced by `_attend_flops`: their K/V projections fold onto the
-    M queries, so their C^2 terms scale with M, not N.
+    M queries, so their C^2 terms scale with M, not N, and one inference
+    request pays only the value projection's.
     Branch terms are reported separately so top-k skipping is visible.
     """
     if min(n_in, m_out) <= 0:

@@ -79,8 +79,9 @@ def grad_check(loss: Callable[[], float], arr: np.ndarray,
     Each element `arr.flat[i]` in turn is moved by +-FD_STEP in place, for
     one call of the zero-argument `loss` each, and restored before the next,
     whatever `loss` does. `arr.flat` walks C order in any memory layout.
-    Relative error per element is |analytic - fd| / max(1, |fd|); the
-    maximum over elements is returned.
+    Relative error per element is |analytic - fd| / max(1, |fd|), and inf
+    where `analytic` is not finite; the maximum over elements is returned,
+    so the result is never NaN.
     """
     if arr.shape != analytic.shape:
         raise ShapeError(
@@ -99,7 +100,9 @@ def grad_check(loss: Callable[[], float], arr: np.ndarray,
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise NumericError(f"non-finite function value near coordinate {i}")
         fd = (fp - fm) / (2.0 * FD_STEP)
-        err = abs(analytic.flat[i] - fd) / max(1.0, abs(fd))
+        a = analytic.flat[i]
+        # a NaN residual would compare false and drop out of the max
+        err = abs(a - fd) / max(1.0, abs(fd)) if math.isfinite(a) else math.inf
         worst = max(worst, err)
     return worst
 

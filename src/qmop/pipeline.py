@@ -15,6 +15,16 @@ the B samples, and the MLP sees their B*M rows stacked sample by sample. A
 single bundle is a batch of one. infer runs one bundle as a batch of one.
 stage1 and train also return what `trainer.backward` reads: every branch's
 output, the MLP's activations and (train) the gate, one row per sample.
+
+Pool and resample attend with queries folded through their key projection,
+`query_products`. stage1 and train compute those two M x C products on
+every call, since training changes the params. Inference computes them once
+per params object (`ProjectorParams.query_fold`) and keeps them while their
+four source tensors, `pool.q2d`, `pool.phi_k`, `resampler.queries` and
+`resampler.w_k`, stay read-only: while the fold lives, writing one of them in
+place raises. `trainer.train_toy` releases them before it trains
+(`ProjectorParams.release_fold`); a library caller who writes them in place
+after inference must do the same.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,13 +62,27 @@ def _init_mlp(seed_in: int, seed_out: int, width: int, d_out: int,
                b_out=np.zeros(d_out), activation=activation)
 
 
+# the (record, field) of each tensor `query_products` reads
+FOLD_SOURCES = (("pool", "q2d"), ("pool", "phi_k"), ("resampler", "queries"),
+                ("resampler", "w_k"))
+
+
+@dataclass
+class QueryFold:
+    """`query_products` of a params object, and the four tensors, in
+    `FOLD_SOURCES` order, it was computed from."""
+    sources: tuple[np.ndarray, ...]
+    qk: dict[str, np.ndarray]
+
+
 @dataclass
 class ProjectorParams:
     """Every learnable tensor of the projector. `stage1_mlp` is drawn by
     `draw_stage1_mlp` the first time something reads it (`stage1_forward`,
     the stage-1 `backward`, `named_tensors`), and later reads return that
     same `Mlp`. Inference never reads it, so it never holds the head, which
-    is most of the params at paper dims."""
+    is most of the params at paper dims. Inference's `query_products` are
+    kept in `_fold` (see `query_fold`)."""
     prune_cfg: br.PruneConfig
     relevance: br.RelevanceMap
     resampler: br.ResamplerParams
@@ -66,10 +90,46 @@ class ProjectorParams:
     router: rt.RouterParams
     draw_stage1_mlp: Callable[[], Mlp]
     out_mlp: Mlp               # C -> C -> D_llm
+    _fold: QueryFold | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     @functools.cached_property
     def stage1_mlp(self) -> Mlp:   # BC -> BC -> D_llm, B branches
         return self.draw_stage1_mlp()
+
+    def _fold_sources(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(getattr(self, record), name)
+                     for record, name in FOLD_SOURCES)
+
+    def query_fold(self) -> dict[str, np.ndarray]:
+        """`query_products(self)`, computed on the first call and returned
+        again while it is valid: while each of its four source tensors is
+        still this record's field and still read-only. Building it makes
+        them read-only, so a write in place raises instead of leaving it
+        stale. A replaced field or a writeable copy of one (as
+        `copy.deepcopy` makes) rebuilds it on the next call."""
+        sources, fold = self._fold_sources(), self._fold
+        if fold is None or not all(
+                held is now and not now.flags.writeable
+                for held, now in zip(fold.sources, sources)):
+            for arr in sources:
+                arr.setflags(write=False)
+            fold = self._fold = QueryFold(sources, query_products(self))
+        return fold.qk
+
+    def release_fold(self) -> None:
+        """Drop the query fold and make its four source tensors writeable
+        again. Call it before writing them in place. A source numpy cannot
+        make writeable, because it views read-only memory (as unpickling
+        folded params at protocol 5 gives), is replaced by a copy."""
+        self._fold = None
+        for record, name in FOLD_SOURCES:
+            holder = getattr(self, record)
+            arr = getattr(holder, name)
+            try:
+                arr.setflags(write=True)
+            except ValueError:
+                setattr(holder, name, arr.copy())
 
     def named_tensors(self):
         """("record.field", array) for each array field of each learnable
@@ -145,12 +205,23 @@ def init_projector_params(
     )
 
 
+def query_products(params: ProjectorParams) -> dict[str, np.ndarray]:
+    """The params-only M x C products `branches._attend` takes as its
+    queries: pool's `q2d @ phi_k` and resample's `queries @ w_k`."""
+    return {"pool": params.pool.q2d @ params.pool.phi_k,
+            "resample": params.resampler.queries @ params.resampler.w_k}
+
+
 def _run_branch(name: str, bundles: list[FeatureBundle],
-                params: ProjectorParams) -> br.CompressedTokens:
+                params: ProjectorParams,
+                qk: dict[str, np.ndarray]) -> br.CompressedTokens:
+    """Branch `name` once over the batch; `qk` holds
+    `query_products(params)`."""
     if name == "pool":
-        return br.pool_local(bundles, params.pool)
+        return br.pool_local(bundles, params.pool, qk["pool"])
     if name == "resample":
-        return br.resample([b.patches for b in bundles], params.resampler)
+        return br.resample([b.patches for b in bundles], params.resampler,
+                           qk["resample"])
     if name == "prune":
         return br.prune(bundles, params.relevance, params.prune_cfg)
     raise ValueError(f"unknown branch {name!r}")
@@ -158,9 +229,12 @@ def _run_branch(name: str, bundles: list[FeatureBundle],
 
 def run_branches(bundles,
                  params: ProjectorParams) -> dict[str, br.CompressedTokens]:
-    """Every branch in `router.BRANCHES` order, each once over the batch."""
+    """Every branch in `router.BRANCHES` order, each once over the batch,
+    with `query_products` computed afresh."""
     bundles = as_batch(bundles)
-    return {name: _run_branch(name, bundles, params) for name in rt.BRANCHES}
+    qk = query_products(params)
+    return {name: _run_branch(name, bundles, params, qk)
+            for name in rt.BRANCHES}
 
 
 def scale_samples(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -231,7 +305,8 @@ def infer_forward(bundle: FeatureBundle, params: ProjectorParams,
         raise ValueError(f"unknown inference mode {kind!r}")
     # only active branches are executed, and only their tokens are kept:
     # infer has no backward to read the rest
-    fused = fuse([_run_branch(name, [bundle], params).tokens
+    qk = params.query_fold()
+    fused = fuse([_run_branch(name, [bundle], params, qk).tokens
                   for name in active.members], active.renorm_weights[None])
     tokens = _mlp_forward(params.out_mlp, fused)[0]
     if not np.isfinite(tokens).all():

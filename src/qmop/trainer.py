@@ -38,12 +38,33 @@ from .linalg import ACTIVATIONS, ShapeError, grad_check, stack_rows
 from .router import BRANCHES, gate_entropy
 
 
+# the bound on `grad_check`'s residual that every tensor must meet
+GRADCHECK_TOL = 1e-4
+
+
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
 
     def __init__(self, step: int):
         super().__init__(f"non-finite loss at step {step}")
         self.step = step
+
+
+class GradCheckError(RuntimeError):
+    """The final gradient check found tensors above `GRADCHECK_TOL`."""
+
+    def __init__(self, errors: dict[str, float]):
+        self.names = over_bound(errors)
+        super().__init__(
+            f"final gradient check failed for: {', '.join(self.names)} "
+            f"(max rel err {max(errors.values()):.3g} > {GRADCHECK_TOL:g})")
+
+
+def over_bound(errors: dict[str, float]) -> list[str]:
+    """The sorted names of the tensors whose residual is not within
+    `GRADCHECK_TOL`."""
+    return sorted(name for name, err in errors.items()
+                  if not err <= GRADCHECK_TOL)
 
 
 @dataclass
@@ -292,11 +313,15 @@ def _step_mode(config: TrainConfig, step: int, seed: int) -> tuple:
 
 
 def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
-    """Plain gradient descent; deterministic for a fixed seed. Step k's
-    gate-noise seed is `seed * 1000003 + k * B` for a batch of B, so bundle
-    i draws its noise at that plus i."""
+    """Plain gradient descent, in place on `params`; deterministic for a
+    fixed seed. Step k's gate-noise seed is `seed * 1000003 + k * B` for a
+    batch of B, so bundle i draws its noise at that plus i. It first
+    releases the params' inference fold, so the tensors it froze are
+    writeable. With `final_grad_check`, a tensor whose residual is not within
+    `GRADCHECK_TOL` raises `GradCheckError`."""
     if len(config.bundles) != len(config.targets) or not config.bundles:
         raise ValueError("need equal, nonzero numbers of bundles and targets")
+    params.release_fold()
     n = len(config.bundles)
     losses: list[float] = []
     tau_trace: list[float] = []
@@ -328,8 +353,11 @@ def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
         # over diverged params the check raises NumericError, which says
         # all that numpy's overflow warnings would
         with np.errstate(over="ignore", invalid="ignore"):
-            gc_err = max(gradcheck_params(config.bundles[0], params,
-                                          config.targets[0], mode).values())
+            errors = gradcheck_params(config.bundles[0], params,
+                                      config.targets[0], mode)
+        if over_bound(errors):
+            raise GradCheckError(errors)
+        gc_err = max(errors.values())
 
     return TrainReport(
         losses=losses,

@@ -22,6 +22,18 @@ from qmop.linalg import DomainError, ShapeError, seeded_fill, softmax_rows
 from qmop.trainer import _pool_backward, _resample_backward
 
 
+def run_resample(xs, p):
+    """`resample` with its folded queries, as `pipeline.query_products`
+    computes them."""
+    return resample(xs, p, p.queries @ p.w_k)
+
+
+def run_pool(bundles, p):
+    """`pool_local` with its folded queries, as `pipeline.query_products`
+    computes them."""
+    return pool_local(bundles, p, p.q2d @ p.phi_k)
+
+
 def relevance_oracle(bundle, g):
     """Independent per-token loop: cosine to EOS after projection, min-max."""
     raw = []
@@ -157,7 +169,7 @@ class TestResample:
     def test_single_token(self):
         p = self.params(m=3, c=4)
         x = seeded_fill(9, 1, 4)
-        out = resample([x], p)
+        out = run_resample([x], p)
         expected = (x @ p.w_v.T)[0]
         assert np.allclose(out.tokens, np.tile(expected, (3, 1)), atol=1e-12)
 
@@ -165,8 +177,8 @@ class TestResample:
         p = self.params(m=2, c=3)
         x = seeded_fill(10, 6, 3)
         perm = np.array([4, 0, 5, 2, 1, 3])
-        assert np.allclose(resample([x], p).tokens,
-                           resample([x[perm]], p).tokens, atol=1e-9)
+        assert np.allclose(run_resample([x], p).tokens,
+                           run_resample([x[perm]], p).tokens, atol=1e-9)
 
     def test_matches_naive_reference(self):
         p = self.params(m=2, c=3, seed=0)
@@ -179,11 +191,11 @@ class TestResample:
             w = e / e.sum()
             for j in range(3):
                 ref[i] += w[j] * v[j]
-        assert np.allclose(resample([x], p).tokens, ref, atol=1e-9)
+        assert np.allclose(run_resample([x], p).tokens, ref, atol=1e-9)
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
-            resample([seeded_fill(0, 3, 4)], self.params(m=2, c=3))
+            run_resample([seeded_fill(0, 3, 4)], self.params(m=2, c=3))
 
     @pytest.mark.parametrize("m,n,c", [
         (2, 9, 5),       # fewer queries than tokens
@@ -200,7 +212,7 @@ class TestResample:
             w_v=seeded_fill(22, c, c, sigma=sigma),
         )
         x = seeded_fill(23, n, c)
-        out = resample([x], p)
+        out = run_resample([x], p)
         assert out.tokens.shape == (m, c)
         assert np.max(np.abs(out.tokens
                              - project_every_token_oracle(x, p))) <= 1e-12
@@ -209,7 +221,7 @@ class TestResample:
         # one group of all N tokens per sample, viewed, not copied
         p = self.params(m=3, c=4)
         x = seeded_fill(12, 5, 4)
-        out = resample([x], p)
+        out = run_resample([x], p)
         assert len(out.keys) == 1 and out.keys[0].shape == (1, 5, 4)
         assert np.shares_memory(out.keys[0], x)
         assert np.array_equal(out.keys[0][0], x)
@@ -279,14 +291,14 @@ class TestPoolLocal:
         x = seeded_fill(5, 1, 4)
         b.patches = np.tile(x, (4, 1))
         p = pool_params(2, 2, 2, 4)
-        out = pool_local([b], p)
+        out = run_pool([b], p)
         assert np.allclose(out.tokens, x @ p.phi_v.T, atol=1e-12)
 
     def test_zero_query_means_window_mean(self):
         b = synth_bundle(1, 4, 4, 5, 3)
         p = pool_params(4, 4, 2, 5)
         p.q2d = np.zeros_like(p.q2d)
-        out = pool_local([b], p)
+        out = run_pool([b], p)
         x2d = b.patches.reshape(4, 4, 5)
         for i in range(2):
             for j in range(2):
@@ -300,7 +312,7 @@ class TestPoolLocal:
         gh, gw = grid
         b = synth_bundle(2, gh, gw, 5, 3)
         p = pool_params(gh, gw, stride, 5, seed=3)
-        out = pool_local([b], p)
+        out = run_pool([b], p)
         assert np.max(np.abs(out.tokens
                              - masked_attention_oracle(b, p))) <= 1e-9
 
@@ -311,7 +323,7 @@ class TestPoolLocal:
         gh, gw = grid
         b = synth_bundle(5, gh, gw, 7, 3)
         p = pool_params(gh, gw, stride, 7, seed=4, shared=shared)
-        out = pool_local([b], p)
+        out = run_pool([b], p)
         assert np.max(np.abs(out.tokens
                              - project_then_attend_oracle(b, p))) <= 1e-12
 
@@ -319,31 +331,31 @@ class TestPoolLocal:
         b = synth_bundle(0, 4, 4, 5, 3)
         p = pool_params(6, 6, 3, 5)  # expects a 6x6 grid
         with pytest.raises(ShapeError, match="stride"):
-            pool_local([b], p)
+            run_pool([b], p)
 
     def test_shared_phi_uses_one_projection(self):
         b = synth_bundle(3, 4, 4, 5, 3)
         p = pool_params(4, 4, 2, 5, shared=True)
         q = pool_params(4, 4, 2, 5, shared=False)
         q.phi_v = q.phi_k.copy()
-        assert np.allclose(pool_local([b], p).tokens,
-                           pool_local([b], q).tokens, atol=1e-15)
+        assert np.allclose(run_pool([b], p).tokens,
+                           run_pool([b], q).tokens, atol=1e-15)
 
     def test_not_permutation_invariant(self):
         # spatial branches must be order-sensitive
         b = synth_bundle(4, 4, 4, 5, 3)
         p = pool_params(4, 4, 2, 5)
-        base = pool_local([b], p).tokens
+        base = run_pool([b], p).tokens
         perm = np.roll(np.arange(16), 5)
         b.patches = b.patches[perm]
-        assert not np.allclose(pool_local([b], p).tokens, base, atol=1e-9)
+        assert not np.allclose(run_pool([b], p).tokens, base, atol=1e-9)
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_returned_fields_rebuild_output(self, shared):
         # M groups of one query per sample, each over its window's cells
         bundles = [synth_bundle(6 + i, 4, 6, 5, 3) for i in range(2)]
         p = pool_params(4, 6, 2, 5, seed=7, shared=shared)
-        out = pool_local(bundles, p)
+        out = run_pool(bundles, p)
         phi_v = p.phi_k if shared else p.phi_v
         assert len(out.keys) == len(out.attn) == 2
         for b, keys, attn in zip(bundles, out.keys, out.attn):
@@ -363,8 +375,8 @@ def test_pool_over_the_whole_grid_is_resample(batch):
     res = ResamplerParams(queries=pool.q2d, w_k=pool.phi_k, w_v=pool.phi_v)
     params = SimpleNamespace(pool=pool, resampler=res)
     bundles = [synth_bundle(10 + i, 4, 4, 5, 3) for i in range(batch)]
-    by_pool = pool_local(bundles, pool)
-    by_res = resample([b.patches for b in bundles], res)
+    by_pool = run_pool(bundles, pool)
+    by_res = run_resample([b.patches for b in bundles], res)
     assert np.max(np.abs(by_pool.tokens - by_res.tokens)) <= 1e-12
     d_out = seeded_fill(11, batch, 5)
     grads = {}

@@ -294,6 +294,47 @@ class TestGradcheck:
                                    "--trials", "0"])
         assert res.exit_code == 2
 
+    def test_nan_gradient_fails(self, runner, workspace, monkeypatch):
+        # a backward that writes NaN into one reached tensor's gradient,
+        # while every loss stays finite, fails the bound
+        real = trainer.backward
+
+        def nan_backward(*args):
+            loss, grads, gate = real(*args)
+            grads["pool.q2d"].flat[3] = np.nan
+            return loss, grads, gate
+
+        monkeypatch.setattr(trainer, "backward", nan_backward)
+        tmp, cfg, _ = workspace
+        res = runner.invoke(main, ["gradcheck", "--config", str(cfg),
+                                   "--trials", "1"])
+        assert res.exit_code == 4, res.output
+        assert res.stderr == "gradient check failed for: pool.q2d\n"
+        report = json.loads(res.stdout)
+        assert report["max_rel_err"]["pool.q2d"] == float("inf")
+        assert not report["pass"]
+
+    def test_nan_residual_in_a_later_trial_fails(self, runner, workspace,
+                                                 monkeypatch):
+        # the max over trials keeps a NaN residual, which compares false,
+        # whichever trial it comes from
+        real = trainer.gradcheck_params
+        calls = []
+
+        def nan_in_last_trial(*args):
+            report = real(*args)
+            calls.append(None)
+            if len(calls) == 4:    # trial 2's train mode
+                report["router.w1"] = float("nan")
+            return report
+
+        monkeypatch.setattr(trainer, "gradcheck_params", nan_in_last_trial)
+        tmp, cfg, _ = workspace
+        res = runner.invoke(main, ["gradcheck", "--config", str(cfg),
+                                   "--trials", "2"])
+        assert res.exit_code == 4, res.output
+        assert res.stderr == "gradient check failed for: router.w1\n"
+
 
 class TestCost:
     def test_anchor_row(self, runner):
@@ -400,15 +441,37 @@ class TestTrainToy:
     def test_params_beyond_float32_digest_without_warning(self, runner,
                                                           tmp_path):
         # losses reach ~3e43, past float32's range: the digest hashes those
-        # values as inf, and stderr stays empty
+        # values as inf, and stderr stays empty. The final check over these
+        # params fails its bound (see the test below), so it is skipped.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"lr": 100}))
         res = runner.invoke(main, ["train-toy", "--config", str(cfg),
                                    "--stage", "1", "--steps", "3",
-                                   "--batch", "2"])
+                                   "--batch", "2", "--no-grad-check"])
         assert res.exit_code == 0, res.output
         assert res.stderr == ""
         assert max(json.loads(res.stdout)["losses"]) > 1e40
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_final_check_above_the_bound_exits_4(self, runner, tmp_path,
+                                                 stage):
+        # at lr 100 the losses stay finite, but the final check's residual
+        # reads ~1e191 (stage 1) and ~6e37 (stage 2): a verification
+        # failure in one line that names the tensors, with no report
+        cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+        cfg.write_text(json.dumps({"lr": 100}))
+        res = runner.invoke(main, ["train-toy", "--config", str(cfg),
+                                   "--stage", str(stage), "--steps", "3",
+                                   "--batch", "2", "--out", str(out)])
+        assert res.exit_code == 4, res.output
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stderr.startswith("final gradient check failed for: ")
+        names = res.stderr.split(": ", 1)[1].split(" (")[0].split(", ")
+        params = cli.build_params(cli.load_config(cfg))
+        assert set(names) <= dict(params.named_tensors()).keys()
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("value", [0, -3, True])

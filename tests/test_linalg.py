@@ -86,6 +86,16 @@ class TestGradCheck:
         err = grad_check(lambda: 0.5 * float(x @ x), x, 2.0 * x)
         assert err == pytest.approx(1.0, abs=0.2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_analytic_element_is_inf(self, bad):
+        # a NaN residual compares false, so a max over it would drop it
+        x = np.ones(3)
+        assert grad_check(lambda: float(x @ x), x, np.full(3, bad)) \
+            == math.inf
+        analytic = 2.0 * x
+        analytic[1] = bad
+        assert grad_check(lambda: float(x @ x), x, analytic) == math.inf
+
     def test_nonfinite_raises(self):
         with pytest.raises(NumericError):
             grad_check(lambda: float("nan"), np.ones(2), np.ones(2))

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import tracemalloc
 
@@ -14,6 +15,7 @@ from qmop.pipeline import (
     fuse,
     infer_forward,
     init_projector_params,
+    query_products,
     run_branches,
     stage1_forward,
     train_forward,
@@ -45,12 +47,14 @@ class TestRunBranches:
 
     def test_matches_module_level_operators(self, tiny_bundle, tiny_params):
         outs = run_branches(tiny_bundle, tiny_params)
+        qk = query_products(tiny_params)
         assert np.array_equal(
             outs["pool"].tokens,
-            pool_local([tiny_bundle], tiny_params.pool).tokens)
+            pool_local([tiny_bundle], tiny_params.pool, qk["pool"]).tokens)
         assert np.array_equal(
             outs["resample"].tokens,
-            resample([tiny_bundle.patches], tiny_params.resampler).tokens)
+            resample([tiny_bundle.patches], tiny_params.resampler,
+                     qk["resample"]).tokens)
         projected = tiny_bundle.patches @ tiny_params.relevance.g.T
         scores = _blend(tiny_bundle, projected, 0.5, "cosine")
         assert np.array_equal(
@@ -328,6 +332,136 @@ class TestStage1Head:
         head = sum(v for n, v in sizes.items() if n.startswith("stage1_mlp."))
         assert head > 1 << 20
         assert peak < sum(sizes.values()) - head + (1 << 19)
+
+
+def unfolded(bundle, params, mode, monkeypatch):
+    """`infer_forward`'s tokens with `query_products` computed afresh, as
+    the training forwards compute them."""
+    with monkeypatch.context() as m:
+        m.setattr(pipeline.ProjectorParams, "query_fold", query_products)
+        return infer_forward(bundle, params, mode).tokens
+
+
+def fold_sources(params):
+    return (params.pool.q2d, params.pool.phi_k, params.resampler.queries,
+            params.resampler.w_k)
+
+
+class TestQueryFold:
+    @pytest.mark.parametrize("shared", [False, True], ids=["phi", "shared"])
+    @pytest.mark.parametrize("mode", [("topk", 1), ("topk", 2), ("topk", 3),
+                                      ("threshold", 0.2)])
+    def test_folded_tokens_equal_fresh_products(self, monkeypatch, mode,
+                                                shared):
+        params = init_projector_params(8, 8, 32, 16, 16, 16, 2, seed=5,
+                                       shared_pool_phi=shared)
+        bundles = [synth_bundle(20 + i, 8, 8, 32, 16) for i in range(6)]
+        want = [unfolded(b, params, mode, monkeypatch) for b in bundles]
+        assert params._fold is None
+        # the first pass builds the fold, the second reuses it
+        for _ in range(2):
+            for b, w in zip(bundles, want):
+                got = infer_forward(b, params, mode).tokens
+                assert got.tobytes() == w.tobytes()
+            fold = params._fold
+            assert fold is not None
+        assert params._fold is fold
+
+    def test_write_to_a_folded_source_raises(self, tiny_bundle, tiny_params):
+        infer_forward(tiny_bundle, tiny_params, ("topk", 2))
+        for arr in fold_sources(tiny_params):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] += 1.0
+        tiny_params.resampler.w_v[0, 0] += 1.0   # not a source
+
+    def test_training_forwards_build_no_fold(self, tiny_bundle, tiny_params):
+        stage1_forward(tiny_bundle, tiny_params)
+        train_forward([tiny_bundle], tiny_params, 1.0, 0.5, 3)
+        assert tiny_params._fold is None
+        assert all(a.flags.writeable for a in fold_sources(tiny_params))
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_train_toy_after_infer(self, tiny_bundle, tiny_target, stage):
+        params = init_projector_params(4, 4, 8, 6, 8, 4, 2, seed=1)
+        mode = ("topk", 3)
+        before = infer_forward(tiny_bundle, params, mode).tokens
+        train_toy(params, TrainConfig(
+            stage=stage, steps=2, lr=0.1, seed=0, bundles=[tiny_bundle],
+            targets=[tiny_target], final_grad_check=False))
+        after = infer_forward(tiny_bundle, params, mode).tokens
+        fresh = pipeline.ProjectorParams(**{
+            f.name: copy.deepcopy(getattr(params, f.name))
+            for f in dataclasses.fields(params) if f.init})
+        assert after.tobytes() == \
+            infer_forward(tiny_bundle, fresh, mode).tokens.tobytes()
+        assert not np.array_equal(after, before)
+
+    def test_replaced_or_thawed_field_rebuilds_the_fold(
+            self, tiny_bundle, tiny_params, monkeypatch):
+        mode = ("topk", 3)
+        infer_forward(tiny_bundle, tiny_params, mode)
+        # a writeable copy in another memory order
+        tiny_params.pool.phi_k = np.asfortranarray(tiny_params.pool.phi_k)
+        tiny_params.pool.phi_k[0, 0] += 0.5
+        # a read-only array: the identity check alone catches it
+        swapped = tiny_params.resampler.w_k + 0.25
+        swapped.setflags(write=False)
+        tiny_params.resampler.w_k = swapped
+        got = infer_forward(tiny_bundle, tiny_params, mode).tokens
+        assert got.tobytes() == \
+            unfolded(tiny_bundle, tiny_params, mode, monkeypatch).tobytes()
+        assert tiny_params._fold.sources == fold_sources(tiny_params)
+        assert not tiny_params.pool.phi_k.flags.writeable
+        # the same array, made writeable and written
+        tiny_params.pool.q2d.setflags(write=True)
+        tiny_params.pool.q2d[1] = 0.0
+        got = infer_forward(tiny_bundle, tiny_params, mode).tokens
+        assert got.tobytes() == \
+            unfolded(tiny_bundle, tiny_params, mode, monkeypatch).tobytes()
+
+    def test_deepcopy_of_folded_params(self, tiny_bundle, tiny_params,
+                                       monkeypatch):
+        mode = ("topk", 3)
+        base = infer_forward(tiny_bundle, tiny_params, mode).tokens
+        twin = copy.deepcopy(tiny_params)
+        twin.resampler.queries[0, 0] += 1.0
+        twin.pool.q2d[2, 1] -= 1.0
+        got = infer_forward(tiny_bundle, twin, mode).tokens
+        assert got.tobytes() == \
+            unfolded(tiny_bundle, twin, mode, monkeypatch).tobytes()
+        assert not np.array_equal(got, base)
+        assert infer_forward(tiny_bundle, tiny_params, mode).tokens.tobytes() \
+            == base.tobytes()
+
+    def test_train_toy_on_unpickled_folded_params(self, tiny_bundle,
+                                                  tiny_params, tiny_target):
+        # protocol 5 unpickles a read-only array as a view of read-only
+        # bytes, which numpy cannot make writeable again
+        infer_forward(tiny_bundle, tiny_params, ("topk", 3))
+        twin = pickle.loads(pickle.dumps(tiny_params, protocol=5))
+        assert not twin.pool.q2d.flags.writeable
+        config = TrainConfig(stage=1, steps=2, lr=0.1, seed=0,
+                             bundles=[tiny_bundle], targets=[tiny_target],
+                             final_grad_check=False)
+        want = train_toy(copy.deepcopy(tiny_params), config).params_digest
+        assert train_toy(twin, config).params_digest == want
+        assert all(a.flags.writeable for a in fold_sources(twin))
+
+    def test_infer_branches_go_through_run_branch(self, tiny_bundle,
+                                                  tiny_params, monkeypatch):
+        # span tracers name a branch's span from `_run_branch`'s first
+        # argument; the fold rides along as its last
+        seen = []
+        real = pipeline._run_branch
+
+        def spy(*args):
+            seen.append((args[0], args[-1] is tiny_params._fold.qk))
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "_run_branch", spy)
+        for _ in range(2):
+            infer_forward(tiny_bundle, tiny_params, ("topk", 3))
+        assert seen == [(name, True) for name in BRANCHES] * 2
 
 
 class TestParamsVector:

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -212,6 +213,23 @@ class TestBackward:
         target = seeded_fill(43, 4, 8)
         report = gradcheck_params(bundle, params, target, ("stage1",))
         assert max(report.values()) <= TOL
+
+    @pytest.mark.parametrize("mode", [("stage1",), ("train", 1.3, 0.7, 4)])
+    def test_gradcheck_fails_a_nan_gradient(self, tiny_bundle, tiny_params,
+                                            tiny_target, monkeypatch, mode):
+        # a backward that writes NaN into one reached tensor's gradient
+        # while every loss stays finite
+        real = trainer.backward
+
+        def nan_backward(*args):
+            loss, grads, gate = real(*args)
+            grads["resampler.w_k"].flat[5] = np.nan
+            return loss, grads, gate
+
+        monkeypatch.setattr(trainer, "backward", nan_backward)
+        report = gradcheck_params(tiny_bundle, tiny_params, tiny_target, mode)
+        assert report["resampler.w_k"] == math.inf
+        assert trainer.over_bound(report) == ["resampler.w_k"]
 
     def test_gradcheck_fortran_order_tensor(self, tiny_bundle, tiny_params,
                                             tiny_target):
