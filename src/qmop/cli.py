@@ -1,4 +1,4 @@
-"""Command-line surface. All outputs are machine-readable JSON.
+"""Command-line surface. All outputs are machine-readable, strict JSON.
 
 Exit codes: 0 success, 2 usage/input error (dims that do not fit in memory
 included), 3 dimension mismatch, 4 verification failure (`gradcheck`, and
@@ -32,6 +32,9 @@ EXIT_VERIFY = 4
 EXIT_DIVERGED = 5
 
 GRADCHECK_MAX_TOKENS = 64
+# `qmop cost` counts stay at most 2**53, which a float holds exactly, so
+# every cost it prints is finite
+COUNT_MAX = 2 ** 53
 
 
 def build_params(cfg: PipelineConfig) -> pl.ProjectorParams:
@@ -104,7 +107,7 @@ def _limit_gradcheck(cfg: PipelineConfig, what: str):
 
 
 def _emit(report: dict, out_path: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if out_path:
         try:
             with open(out_path, "w") as fh:
@@ -216,7 +219,12 @@ def cmd_compress(features, cfg, mode_spec, out, no_timing, dump_tokens):
         if not no_timing:
             run["timing_ms"] = elapsed_ms
         if dump_tokens:
-            run["tokens"] = result.tokens.astype(np.float32).tolist()
+            with np.errstate(over="ignore"):
+                tokens = result.tokens.astype(np.float32)
+            if not np.isfinite(tokens).all():   # JSON has no infinity
+                _fail(EXIT_USAGE, f"bad bundle {path}: tokens beyond float32 "
+                                  f"range cannot be dumped")
+            run["tokens"] = tokens.tolist()
         return run
 
     runs = [run_one(p) for p in features]
@@ -246,23 +254,26 @@ def cmd_gradcheck(cfg, trials):
                                   math.inf if math.isnan(err) else err)
 
     offenders = trainer.over_bound(worst)
-    _emit({"max_rel_err": worst, "threshold": trainer.GRADCHECK_TOL,
+    # JSON has no infinity: a residual that is not finite prints as null
+    _emit({"max_rel_err": {name: err if math.isfinite(err) else None
+                           for name, err in worst.items()},
+           "threshold": trainer.GRADCHECK_TOL,
            "trials": trials, "pass": not offenders}, None)
     if offenders:
         _fail(EXIT_VERIFY, f"gradient check failed for: {', '.join(offenders)}")
 
 
 @main.command("cost")
-@click.option("--tokens", type=click.IntRange(min=0), required=True,
+@click.option("--tokens", type=click.IntRange(0, COUNT_MAX), required=True,
               help="Compressed (LLM-side) visual token count.")
 # LLaVA-1.5-scale projector dims
-@click.option("--n-in", type=click.IntRange(min=1), default=576,
+@click.option("--n-in", type=click.IntRange(1, COUNT_MAX), default=576,
               show_default=True, help="Pre-compression token count.")
-@click.option("--cvis", type=click.IntRange(min=1), default=1024,
+@click.option("--cvis", type=click.IntRange(1, COUNT_MAX), default=1024,
               show_default=True, help="Visual feature width.")
-@click.option("--ctxt", type=click.IntRange(min=1), default=768,
+@click.option("--ctxt", type=click.IntRange(1, COUNT_MAX), default=768,
               show_default=True, help="Text feature width.")
-@click.option("--dllm", type=click.IntRange(min=1), default=4096,
+@click.option("--dllm", type=click.IntRange(1, COUNT_MAX), default=4096,
               show_default=True, help="LLM embedding width.")
 @_out_option
 def cmd_cost(tokens, n_in, cvis, ctxt, dllm, out):

@@ -21,10 +21,11 @@ Pool and resample attend with queries folded through their key projection,
 every call, since training changes the params. Inference computes them once
 per params object (`ProjectorParams.query_fold`) and keeps them while their
 four source tensors, `pool.q2d`, `pool.phi_k`, `resampler.queries` and
-`resampler.w_k`, stay read-only: while the fold lives, writing one of them in
-place raises. `trainer.train_toy` releases them before it trains
-(`ProjectorParams.release_fold`); a library caller who writes them in place
-after inference must do the same.
+`resampler.w_k`, are still the params' fields and still read-only: building
+the fold makes them read-only, so writing one in place raises. No code here
+or in `trainer` writes a params tensor in place; `trainer.train_toy` assigns
+each updated tensor as a new array, which the next inference folds afresh,
+and a library caller changes a tensor the same way.
 """
 
 from __future__ import annotations
@@ -62,19 +63,6 @@ def _init_mlp(seed_in: int, seed_out: int, width: int, d_out: int,
                b_out=np.zeros(d_out), activation=activation)
 
 
-# the (record, field) of each tensor `query_products` reads
-FOLD_SOURCES = (("pool", "q2d"), ("pool", "phi_k"), ("resampler", "queries"),
-                ("resampler", "w_k"))
-
-
-@dataclass
-class QueryFold:
-    """`query_products` of a params object, and the four tensors, in
-    `FOLD_SOURCES` order, it was computed from."""
-    sources: tuple[np.ndarray, ...]
-    qk: dict[str, np.ndarray]
-
-
 @dataclass
 class ProjectorParams:
     """Every learnable tensor of the projector. `stage1_mlp` is drawn by
@@ -82,7 +70,8 @@ class ProjectorParams:
     the stage-1 `backward`, `named_tensors`), and later reads return that
     same `Mlp`. Inference never reads it, so it never holds the head, which
     is most of the params at paper dims. Inference's `query_products` are
-    kept in `_fold` (see `query_fold`)."""
+    kept in `_fold` (see `query_fold`), whose sources are read-only: change
+    a tensor by assigning a new array to its field, never in place."""
     prune_cfg: br.PruneConfig
     relevance: br.RelevanceMap
     resampler: br.ResamplerParams
@@ -90,16 +79,13 @@ class ProjectorParams:
     router: rt.RouterParams
     draw_stage1_mlp: Callable[[], Mlp]
     out_mlp: Mlp               # C -> C -> D_llm
-    _fold: QueryFold | None = field(default=None, init=False, repr=False,
-                                    compare=False)
+    # (the four tensors `query_products` read, its result); see `query_fold`
+    _fold: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     @functools.cached_property
     def stage1_mlp(self) -> Mlp:   # BC -> BC -> D_llm, B branches
         return self.draw_stage1_mlp()
-
-    def _fold_sources(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(getattr(self, record), name)
-                     for record, name in FOLD_SOURCES)
 
     def query_fold(self) -> dict[str, np.ndarray]:
         """`query_products(self)`, computed on the first call and returned
@@ -107,29 +93,21 @@ class ProjectorParams:
         still this record's field and still read-only. Building it makes
         them read-only, so a write in place raises instead of leaving it
         stale. A replaced field or a writeable copy of one (as
-        `copy.deepcopy` makes) rebuilds it on the next call."""
-        sources, fold = self._fold_sources(), self._fold
-        if fold is None or not all(
+        `copy.deepcopy` makes) rebuilds it on the next call.
+
+        The fold holds its sources: one replaced after inference, as
+        `trainer.train_toy` replaces them, stays alive until the next call
+        (up to ~18 MB at paper dims). Holding them is what makes the `is`
+        check sound."""
+        sources = (self.pool.q2d, self.pool.phi_k, self.resampler.queries,
+                   self.resampler.w_k)
+        if self._fold is None or not all(
                 held is now and not now.flags.writeable
-                for held, now in zip(fold.sources, sources)):
+                for held, now in zip(self._fold[0], sources)):
             for arr in sources:
                 arr.setflags(write=False)
-            fold = self._fold = QueryFold(sources, query_products(self))
-        return fold.qk
-
-    def release_fold(self) -> None:
-        """Drop the query fold and make its four source tensors writeable
-        again. Call it before writing them in place. A source numpy cannot
-        make writeable, because it views read-only memory (as unpickling
-        folded params at protocol 5 gives), is replaced by a copy."""
-        self._fold = None
-        for record, name in FOLD_SOURCES:
-            holder = getattr(self, record)
-            arr = getattr(holder, name)
-            try:
-                arr.setflags(write=True)
-            except ValueError:
-                setattr(holder, name, arr.copy())
+            self._fold = (sources, query_products(self))
+        return self._fold[1]
 
     def named_tensors(self):
         """("record.field", array) for each array field of each learnable

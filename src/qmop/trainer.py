@@ -264,7 +264,10 @@ def gradcheck_params(bundles, params: pl.ProjectorParams, targets,
     Every tensor is checked: one the mode does not reach against zeros.
 
     `grad_check` perturbs each tensor of a deep copy in place, so the
-    caller's params are never touched."""
+    caller's params are never touched. The copy's tensors are writeable, so
+    the check also runs on params whose tensors are read-only, as inference
+    leaves `pool.q2d`, `pool.phi_k`, `resampler.queries` and
+    `resampler.w_k`."""
     bundles, targets = as_batch(bundles), _as_targets(targets)
     _, grads, _ = backward(bundles, params, targets, mode)
     work = copy.deepcopy(params)
@@ -313,15 +316,15 @@ def _step_mode(config: TrainConfig, step: int, seed: int) -> tuple:
 
 
 def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
-    """Plain gradient descent, in place on `params`; deterministic for a
-    fixed seed. Step k's gate-noise seed is `seed * 1000003 + k * B` for a
-    batch of B, so bundle i draws its noise at that plus i. It first
-    releases the params' inference fold, so the tensors it froze are
-    writeable. With `final_grad_check`, a tensor whose residual is not within
+    """Plain gradient descent on `params`; deterministic for a fixed seed.
+    Each step assigns every reached tensor a new array, p - lr * g, computed
+    in its gradient's buffer, so no tensor is written in place and read-only
+    tensors train too. Step k's gate-noise seed is `seed * 1000003 + k * B`
+    for a batch of B, so bundle i draws its noise at that plus i. With
+    `final_grad_check`, a tensor whose residual is not within
     `GRADCHECK_TOL` raises `GradCheckError`."""
     if len(config.bundles) != len(config.targets) or not config.bundles:
         raise ValueError("need equal, nonzero numbers of bundles and targets")
-    params.release_fold()
     n = len(config.bundles)
     losses: list[float] = []
     tau_trace: list[float] = []
@@ -342,10 +345,12 @@ def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
             if step == 0:
                 first_entropy = entropy
             final_entropy = entropy
-        tensors = dict(params.named_tensors())
         for name, grad in grads.items():
-            grad *= config.lr    # a fresh array: scale it in place
-            tensors[name] -= grad
+            record, attr = name.split(".")
+            holder = getattr(params, record)
+            grad *= config.lr    # a fresh array: it becomes the new tensor
+            np.subtract(getattr(holder, attr), grad, out=grad)
+            setattr(holder, attr, grad)
 
     gc_err = None
     if config.final_grad_check:

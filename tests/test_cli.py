@@ -6,11 +6,13 @@ import jsonschema
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT202012
 
 from qmop import cli, pipeline, trainer
-from qmop.bundle import read_bundle
+from qmop.bundle import read_bundle, write_bundle
 from qmop.cli import main
 from qmop.router import BRANCHES
 
@@ -19,6 +21,14 @@ SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "qmop" / "schemas"
 
 def load_schema(name):
     return json.loads((SCHEMA_DIR / name).read_text())
+
+
+def strict_loads(text):
+    """`json.loads` that rejects the NaN and Infinity tokens, which are not
+    JSON (RFC 8259)."""
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 def validate(instance, schema_name):
@@ -227,6 +237,24 @@ class TestCompress:
         assert res.output.startswith(f"bad bundle {features}: ")
         assert "non-finite" in res.output
 
+    @pytest.mark.parametrize("mode", ["topk:1", "stage1"])
+    def test_dump_beyond_float32_range_exit_2(self, runner, workspace,
+                                              tmp_path, mode):
+        # patches at the float32 limit give finite float64 tokens that the
+        # float32 dump would turn into infinities, which JSON cannot hold
+        tmp, cfg, features = workspace
+        bundle = read_bundle(features)
+        bundle.patches[:] = -np.finfo(np.float32).max
+        huge = tmp_path / "huge.qmop"
+        write_bundle(bundle, huge)
+        args = ["compress", "--features", str(huge), "--config", str(cfg),
+                "--mode", mode]
+        assert runner.invoke(main, args).exit_code == 0
+        res = runner.invoke(main, args + ["--dump-tokens"])
+        assert res.exit_code == 2, res.output
+        assert res.output == (f"bad bundle {huge}: tokens beyond float32 "
+                              f"range cannot be dumped\n")
+
     def test_unknown_config_key_rejected(self, runner, workspace, tmp_path):
         tmp, _, features = workspace
         bad = tmp_path / "bad.json"
@@ -310,8 +338,10 @@ class TestGradcheck:
                                    "--trials", "1"])
         assert res.exit_code == 4, res.output
         assert res.stderr == "gradient check failed for: pool.q2d\n"
-        report = json.loads(res.stdout)
-        assert report["max_rel_err"]["pool.q2d"] == float("inf")
+        # an infinite residual prints as null, which strict JSON allows
+        report = strict_loads(res.stdout)
+        validate(report, "grad_report.schema.json")
+        assert report["max_rel_err"]["pool.q2d"] is None
         assert not report["pass"]
 
     def test_nan_residual_in_a_later_trial_fails(self, runner, workspace,
@@ -334,6 +364,10 @@ class TestGradcheck:
                                    "--trials", "2"])
         assert res.exit_code == 4, res.output
         assert res.stderr == "gradient check failed for: router.w1\n"
+        report = strict_loads(res.stdout)
+        validate(report, "grad_report.schema.json")
+        assert report["max_rel_err"]["router.w1"] is None
+        assert not report["pass"]
 
 
 class TestCost:
@@ -626,7 +660,7 @@ def refuse_draw(monkeypatch):
 
 
 # Each used to end in a numpy traceback and exit 1. The stage-1 head is
-# drawn on its first read, inside the forward, backward or SGD update.
+# drawn on its first read: in the forward, the backward or the params digest.
 @pytest.mark.parametrize("command,bad_seed", [
     (["compress", "--features", "{features}", "--mode", "stage1"], 9),
     (["compress", "--features", "{features}", "--mode", "topk:2"], 12),
@@ -669,3 +703,124 @@ def test_cost_defaults_are_the_llava_dims(runner):
     shown = runner.invoke(main, ["cost", "--help"]).output
     for value in ("576", "1024", "768", "4096"):
         assert f"[default: {value};" in shown
+
+
+# Every subcommand over argv drawn from valid and malformed flags, at dims
+# small enough that no draw can ask for much memory. Paths name a good,
+# truncated, missing or directory bundle or config, a config whose dims do
+# not match the bundle, and report paths that can or cannot be written.
+HUGE = 10 ** 400    # an integer that no float can hold
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("argv")
+    good = {"grid_h": 2, "grid_w": 2, "c_vis": 3, "c_txt": 2, "d_llm": 3,
+            "m_tokens": 1, "pool_stride": 2, "batch_size": 2}
+    paths = {"cfg-good": tmp / "good.json", "cfg-other": tmp / "other.json",
+             "cfg-truncated": tmp / "cut.json",
+             "features-good": tmp / "good.qmop",
+             "features-other": tmp / "other.qmop",
+             "features-truncated": tmp / "cut.qmop",
+             "out-good": tmp / "out" / "report.json",
+             "out-missing": tmp / "nodir" / "report.json", "out-dir": tmp}
+    paths["cfg-good"].write_text(json.dumps(good))
+    paths["cfg-other"].write_text(json.dumps({**good, "c_vis": 4}))
+    paths["cfg-truncated"].write_text(json.dumps(good)[:20])
+    for key, cvis in (("good", "3"), ("other", "4")):
+        res = CliRunner().invoke(main, [
+            "synth", "--grid", "2x2", "--cvis", cvis, "--ctxt", "2",
+            "--out", str(paths[f"features-{key}"])])
+        assert res.exit_code == 0, res.output
+    paths["features-truncated"].write_bytes(
+        paths["features-good"].read_bytes()[:40])
+    for kind in ("cfg", "features"):
+        paths[f"{kind}-missing"] = tmp / f"missing-{kind}"
+        paths[f"{kind}-dir"] = tmp
+    paths["out-good"].parent.mkdir()
+    return {key: str(path) for key, path in paths.items()}
+
+
+# flag: (valid values, malformed values); None leaves the flag out, True
+# gives a bare switch, and a list repeats the flag once per item
+_CONFIG = (["{cfg-good}"], [None, "{cfg-other}", "{cfg-truncated}",
+                            "{cfg-missing}", "{cfg-dir}"])
+_OUT = ([None, "{out-good}"], ["{out-missing}", "{out-dir}"])
+_SWITCH = ([None, True], [])
+FLAGS = {
+    "synth": {"--seed": ([None, 0, 3], [-1, 2 ** 64, "x"]),
+              "--grid": ([None, "2x2", "3x1"], ["0x2", "2by2", "x"]),
+              "--cvis": ([None, 3, 1], [0, "x"]),
+              "--ctxt": ([None, 2], [-1]),
+              "--out": (["{out-good}"], [None, "{out-missing}",
+                                         "{out-dir}"])},
+    "compress": {"--features": ([["{features-good}"],
+                                 ["{features-good}"] * 2],
+                                [None, ["{features-other}"],
+                                 ["{features-truncated}"],
+                                 ["{features-missing}"], ["{features-dir}"]]),
+                 "--config": _CONFIG,
+                 "--mode": ([None, "topk:1", "topk:2", "topk:3",
+                             "threshold:0.3", "train", "stage1"],
+                            ["topk:0", "threshold:x", "bogus"]),
+                 "--out": _OUT, "--no-timing": _SWITCH,
+                 "--dump-tokens": _SWITCH},
+    "gradcheck": {"--config": _CONFIG, "--trials": ([None, 1], [0, "x"])},
+    "cost": {"--tokens": ([0, 1, 144, cli.COUNT_MAX],
+                          [None, 600, -1, "x", HUGE]),
+             "--n-in": ([None, 576, 1, cli.COUNT_MAX], [0, HUGE]),
+             "--cvis": ([None, 1024, 1, cli.COUNT_MAX], [0, HUGE]),
+             "--ctxt": ([None, 768, 2, cli.COUNT_MAX], [0]),
+             "--dllm": ([None, 4096, 3, cli.COUNT_MAX], [HUGE]),
+             "--out": _OUT},
+    "train-toy": {"--config": _CONFIG, "--stage": ([1, 2], [None, 3, "x"]),
+                  "--steps": ([None, 1, 2], [0]),
+                  "--batch": ([None, 1, 2], [0, "x"]),
+                  "--no-grad-check": _SWITCH, "--out": _OUT},
+}
+SCHEMAS = {"compress": "run_report", "gradcheck": "grad_report",
+           "cost": "cost_report", "train-toy": "train_report"}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand's argv, with none, one or two of its flags, or an
+    unknown flag or stray argument, malformed."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = FLAGS[command]
+    n_bad = draw(st.integers(0, 2))
+    bad = draw(st.sets(st.sampled_from([*flags, "extra"]), min_size=n_bad,
+                       max_size=n_bad))
+    argv = [command]
+    for flag, (valid, malformed) in flags.items():
+        value = draw(st.sampled_from(malformed if flag in bad and malformed
+                                     else valid))
+        if value is True:
+            argv.append(flag)
+        elif value is not None:
+            for item in value if isinstance(value, list) else [value]:
+                argv += [flag, str(item)]
+    if "extra" in bad:
+        argv += draw(st.sampled_from([["--bogus"], ["extra"]]))
+    return argv
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=argvs())
+def test_every_argv_ends_in_a_documented_exit(argv_paths, argv):
+    argv = [a.format(**argv_paths) for a in argv]
+    out_path = Path(argv_paths["out-good"])
+    if out_path.exists():
+        out_path.unlink()
+    res = CliRunner().invoke(main, argv)
+    assert res.exit_code in (0, 2, 3, 4, 5), (argv, res.output)
+    assert "Traceback" not in res.stderr, argv
+    # gradcheck prints its report when it fails the bound, too
+    command = argv[0]
+    if command in SCHEMAS and (res.exit_code == 0 or (
+            command, res.exit_code) == ("gradcheck", 4)):
+        text = out_path.read_text() if str(out_path) in argv else res.stdout
+        validate(strict_loads(text), f"{SCHEMAS[command]}.schema.json")
+    elif res.stdout.strip():
+        strict_loads(res.stdout)

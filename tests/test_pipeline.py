@@ -410,7 +410,7 @@ class TestQueryFold:
         got = infer_forward(tiny_bundle, tiny_params, mode).tokens
         assert got.tobytes() == \
             unfolded(tiny_bundle, tiny_params, mode, monkeypatch).tobytes()
-        assert tiny_params._fold.sources == fold_sources(tiny_params)
+        assert tiny_params._fold[0] == fold_sources(tiny_params)
         assert not tiny_params.pool.phi_k.flags.writeable
         # the same array, made writeable and written
         tiny_params.pool.q2d.setflags(write=True)
@@ -455,7 +455,7 @@ class TestQueryFold:
         real = pipeline._run_branch
 
         def spy(*args):
-            seen.append((args[0], args[-1] is tiny_params._fold.qk))
+            seen.append((args[0], args[-1] is tiny_params._fold[1]))
             return real(*args)
 
         monkeypatch.setattr(pipeline, "_run_branch", spy)

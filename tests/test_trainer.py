@@ -1,6 +1,5 @@
 import copy
 import hashlib
-import math
 import tracemalloc
 
 import numpy as np
@@ -130,7 +129,7 @@ class TestBackward:
     @pytest.mark.parametrize("mode", [("stage1",), ("train", 1.3, 0.7, 0)])
     def test_reached_grads_own_their_memory(self, tiny_bundle, tiny_params,
                                             tiny_target, mode):
-        # train_toy accumulates into and scales these arrays in place
+        # train_toy computes each new tensor in its gradient's array
         _, grads, gate = backward(tiny_bundle, tiny_params, tiny_target,
                                   mode)
         tensors = dict(tiny_params.named_tensors())
@@ -214,22 +213,46 @@ class TestBackward:
         report = gradcheck_params(bundle, params, target, ("stage1",))
         assert max(report.values()) <= TOL
 
+    @staticmethod
+    def assert_every_mutation_caught(bundle, params, target, monkeypatch,
+                                     mode, mutate):
+        # a backward that applies `mutate` to every reached tensor's
+        # gradient while every loss stays finite: each tensor's residual
+        # reads only its own analytic gradient, so one check covers them all
+        real = trainer.backward
+        reached = set()
+
+        def mutated_backward(*args):
+            loss, grads, gate = real(*args)
+            for name, grad in grads.items():
+                mutate(grad)
+                reached.add(name)
+            return loss, grads, gate
+
+        monkeypatch.setattr(trainer, "backward", mutated_backward)
+        report = gradcheck_params(bundle, params, target, mode)
+        prefixes = STAGE1_REACHES if mode[0] == "stage1" else TRAIN_REACHES
+        assert reached == {n for n in report if n.startswith(prefixes)}
+        assert trainer.over_bound(report) == sorted(reached)
+        assert all(report[n] == 0.0 for n in report if n not in reached)
+
     @pytest.mark.parametrize("mode", [("stage1",), ("train", 1.3, 0.7, 4)])
     def test_gradcheck_fails_a_nan_gradient(self, tiny_bundle, tiny_params,
                                             tiny_target, monkeypatch, mode):
-        # a backward that writes NaN into one reached tensor's gradient
-        # while every loss stays finite
-        real = trainer.backward
+        def nan_one(grad):
+            grad.flat[grad.size // 2] = np.nan
 
-        def nan_backward(*args):
-            loss, grads, gate = real(*args)
-            grads["resampler.w_k"].flat[5] = np.nan
-            return loss, grads, gate
+        self.assert_every_mutation_caught(tiny_bundle, tiny_params,
+                                          tiny_target, monkeypatch, mode,
+                                          nan_one)
 
-        monkeypatch.setattr(trainer, "backward", nan_backward)
-        report = gradcheck_params(tiny_bundle, tiny_params, tiny_target, mode)
-        assert report["resampler.w_k"] == math.inf
-        assert trainer.over_bound(report) == ["resampler.w_k"]
+    @pytest.mark.parametrize("mode", [("stage1",), ("train", 1.3, 0.7, 4)])
+    def test_gradcheck_fails_a_sign_flipped_gradient(
+            self, tiny_bundle, tiny_params, tiny_target, monkeypatch, mode):
+        self.assert_every_mutation_caught(tiny_bundle, tiny_params,
+                                          tiny_target, monkeypatch, mode,
+                                          lambda grad: np.negative(grad,
+                                                                   out=grad))
 
     def test_gradcheck_fortran_order_tensor(self, tiny_bundle, tiny_params,
                                             tiny_target):
@@ -398,6 +421,21 @@ class TestTrainToy:
                 assert arr.tobytes() == before[name].tobytes(), name
             else:
                 assert not np.array_equal(arr, before[name]), name
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_trains_read_only_params(self, stage):
+        # training assigns each updated tensor as a new array, so params
+        # whose every tensor is read-only train as a writeable twin does
+        frozen, twin = make_params(8), make_params(8)
+        for _, arr in frozen.named_tensors():
+            arr.setflags(write=False)
+        bundles, targets = make_batch(8, n=2)
+        config = TrainConfig(stage=stage, steps=3, lr=0.1, seed=8,
+                             bundles=bundles, targets=targets,
+                             final_grad_check=True)
+        report = train_toy(frozen, config)
+        assert report.params_digest == train_toy(twin, config).params_digest
+        assert report.grad_check_max_rel_err <= TOL
 
     def test_stage2_tau_trace_matches_schedule(self):
         bundles, targets = make_batch(1)
