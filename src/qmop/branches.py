@@ -12,7 +12,8 @@ returns their outputs stacked sample by sample into B*M rows, so every
 product whose left side is per-row runs as one GEMM over the batch. Pool and
 resample take their params-only product, the queries folded through the key
 projection, from the caller (`pipeline.query_products`), which computes it at
-most once per batch. A batch of one is a one-item list.
+most once per batch. A batch of one is a one-item list, and
+`pipeline.run_branches` checks every batch before any branch runs.
 Pool and resample also return what their backward reads: their keys,
 attention and attended rows. Prune has no parameters to train, so it
 returns its tokens alone.

@@ -19,8 +19,8 @@ import click
 import numpy as np
 
 from . import costmodel, pipeline as pl, trainer
-from .bundle import (FormatError, TruncatedFileError, ValidationError,
-                     read_bundle, synth_bundle, write_bundle)
+from .bundle import (FeatureBundle, FormatError, TruncatedFileError,
+                     ValidationError, read_bundle, synth_bundle, write_bundle)
 from .config import (SEED_BOUND, ConfigError, PipelineConfig, load_config,
                      parse_mode)
 from .linalg import NumericError, seeded_fill
@@ -45,6 +45,16 @@ def build_params(cfg: PipelineConfig) -> pl.ProjectorParams:
         metric=cfg.relevance_metric, activation=cfg.activation,
         shared_pool_phi=cfg.shared_pool_phi,
     )
+
+
+def synth_samples(cfg: PipelineConfig,
+                  n: int) -> tuple[list[FeatureBundle], list[np.ndarray]]:
+    """n synthetic (bundle, target) samples at `cfg`'s dims and seed."""
+    bundles = [synth_bundle(cfg.seed + i, cfg.grid_h, cfg.grid_w,
+                            cfg.c_vis, cfg.c_txt) for i in range(n)]
+    targets = [seeded_fill(cfg.seed + 7919 + i, cfg.m_tokens, cfg.d_llm)
+               for i in range(n)]
+    return bundles, targets
 
 
 def _fail(code: int, message: str):
@@ -185,7 +195,7 @@ def cmd_compress(features, cfg, mode_spec, out, no_timing, dump_tokens):
                   f"c_vis={cfg.c_vis} c_txt={cfg.c_txt}")
         t0 = time.perf_counter()
         try:
-            result = pl.forward(bundle, params, mode)
+            result = pl.forward([bundle], params, mode)
             # train and stage1 return non-finite tokens as they are, since
             # training turns them into a DivergenceError
             if not np.isfinite(result.tokens).all():
@@ -241,12 +251,10 @@ def cmd_gradcheck(cfg, trials):
 
     worst: dict[str, float] = {}
     for trial in range(trials):
-        seed = cfg.seed + trial
-        params = build_params(dataclasses.replace(cfg, seed=seed))
-        bundle = synth_bundle(seed, cfg.grid_h, cfg.grid_w,
-                              cfg.c_vis, cfg.c_txt)
-        target = seeded_fill(seed + 7919, cfg.m_tokens, cfg.d_llm)
-        for mode in (("stage1",), ("train", 1.3, 0.7, seed)):
+        trial_cfg = dataclasses.replace(cfg, seed=cfg.seed + trial)
+        params = build_params(trial_cfg)
+        (bundle,), (target,) = synth_samples(trial_cfg, 1)
+        for mode in (("stage1",), ("train", 1.3, 0.7, trial_cfg.seed)):
             report = trainer.gradcheck_params(bundle, params, target, mode)
             for name, err in report.items():
                 # a NaN would compare false and drop out of the max
@@ -300,11 +308,7 @@ def cmd_train_toy(cfg, stage, steps, batch, no_grad_check, out):
     if not no_grad_check:
         _limit_gradcheck(cfg, "train-toy without --no-grad-check")
     params = build_params(cfg)
-    nb = batch or cfg.batch_size
-    bundles = [synth_bundle(cfg.seed + i, cfg.grid_h, cfg.grid_w,
-                            cfg.c_vis, cfg.c_txt) for i in range(nb)]
-    targets = [seeded_fill(cfg.seed + 7919 + i, cfg.m_tokens, cfg.d_llm)
-               for i in range(nb)]
+    bundles, targets = synth_samples(cfg, batch or cfg.batch_size)
     tconf = trainer.TrainConfig(
         stage=stage, steps=steps, lr=cfg.lr, seed=cfg.seed,
         bundles=bundles, targets=targets, schedule=cfg.schedule,

@@ -80,8 +80,8 @@ def grad_check(loss: Callable[[], float], arr: np.ndarray,
     one call of the zero-argument `loss` each, and restored before the next,
     whatever `loss` does. `arr.flat` walks C order in any memory layout.
     Relative error per element is |analytic - fd| / max(1, |fd|), and inf
-    where `analytic` is not finite; the maximum over elements is returned,
-    so the result is never NaN.
+    where `analytic` or `fd` (which can overflow) is not finite; the maximum
+    over elements is returned, so the result is never NaN.
     """
     if arr.shape != analytic.shape:
         raise ShapeError(
@@ -102,7 +102,8 @@ def grad_check(loss: Callable[[], float], arr: np.ndarray,
         fd = (fp - fm) / (2.0 * FD_STEP)
         a = analytic.flat[i]
         # a NaN residual would compare false and drop out of the max
-        err = abs(a - fd) / max(1.0, abs(fd)) if math.isfinite(a) else math.inf
+        err = (abs(a - fd) / max(1.0, abs(fd))
+               if math.isfinite(a) and math.isfinite(fd) else math.inf)
         worst = max(worst, err)
     return worst
 

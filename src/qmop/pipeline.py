@@ -10,9 +10,9 @@ share the branch operators, taken in `router.BRANCHES` order:
 - ("topk", k) | ("threshold", theta), infer: run the gate noise-free,
   select active branches, execute only those, fuse with renormalized weights.
 
-stage1 and train run over a batch: each branch and the gate run once over
-the B samples, and the MLP sees their B*M rows stacked sample by sample. A
-single bundle is a batch of one. infer runs one bundle as a batch of one.
+stage1 and train run over a batch, a list of bundles with one set of dims:
+each branch and the gate run once over the B samples, and the MLP sees their
+B*M rows stacked sample by sample. infer runs one bundle, a batch of one.
 stage1 and train also return what `trainer.backward` reads: every branch's
 output, the MLP's activations and (train) the gate, one row per sample.
 
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import branches as br
 from . import router as rt
-from .bundle import FeatureBundle, as_batch
+from .bundle import FeatureBundle
 from .linalg import ACTIVATIONS, NumericError, ShapeError, seeded_fill
 
 
@@ -205,11 +205,15 @@ def _run_branch(name: str, bundles: list[FeatureBundle],
     raise ValueError(f"unknown branch {name!r}")
 
 
-def run_branches(bundles,
+def run_branches(bundles: list[FeatureBundle],
                  params: ProjectorParams) -> dict[str, br.CompressedTokens]:
     """Every branch in `router.BRANCHES` order, each once over the batch,
-    with `query_products` computed afresh."""
-    bundles = as_batch(bundles)
+    with `query_products` computed afresh; a batch's rows must stack."""
+    if not bundles:
+        raise ShapeError("a batch needs at least one bundle")
+    dims = {(b.grid_h, b.grid_w, b.c_vis, b.c_txt) for b in bundles}
+    if len(dims) > 1:
+        raise ShapeError(f"bundles in one batch differ in dims: {sorted(dims)}")
     qk = query_products(params)
     return {name: _run_branch(name, bundles, params, qk)
             for name in rt.BRANCHES}
@@ -248,7 +252,8 @@ def _mlp_forward(mlp: Mlp, x: np.ndarray):
     return a @ mlp.w_out.T + mlp.b_out, h, a
 
 
-def stage1_forward(bundles, params: ProjectorParams) -> ProjectedTokens:
+def stage1_forward(bundles: list[FeatureBundle],
+                   params: ProjectorParams) -> ProjectedTokens:
     outs = run_branches(bundles, params)
     concat = np.concatenate([outs[n].tokens for n in rt.BRANCHES], axis=1)
     for out, part in zip(outs.values(), np.split(concat, len(outs), axis=1)):
@@ -257,13 +262,14 @@ def stage1_forward(bundles, params: ProjectorParams) -> ProjectedTokens:
     return ProjectedTokens(tokens, outputs=outs, mlp=(concat, h, a))
 
 
-def train_forward(bundles, params: ProjectorParams, tau: float,
-                  gumbel_scale: float, seed: int) -> ProjectedTokens:
-    """Bundle i draws its gate noise at `seed + i`."""
-    bundles = as_batch(bundles)
+def train_forward(bundles: list[FeatureBundle], params: ProjectorParams,
+                  tau: float, gumbel_scale: float,
+                  seed: int) -> ProjectedTokens:
+    """Bundle i draws its gate noise at `seed + i`. The branches run first,
+    so `run_branches` checks the batch before the gate stacks it."""
+    outs = run_branches(bundles, params)
     gate = rt.gate_forward(rt.build_context(bundles), params.router, tau,
                            gumbel_scale, seed)
-    outs = run_branches(bundles, params)
     fused = fuse([outs[name].tokens for name in rt.BRANCHES], gate.alpha)
     tokens, h, a = _mlp_forward(params.out_mlp, fused)
     return ProjectedTokens(tokens, gate=gate, outputs=outs, mlp=(fused, h, a))
@@ -292,14 +298,18 @@ def infer_forward(bundle: FeatureBundle, params: ProjectorParams,
     return ProjectedTokens(tokens, gate=gate, active=active)
 
 
-def forward(bundles, params: ProjectorParams, mode: tuple) -> ProjectedTokens:
-    """The forward pass of `mode`: ("stage1",), ("train", tau, gumbel_scale,
-    seed), or one bundle's ("topk", k) or ("threshold", theta)."""
+def forward(bundles: list[FeatureBundle], params: ProjectorParams,
+            mode: tuple) -> ProjectedTokens:
+    """The forward pass of `mode` over a batch: ("stage1",), ("train", tau,
+    gumbel_scale, seed), or an infer mode over a batch of one."""
     kind = mode[0]
     if kind == "stage1":
         return stage1_forward(bundles, params)
     if kind == "train":
         return train_forward(bundles, params, *mode[1:])
     if kind in ("topk", "threshold"):
-        return infer_forward(bundles, params, mode)
+        if len(bundles) != 1:
+            raise ShapeError(f"an infer mode runs a batch of one, got "
+                             f"{len(bundles)} bundles")
+        return infer_forward(bundles[0], params, mode)
     raise ValueError(f"unknown forward mode {kind!r}")

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import pipeline as pl
 from .branches import CompressedTokens
-from .bundle import FeatureBundle, as_batch
+from .bundle import FeatureBundle
 from .linalg import ACTIVATIONS, ShapeError, grad_check, stack_rows
 from .router import BRANCHES, gate_entropy
 
@@ -196,20 +196,15 @@ def _branch_backward(params, name: str, out: CompressedTokens,
     # influence is detached, so no parameter receives gradient.
 
 
-def _as_targets(targets) -> list[np.ndarray]:
-    """One target per sample; a single array is the target of a batch of
-    one."""
-    return [targets] if isinstance(targets, np.ndarray) else list(targets)
-
-
-def backward(bundles, params: pl.ProjectorParams, targets, mode: tuple):
+def backward(bundles: list[FeatureBundle], params: pl.ProjectorParams,
+             targets: list[np.ndarray], mode: tuple):
     """Batch-mean loss and its analytic gradient for every tensor the mode
     reaches.
 
-    One forward and one backward over the whole batch; a single bundle and
-    target are a batch of one. mode is ("stage1",) or ("train", tau,
-    gumbel_scale, seed), where bundle i draws its gate noise at `seed + i`;
-    an infer mode has no backward. Returns (loss, grads,
+    One forward and one backward over the whole batch: a list of bundles
+    and a list of as many targets, one per bundle. mode is ("stage1",) or
+    ("train", tau, gumbel_scale, seed), where bundle i draws its gate noise
+    at `seed + i`; an infer mode has no backward. Returns (loss, grads,
     gate): grads maps each reached tensor's name to a fresh array, and a
     tensor the mode does not reach has no entry, since its gradient is
     exactly zero. gate is the forward's gate record, one row per sample, in
@@ -217,7 +212,6 @@ def backward(bundles, params: pl.ProjectorParams, targets, mode: tuple):
     """
     if mode[0] not in ("stage1", "train"):
         raise ValueError(f"unknown backward mode {mode[0]!r}")
-    bundles, targets = as_batch(bundles), _as_targets(targets)
     if len(targets) != len(bundles):
         raise ShapeError(f"{len(targets)} targets for {len(bundles)} bundles")
     fwd = pl.forward(bundles, params, mode)
@@ -257,18 +251,18 @@ def backward(bundles, params: pl.ProjectorParams, targets, mode: tuple):
     return loss, grads, gate
 
 
-def gradcheck_params(bundles, params: pl.ProjectorParams, targets,
-                     mode: tuple) -> dict[str, float]:
+def gradcheck_params(bundle: FeatureBundle, params: pl.ProjectorParams,
+                     target: np.ndarray, mode: tuple) -> dict[str, float]:
     """Per-tensor max relative error of analytic vs central-difference grads
-    of the batch-mean loss, for a batch and mode as `backward` takes them.
-    Every tensor is checked: one the mode does not reach against zeros.
+    of one sample's loss, for `bundle` and `target` as a batch of one and a
+    mode as `backward` takes it. Every tensor is checked: one the mode does
+    not reach against zeros.
 
     `grad_check` perturbs each tensor of a deep copy in place, so the
     caller's params are never touched. The copy's tensors are writeable, so
-    the check also runs on params whose tensors are read-only, as inference
-    leaves `pool.q2d`, `pool.phi_k`, `resampler.queries` and
-    `resampler.w_k`."""
-    bundles, targets = as_batch(bundles), _as_targets(targets)
+    the check also runs on read-only params, as inference leaves the four
+    tensors `pipeline.query_products` reads."""
+    bundles, targets = [bundle], [target]
     _, grads, _ = backward(bundles, params, targets, mode)
     work = copy.deepcopy(params)
 

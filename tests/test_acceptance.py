@@ -112,7 +112,7 @@ def test_criterion_5_gate_properties():
 def test_criterion_6_fusion_identities(branch_calls):
     bundle = synth_bundle(7, 4, 4, 8, 6)
     params = init_projector_params(4, 4, 8, 6, 8, 4, 2, seed=0)
-    outs = run_branches(bundle, params)
+    outs = run_branches([bundle], params)
     ok = True
     # one-hot fusion is bit exact
     tokens = [outs[name].tokens for name in ("pool", "resample", "prune")]
@@ -122,7 +122,7 @@ def test_criterion_6_fusion_identities(branch_calls):
         ok &= fuse(tokens, w[None]).tobytes() == x.tobytes()
     # all-active inference equals noise-free training forward
     inf = infer_forward(bundle, params, ("topk", 3))
-    trn = train_forward(bundle, params, 1.0, 0.0, 0)
+    trn = train_forward([bundle], params, 1.0, 0.0, 0)
     ok &= float(np.max(np.abs(inf.tokens - trn.tokens))) <= 1e-12
     # the discarded branch is never invoked under topk(2)
     force_logits(params, np.log([0.5, 0.3, 0.2]))
@@ -209,8 +209,8 @@ def test_criterion_9_end_to_end_shapes(m_tokens, stride):
                                    seed=0)
     ok = True
     for run in (
-        lambda: stage1_forward(bundle, params),
-        lambda: train_forward(bundle, params, 1.0, 0.0, 0),
+        lambda: stage1_forward([bundle], params),
+        lambda: train_forward([bundle], params, 1.0, 0.0, 0),
         lambda: infer_forward(bundle, params, ("topk", 1)),
         lambda: infer_forward(bundle, params, ("topk", 2)),
         lambda: infer_forward(bundle, params, ("topk", 3)),

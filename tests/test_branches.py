@@ -390,6 +390,6 @@ def test_pool_over_the_whole_grid_is_resample(batch):
 
 def test_all_branches_emit_m_rows(tiny_bundle, tiny_params):
     from qmop.pipeline import run_branches
-    outs = run_branches(tiny_bundle, tiny_params)
+    outs = run_branches([tiny_bundle], tiny_params)
     for out in outs.values():
         assert out.tokens.shape[0] == tiny_params.prune_cfg.m_out

@@ -100,7 +100,7 @@ def test_parse_mode_gives_forward_modes(tiny_bundle, tiny_params, spec,
     parsed = parse_mode(spec)
     assert parsed == mode
     assert [type(x) for x in parsed] == [type(x) for x in mode]
-    assert forward(tiny_bundle, tiny_params, parsed).tokens.shape == (4, 8)
+    assert forward([tiny_bundle], tiny_params, parsed).tokens.shape == (4, 8)
 
 
 def test_domains_name_config_fields():

@@ -96,6 +96,14 @@ class TestGradCheck:
         analytic[1] = bad
         assert grad_check(lambda: float(x @ x), x, analytic) == math.inf
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_central_difference_is_inf(self):
+        # both losses are finite, but their difference over 2 * FD_STEP is
+        # not: inf / inf would be a NaN residual, and a warning
+        x = np.zeros(1)
+        assert grad_check(lambda: float(1.7e308 * np.tanh(1e10 * x[0])), x,
+                          np.zeros(1)) == math.inf
+
     def test_nonfinite_raises(self):
         with pytest.raises(NumericError):
             grad_check(lambda: float("nan"), np.ones(2), np.ones(2))

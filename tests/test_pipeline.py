@@ -35,18 +35,18 @@ def force_logits(params, logits):
 
 class TestRunBranches:
     def test_all_outputs_have_m_rows(self, tiny_bundle, tiny_params):
-        outs = run_branches(tiny_bundle, tiny_params)
+        outs = run_branches([tiny_bundle], tiny_params)
         for name in ("pool", "resample", "prune"):
             assert outs[name].tokens.shape == (4, 8)
 
     def test_deterministic(self, tiny_bundle, tiny_params):
-        a = run_branches(tiny_bundle, tiny_params)
-        b = run_branches(tiny_bundle, tiny_params)
+        a = run_branches([tiny_bundle], tiny_params)
+        b = run_branches([tiny_bundle], tiny_params)
         for name in a:
             assert a[name].tokens.tobytes() == b[name].tokens.tobytes()
 
     def test_matches_module_level_operators(self, tiny_bundle, tiny_params):
-        outs = run_branches(tiny_bundle, tiny_params)
+        outs = run_branches([tiny_bundle], tiny_params)
         qk = query_products(tiny_params)
         assert np.array_equal(
             outs["pool"].tokens,
@@ -62,7 +62,7 @@ class TestRunBranches:
             tiny_bundle.patches[prune_select(scores, 4)])
 
     def test_counters(self, tiny_bundle, tiny_params, branch_calls):
-        run_branches(tiny_bundle, tiny_params)
+        run_branches([tiny_bundle], tiny_params)
         assert branch_calls == {"pool": 1, "resample": 1, "prune": 1}
 
 
@@ -126,31 +126,31 @@ class TestFuse:
 
 class TestStage1Forward:
     def test_output_shape(self, tiny_bundle, tiny_params):
-        out = stage1_forward(tiny_bundle, tiny_params)
+        out = stage1_forward([tiny_bundle], tiny_params)
         assert out.tokens.shape == (4, 8)
         assert out.gate is None and out.active is None
 
     def test_zeroed_output_layer_gives_bias(self, tiny_bundle, tiny_params):
         tiny_params.stage1_mlp.w_out[:] = 0.0
         tiny_params.stage1_mlp.b_out[:] = 2.5
-        out = stage1_forward(tiny_bundle, tiny_params)
+        out = stage1_forward([tiny_bundle], tiny_params)
         assert np.allclose(out.tokens, 2.5, atol=1e-15)
 
     def test_matches_composed_reference(self, tiny_bundle, tiny_params):
-        outs = run_branches(tiny_bundle, tiny_params)
+        outs = run_branches([tiny_bundle], tiny_params)
         concat = np.concatenate(
             [outs[n].tokens for n in ("pool", "resample", "prune")], axis=1)
         act, _ = ACTIVATIONS["gelu"]
         mlp = tiny_params.stage1_mlp
         ref = act(concat @ mlp.w_in.T + mlp.b_in) @ mlp.w_out.T + mlp.b_out
-        out = stage1_forward(tiny_bundle, tiny_params)
+        out = stage1_forward([tiny_bundle], tiny_params)
         assert np.allclose(out.tokens, ref, atol=1e-12)
 
     def test_record_holds_branch_tokens_once(self, tiny_bundle, tiny_params):
         # the backward's record keeps each branch's tokens as a view of the
         # MLP input rather than a second copy
-        outs = run_branches(tiny_bundle, tiny_params)
-        out = stage1_forward(tiny_bundle, tiny_params)
+        outs = run_branches([tiny_bundle], tiny_params)
+        out = stage1_forward([tiny_bundle], tiny_params)
         concat, _, _ = out.mlp
         for name in BRANCHES:
             kept = out.outputs[name].tokens
@@ -161,20 +161,20 @@ class TestStage1Forward:
 class TestTrainForward:
     def test_zero_logits_fuse_to_mean(self, tiny_bundle, tiny_params):
         force_logits(tiny_params, [0.0, 0.0, 0.0])
-        out = train_forward(tiny_bundle, tiny_params, 1.0, 0.0, 0)
+        out = train_forward([tiny_bundle], tiny_params, 1.0, 0.0, 0)
         mean = sum(out.outputs[n].tokens for n in out.outputs) / 3.0
         fused, _, _ = out.mlp
         assert np.allclose(fused, mean, atol=1e-12)
 
     def test_deterministic_without_noise(self, tiny_bundle, tiny_params):
-        a = train_forward(tiny_bundle, tiny_params, 1.0, 0.0, seed=1)
-        b = train_forward(tiny_bundle, tiny_params, 1.0, 0.0, seed=2)
+        a = train_forward([tiny_bundle], tiny_params, 1.0, 0.0, seed=1)
+        b = train_forward([tiny_bundle], tiny_params, 1.0, 0.0, seed=2)
         assert a.tokens.tobytes() == b.tokens.tobytes()
 
     def test_sharp_gate_approaches_single_branch(self, tiny_bundle,
                                                  tiny_params):
         force_logits(tiny_params, [2.0, 1.0, 0.0])  # pool wins
-        sharp = train_forward(tiny_bundle, tiny_params, 0.01, 0.0, 0)
+        sharp = train_forward([tiny_bundle], tiny_params, 0.01, 0.0, 0)
         single = infer_forward(tiny_bundle, tiny_params, ("topk", 1))
         assert single.active.members == ("pool",)
         rel = np.linalg.norm(sharp.tokens - single.tokens) \
@@ -185,7 +185,7 @@ class TestTrainForward:
 class TestInferForward:
     def test_topk3_equals_train(self, tiny_bundle, tiny_params):
         inf = infer_forward(tiny_bundle, tiny_params, ("topk", 3))
-        trn = train_forward(tiny_bundle, tiny_params, 1.0, 0.0, 0)
+        trn = train_forward([tiny_bundle], tiny_params, 1.0, 0.0, 0)
         assert np.max(np.abs(inf.tokens - trn.tokens)) <= 1e-12
 
     def test_topk1_is_single_branch_through_mlp(self, tiny_bundle,
@@ -193,7 +193,7 @@ class TestInferForward:
         from qmop.pipeline import _mlp_forward
         out = infer_forward(tiny_bundle, tiny_params, ("topk", 1))
         (branch,) = out.active.members
-        branch_out = run_branches(tiny_bundle, tiny_params)[branch]
+        branch_out = run_branches([tiny_bundle], tiny_params)[branch]
         expected, _, _ = _mlp_forward(tiny_params.out_mlp, branch_out.tokens)
         assert np.array_equal(out.tokens, expected)
 
@@ -244,22 +244,63 @@ class TestForward:
     def test_dispatches_each_kind(self, tiny_bundle, tiny_params, spy, mode,
                                   target):
         calls = {name: spy(pipeline, name) for name in self.FORWARDS}
-        forward(tiny_bundle, tiny_params, mode)
+        forward([tiny_bundle], tiny_params, mode)
         assert {n: sum(c.values()) for n, c in calls.items()} == {
             n: int(n == target) for n in self.FORWARDS}
 
     def test_train_takes_the_mode_fields_in_order(self, tiny_bundle,
                                                   tiny_params):
-        out = forward(tiny_bundle, tiny_params, ("train", 1.3, 0.7, 5))
-        direct = train_forward(tiny_bundle, tiny_params, 1.3, 0.7, 5)
+        out = forward([tiny_bundle], tiny_params, ("train", 1.3, 0.7, 5))
+        direct = train_forward([tiny_bundle], tiny_params, 1.3, 0.7, 5)
         assert out.tokens.tobytes() == direct.tokens.tobytes()
 
     @pytest.mark.parametrize("mode", [("bogus",), ("topk:2",), ("Train",)])
     def test_unknown_kind_raises(self, tiny_bundle, tiny_params,
                                  branch_calls, mode):
         with pytest.raises(ValueError, match="unknown forward mode"):
-            forward(tiny_bundle, tiny_params, mode)
+            forward([tiny_bundle], tiny_params, mode)
         assert branch_calls == {}
+
+
+class TestBatchCheck:
+    """A batch is a nonempty list of bundles with one set of dims, checked
+    before any branch runs."""
+
+    RUNS = {
+        "forward-stage1": lambda bs, p, ts: forward(bs, p, ("stage1",)),
+        "forward-train": lambda bs, p, ts: forward(bs, p,
+                                                   ("train", 1.3, 0.7, 5)),
+        "backward-stage1": lambda bs, p, ts: backward(bs, p, ts, ("stage1",)),
+        "backward-train": lambda bs, p, ts: backward(bs, p, ts,
+                                                     ("train", 1.3, 0.7, 5)),
+    }
+
+    @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
+    def test_empty_batch_raises(self, tiny_params, branch_calls, run):
+        with pytest.raises(ShapeError, match="at least one bundle"):
+            run([], tiny_params, [])
+        assert branch_calls == {}
+
+    @pytest.mark.parametrize("other", [(4, 4, 8, 5), (2, 2, 8, 6)],
+                             ids=["c_txt", "grid"])
+    @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
+    def test_mixed_dims_raise(self, tiny_bundle, tiny_params, tiny_target,
+                              branch_calls, run, other):
+        bundles = [tiny_bundle, synth_bundle(8, *other)]
+        with pytest.raises(ShapeError, match="differ in dims"):
+            run(bundles, tiny_params, [tiny_target, tiny_target])
+        assert branch_calls == {}
+
+    @pytest.mark.parametrize("mode", [("topk", 2), ("threshold", 0.25)])
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_infer_mode_takes_a_batch_of_one(self, tiny_bundle, tiny_params,
+                                             branch_calls, mode, n):
+        with pytest.raises(ShapeError, match="batch of one"):
+            forward([tiny_bundle] * n, tiny_params, mode)
+        assert branch_calls == {}
+        one = forward([tiny_bundle], tiny_params, mode)
+        assert one.tokens.tobytes() == infer_forward(
+            tiny_bundle, tiny_params, mode).tokens.tobytes()
 
 
 class TestStage1Head:
@@ -270,12 +311,12 @@ class TestStage1Head:
         ("train", 1.3, 0.7, 5)])
     def test_other_forwards_never_draw_it(self, tiny_bundle, tiny_params,
                                           mode):
-        forward(tiny_bundle, tiny_params, mode)
+        forward([tiny_bundle], tiny_params, mode)
         assert "stage1_mlp" not in vars(tiny_params)
 
     @pytest.mark.parametrize("read", [
-        lambda b, p, t: stage1_forward(b, p),
-        lambda b, p, t: backward(b, p, t, ("stage1",)),
+        lambda b, p, t: stage1_forward([b], p),
+        lambda b, p, t: backward([b], p, [t], ("stage1",)),
         lambda b, p, t: params_digest(p),
         lambda b, p, t: list(p.named_tensors())],
         ids=["stage1_forward", "backward", "params_digest", "named_tensors"])
@@ -375,7 +416,7 @@ class TestQueryFold:
         tiny_params.resampler.w_v[0, 0] += 1.0   # not a source
 
     def test_training_forwards_build_no_fold(self, tiny_bundle, tiny_params):
-        stage1_forward(tiny_bundle, tiny_params)
+        stage1_forward([tiny_bundle], tiny_params)
         train_forward([tiny_bundle], tiny_params, 1.0, 0.5, 3)
         assert tiny_params._fold is None
         assert all(a.flags.writeable for a in fold_sources(tiny_params))

@@ -41,6 +41,21 @@ def make_batch(seed, n=4):
     return bundles, targets
 
 
+def batch_gradcheck(bundles, params, targets, mode):
+    """`gradcheck_params` over a batch: per-tensor `grad_check` of the
+    batch-mean loss against `backward`'s batch gradients, every tensor
+    checked (an unreached one against zeros) on a deep copy of `params`."""
+    _, grads, _ = backward(bundles, params, targets, mode)
+    work = copy.deepcopy(params)
+
+    def loss():
+        return trainer.batch_loss(forward(bundles, work, mode).tokens,
+                                  targets)
+
+    return {name: grad_check(loss, arr, grads.get(name, np.zeros(arr.shape)))
+            for name, arr in work.named_tensors()}
+
+
 class TestSchedules:
     def test_tau_step_zero(self):
         s = AnnealSchedule(tau0=2.0, tau_min=0.1, decay=0.5)
@@ -102,8 +117,8 @@ class TestLoss:
 
 class TestBackward:
     def test_zero_gradient_at_target(self, tiny_bundle, tiny_params):
-        target = stage1_forward(tiny_bundle, tiny_params).tokens
-        loss, grads, _ = backward(tiny_bundle, tiny_params, target,
+        target = stage1_forward([tiny_bundle], tiny_params).tokens
+        loss, grads, _ = backward([tiny_bundle], tiny_params, [target],
                                   ("stage1",))
         assert loss <= 1e-20
         for g in grads.values():
@@ -112,7 +127,7 @@ class TestBackward:
     def test_stage1_router_grads_exactly_zero(self, tiny_bundle, tiny_params,
                                               tiny_target):
         # a tensor the mode does not reach has no gradient entry at all
-        _, grads, gate = backward(tiny_bundle, tiny_params, tiny_target,
+        _, grads, gate = backward([tiny_bundle], tiny_params, [tiny_target],
                                   ("stage1",))
         assert gate is None
         assert set(grads) == {name for name, _ in tiny_params.named_tensors()
@@ -120,7 +135,7 @@ class TestBackward:
 
     def test_train_stage1_mlp_grads_zero(self, tiny_bundle, tiny_params,
                                          tiny_target):
-        _, grads, gate = backward(tiny_bundle, tiny_params, tiny_target,
+        _, grads, gate = backward([tiny_bundle], tiny_params, [tiny_target],
                                   ("train", 1.0, 0.0, 0))
         assert gate.alpha.shape == (1, len(BRANCHES))
         assert set(grads) == {name for name, _ in tiny_params.named_tensors()
@@ -130,7 +145,7 @@ class TestBackward:
     def test_reached_grads_own_their_memory(self, tiny_bundle, tiny_params,
                                             tiny_target, mode):
         # train_toy computes each new tensor in its gradient's array
-        _, grads, gate = backward(tiny_bundle, tiny_params, tiny_target,
+        _, grads, gate = backward([tiny_bundle], tiny_params, [tiny_target],
                                   mode)
         tensors = dict(tiny_params.named_tensors())
         held = list(tensors.values()) + [
@@ -195,10 +210,10 @@ class TestBackward:
         params = init_projector_params(6, 6, 8, 6, 8, 9, 2, seed=8)
         bundle = synth_bundle(8, 6, 6, 8, 6)
         target = seeded_fill(508, 9, 8)
-        _, grads, _ = backward(bundle, params, target, mode)
+        _, grads, _ = backward([bundle], params, [target], mode)
 
         def loss():
-            return loss_mse(forward(bundle, params, mode).tokens, target)
+            return loss_mse(forward([bundle], params, mode).tokens, target)
 
         for attr in ("queries", "w_k", "w_v"):
             err = grad_check(loss, getattr(params.resampler, attr),
@@ -270,8 +285,9 @@ class TestBackward:
             assert np.array_equal(old, new), name
         assert tiny_params.pool.phi_k.flags.f_contiguous
 
-    @pytest.mark.parametrize("check", [backward, gradcheck_params],
-                             ids=["backward", "gradcheck_params"])
+    @pytest.mark.parametrize("check", [
+        lambda b, p, t, mode: backward([b], p, [t], mode), gradcheck_params],
+        ids=["backward", "gradcheck_params"])
     @pytest.mark.parametrize("mode", [("topk", 2), ("threshold", 0.3),
                                       ("bogus",)])
     def test_unknown_backward_mode(self, tiny_bundle, tiny_params,
@@ -290,7 +306,7 @@ class TestBackward:
         pool = spy(trainer, "_pool_backward")
         res = spy(trainer, "_resample_backward")
         attend = spy(branches, "_attend")   # pool's and resample's one core
-        backward(tiny_bundle, tiny_params, tiny_target, mode)
+        backward([tiny_bundle], tiny_params, [tiny_target], mode)
         assert branch_calls == dict.fromkeys(BRANCHES, 1)
         assert pool["_pool_backward"] == 1
         assert res["_resample_backward"] == 1
@@ -332,22 +348,22 @@ class TestBackward:
         params = make_params(10)
         bundles, targets = make_batch(10, n=3)
         mode = ("stage1",) if stage == 1 else ("train", 1.3, 0.7, 4)
-        report = gradcheck_params(bundles, params, targets, mode)
+        report = batch_gradcheck(bundles, params, targets, mode)
         assert max(report.values()) <= TOL
 
     def test_gradcheck_batch_shared_phi(self):
         params = init_projector_params(4, 4, 8, 6, 8, 4, 2, seed=11,
                                        shared_pool_phi=True)
         bundles, targets = make_batch(11, n=2)
-        report = gradcheck_params(bundles, params, targets,
-                                  ("train", 1.0, 0.3, 1))
+        report = batch_gradcheck(bundles, params, targets,
+                                 ("train", 1.0, 0.3, 1))
         assert max(report.values()) <= TOL
 
     @pytest.mark.parametrize("mode", [("stage1",), ("train", 1.3, 0.7, 0)])
     def test_wrong_target_shape_raises(self, tiny_bundle, tiny_params, mode):
         # a (1, D) target would broadcast against the (M, D) output
         with pytest.raises(ShapeError):
-            backward(tiny_bundle, tiny_params, np.zeros((1, 8)), mode)
+            backward([tiny_bundle], tiny_params, [np.zeros((1, 8))], mode)
 
     def test_batch_needs_one_target_per_bundle(self, tiny_params):
         bundles, targets = make_batch(12, n=2)
@@ -359,10 +375,10 @@ class TestBackward:
         # perturbations too small to flip kept indices change loss smoothly;
         # the gradcheck above is exactly that consistency, so just confirm a
         # small parameter nudge moves the loss by O(delta)
-        base, _, _ = backward(tiny_bundle, tiny_params, tiny_target,
+        base, _, _ = backward([tiny_bundle], tiny_params, [tiny_target],
                               ("stage1",))
         tiny_params.resampler.queries[0, 0] += 1e-7
-        nudged, _, _ = backward(tiny_bundle, tiny_params, tiny_target,
+        nudged, _, _ = backward([tiny_bundle], tiny_params, [tiny_target],
                                 ("stage1",))
         assert abs(nudged - base) < 1e-5
 
@@ -500,7 +516,7 @@ def summed_backwards(params, bundles, targets, stage, seed):
         mode = step_mode(stage, seed)
         if stage == 2:
             mode = mode[:3] + (mode[3] + i,)
-        loss, grads, _ = backward(bundle, params, target, mode)
+        loss, grads, _ = backward([bundle], params, [target], mode)
         loss_sum += loss
         for name in grads:
             if name in total:
@@ -598,7 +614,7 @@ class TestOneGradientSet:
         per_sample = 8 * (3 * m * width + 4 * m * d + 2 * n * c + n * c2
                           + m * n)
         mode = ("stage1",) if stage == 1 else ("train", 1.0, 0.0, 0)
-        _, grads, _ = backward(bundles[0], params, targets[0], mode)
+        _, grads, _ = backward(bundles[:1], params, targets[:1], mode)
         grad_set = sum(grad.nbytes for grad in grads.values())
         assert per_sample < grad_set
         assert step_peak(4)[0] - peak1 <= 3 * per_sample
