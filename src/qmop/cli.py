@@ -1,9 +1,9 @@
 """Command-line surface. All outputs are machine-readable, strict JSON.
 
-Exit codes: 0 success, 2 usage/input error (dims that do not fit in memory
-included), 3 dimension mismatch, 4 verification failure (`gradcheck`, and
-`train-toy`'s final gradient check, above `trainer.GRADCHECK_TOL`), 5
-training divergence.
+Exit codes: 0 success, 2 usage/input error (dims whose params do not fit in
+available memory included), 3 dimension mismatch, 4 verification failure
+(`gradcheck`, and `train-toy`'s final gradient check, above
+`trainer.GRADCHECK_TOL`), 5 training divergence.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ GRADCHECK_MAX_TOKENS = 64
 # `qmop cost` counts stay at most 2**53, which a float holds exactly, so
 # every cost it prints is finite
 COUNT_MAX = 2 ** 53
+# where Linux reports the memory and swap available to new allocations
+MEMINFO = "/proc/meminfo"
 
 
 def build_params(cfg: PipelineConfig) -> pl.ProjectorParams:
@@ -55,6 +57,38 @@ def synth_samples(cfg: PipelineConfig,
     targets = [seeded_fill(cfg.seed + 7919 + i, cfg.m_tokens, cfg.d_llm)
                for i in range(n)]
     return bundles, targets
+
+
+def _mem_available() -> int | None:
+    """`MemAvailable` plus `SwapFree` in `MEMINFO`, as bytes, or None if
+    `MemAvailable` cannot be read. A cgroup's memory limit is not read."""
+    fields = {}
+    try:
+        with open(MEMINFO) as fh:
+            for line in fh:
+                key, _, value = line.partition(":")
+                if key in ("MemAvailable", "SwapFree"):
+                    fields[key] = int(value.split()[0]) * 1024
+    except (OSError, ValueError, IndexError):
+        return None
+    if "MemAvailable" not in fields:
+        return None
+    return fields["MemAvailable"] + fields.get("SwapFree", 0)
+
+
+def _check_memory(cfg: PipelineConfig, head_itemsize: int):
+    """Exit 2 before any work if the params' weights alone, as
+    `pipeline.params_nbytes` counts them, exceed the memory and swap
+    available: an allocation the operating system grants but cannot back
+    would end the process instead. This catches only params larger than
+    that; activations, other processes and a cgroup limit can still end
+    the run. Where `_mem_available` reads nothing, nothing is checked."""
+    need = pl.params_nbytes(cfg.c_vis, cfg.c_txt, cfg.d_llm, cfg.m_tokens,
+                            cfg.router_hidden, head_itemsize)
+    available = _mem_available()
+    if available is not None and need > available:
+        _fail(EXIT_USAGE, f"out of memory: the params need {need / 2**20:.1f} "
+                          f"MiB, {available / 2**20:.1f} MiB available")
 
 
 def _fail(code: int, message: str):
@@ -130,8 +164,10 @@ def _emit(report: dict, out_path: str | None):
 
 class _Commands(click.Group):
     """Dims that pass the config rules but do not fit in memory exit 2 with
-    one line from every command, wherever the allocation falls: in
-    `build_params` or in the first read of the stage-1 head."""
+    one line from every command: before any work where `_check_memory`
+    finds the params too large, and wherever numpy refuses an allocation
+    (in `build_params`, in the first read of the stage-1 head or of its
+    float32 image)."""
 
     def invoke(self, ctx):
         try:
@@ -179,6 +215,7 @@ def cmd_compress(features, cfg, mode_spec, out, no_timing, dump_tokens):
         mode = parse_mode(mode_spec or cfg.inference_mode)
     except ConfigError as exc:
         _fail(EXIT_USAGE, f"config error: {exc}")
+    _check_memory(cfg, 8 if mode[0] == "stage1" else 0)
     params = build_params(cfg)
 
     def run_one(path: str) -> dict:
@@ -248,6 +285,7 @@ def cmd_compress(features, cfg, mode_spec, out, no_timing, dump_tokens):
 def cmd_gradcheck(cfg, trials):
     """Verify analytic gradients against central differences, both stages."""
     _limit_gradcheck(cfg, "gradcheck")
+    _check_memory(cfg, 8)
 
     worst: dict[str, float] = {}
     for trial in range(trials):
@@ -307,6 +345,9 @@ def cmd_train_toy(cfg, stage, steps, batch, no_grad_check, out):
     """Run the two-stage toy trainer on a synthetic batch."""
     if not no_grad_check:
         _limit_gradcheck(cfg, "train-toy without --no-grad-check")
+    # stage 2 holds the head only as `params_digest`'s float32 image, unless
+    # the final check draws it in its copy of the params
+    _check_memory(cfg, 4 if stage == 2 and no_grad_check else 8)
     params = build_params(cfg)
     bundles, targets = synth_samples(cfg, batch or cfg.batch_size)
     tconf = trainer.TrainConfig(

@@ -1,6 +1,7 @@
 """Dense float64 tensor primitives: batch row-stacking, last-axis softmax,
 activations, a central-difference gradient checker that perturbs a tensor in
-place, and deterministic seeded gaussian initialization.
+place, and deterministic seeded gaussian initialization, drawn in row
+chunks into float64 or float32.
 
 Everything downstream operates on plain numpy arrays (2D "matrices", 1D
 "vectors") in float64. Shapes are validated eagerly so errors surface at the
@@ -113,13 +114,33 @@ def rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def seeded_fill(seed: int, rows: int, cols: int,
-                sigma: float = 1.0) -> np.ndarray:
+FILL_CHUNK = 1 << 16   # elements `seeded_fill` draws at a time
+
+
+def seeded_fill(seed: int, rows: int, cols: int, sigma: float = 1.0,
+                dtype: type = np.float64) -> np.ndarray:
     """Deterministic (seed, shape)-keyed gaussian matrix with std `sigma`.
 
     Uses the Philox 4x64 counter-based generator so streams are reproducible
-    bit-for-bit on any platform for a fixed numpy major line.
+    bit-for-bit on any platform for a fixed numpy major line. The float64
+    draw runs in chunks of whole rows, about `FILL_CHUNK` elements each (one
+    row if a row is wider), each scaled by `sigma`: in place in a float64
+    result, or in a float64 chunk cast on assignment into a `dtype` one. The
+    stream does not depend on the chunking, so the float64 result is
+    `rng_for(seed).standard_normal((rows, cols)) * sigma` bit for bit, a
+    float32 result is that cast to float32, and no float64 copy of a
+    float32 result is ever held.
     """
     if sigma <= 0:
         raise DomainError(f"gaussian sigma must be > 0, got {sigma}")
-    return rng_for(seed).standard_normal((rows, cols)) * sigma
+    rng = rng_for(seed)
+    out = np.empty((rows, cols), dtype=dtype)
+    step = max(1, FILL_CHUNK // max(cols, 1))
+    for start in range(0, rows, step):
+        dst = out[start:start + step]
+        part = dst if dst.dtype == np.float64 else np.empty(dst.shape)
+        rng.standard_normal(out=part)
+        part *= sigma
+        if part is not dst:
+            dst[...] = part
+    return out

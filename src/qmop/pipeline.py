@@ -52,40 +52,69 @@ class Mlp:
     activation: str
 
 
-def _init_mlp(seed_in: int, seed_out: int, width: int, d_out: int,
-              activation: str) -> Mlp:
-    """width -> width -> d_out: gaussian weights at 1/sqrt(width) drawn at
-    the two subseeds, zero biases."""
-    sigma = 1.0 / math.sqrt(width)
-    return Mlp(w_in=seeded_fill(seed_in, width, width, sigma=sigma),
-               b_in=np.zeros(width),
-               w_out=seeded_fill(seed_out, d_out, width, sigma=sigma),
-               b_out=np.zeros(d_out), activation=activation)
+def _draw(seed: int, shape: tuple[int, int],
+          dtype: type = np.float64) -> np.ndarray:
+    """A (rows, cols) gaussian weight at std 1/sqrt(cols), its fan-in."""
+    rows, cols = shape
+    return seeded_fill(seed, rows, cols, sigma=1.0 / math.sqrt(cols),
+                       dtype=dtype)
+
+
+def _init_mlp(seeds: tuple[int, int], shapes: tuple[tuple[int, int], ...],
+              activation: str, dtype: type) -> Mlp:
+    """width -> width -> d_out: the two weights drawn at their subseeds and
+    shapes, zero biases, every tensor in `dtype`."""
+    (s_in, s_out), (in_shape, out_shape) = seeds, shapes
+    return Mlp(w_in=_draw(s_in, in_shape, dtype),
+               b_in=np.zeros(in_shape[0], dtype=dtype),
+               w_out=_draw(s_out, out_shape, dtype),
+               b_out=np.zeros(out_shape[0], dtype=dtype),
+               activation=activation)
 
 
 @dataclass
 class ProjectorParams:
-    """Every learnable tensor of the projector. `stage1_mlp` is drawn by
-    `draw_stage1_mlp` the first time something reads it (`stage1_forward`,
-    the stage-1 `backward`, `named_tensors`), and later reads return that
-    same `Mlp`. Inference never reads it, so it never holds the head, which
-    is most of the params at paper dims. Inference's `query_products` are
-    kept in `_fold` (see `query_fold`), whose sources are read-only: change
-    a tensor by assigning a new array to its field, never in place."""
+    """Every learnable tensor of the projector. `stage1_mlp` is drawn in
+    float64 by `draw_stage1_mlp` the first time something reads it
+    (`stage1_forward`, the stage-1 `backward`, `named_tensors`), and later
+    reads return that same `Mlp`. Inference and stage-2 training never read
+    it, so they never hold the head, which is most of the params at paper
+    dims. Until it is drawn, `digest_head` stands in for it with a float32
+    image drawn at the same subseeds, half the bytes; drawing the head
+    drops the image. Inference's `query_products` are kept in `_fold` (see
+    `query_fold`), whose sources are read-only: change a tensor by assigning
+    a new array to its field, never in place."""
     prune_cfg: br.PruneConfig
     relevance: br.RelevanceMap
     resampler: br.ResamplerParams
     pool: br.PoolParams
     router: rt.RouterParams
-    draw_stage1_mlp: Callable[[], Mlp]
+    draw_stage1_mlp: Callable[[type], Mlp]   # takes the dtype
     out_mlp: Mlp               # C -> C -> D_llm
     # (the four tensors `query_products` read, its result); see `query_fold`
     _fold: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
+    # the undrawn head's float32 image; see `digest_head`
+    _head_image: Mlp | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     @functools.cached_property
     def stage1_mlp(self) -> Mlp:   # BC -> BC -> D_llm, B branches
-        return self.draw_stage1_mlp()
+        self._head_image = None
+        return self.draw_stage1_mlp(np.float64)
+
+    def digest_head(self) -> Mlp:
+        """The head as `trainer.params_digest` hashes it: `stage1_mlp` once
+        drawn; until then, its float32 image, drawn at the head's subseeds
+        on the first call and kept until the head is drawn. The image holds
+        the head's elements cast to float32, so the digest is the same
+        either way, and no float64 head is drawn for it. It depends only on
+        seeds, so it cannot go stale."""
+        if "stage1_mlp" in vars(self):
+            return self.stage1_mlp
+        if self._head_image is None:
+            self._head_image = self.draw_stage1_mlp(np.float32)
+        return self._head_image
 
     def query_fold(self) -> dict[str, np.ndarray]:
         """`query_products(self)`, computed on the first call and returned
@@ -109,12 +138,14 @@ class ProjectorParams:
             self._fold = (sources, query_products(self))
         return self._fold[1]
 
-    def named_tensors(self):
+    def named_tensors(self, head: Mlp | None = None):
         """("record.field", array) for each array field of each learnable
-        record, in field order."""
+        record, in field order. A `head` given stands in for `stage1_mlp`,
+        which is then not read."""
         for tag in ("relevance", "resampler", "pool", "router", "stage1_mlp",
                     "out_mlp"):
-            record = getattr(self, tag)
+            record = (head if tag == "stage1_mlp" and head is not None
+                      else getattr(self, tag))
             for f in fields(record):
                 value = getattr(record, f.name)
                 if isinstance(value, np.ndarray):
@@ -145,6 +176,24 @@ def pooled_grid(grid_h: int, grid_w: int, stride: int,
     return h, w
 
 
+def _weight_shapes(c: int, c2: int, d_llm: int, m_tokens: int,
+                   router_hidden: int | None) -> dict[str, tuple[int, int]]:
+    """(rows, cols) of each gaussian weight `init_projector_params` draws,
+    keyed by its `named_tensors` name, in subseed order. Every other tensor
+    is a zero bias."""
+    nb = len(rt.BRANCHES)
+    bc, d = nb * c, rt.hidden_width(c + c2, router_hidden)
+    return {
+        "relevance.g": (c2, c),
+        "resampler.queries": (m_tokens, c), "resampler.w_k": (c, c),
+        "resampler.w_v": (c, c),
+        "pool.q2d": (m_tokens, c), "pool.phi_k": (c, c), "pool.phi_v": (c, c),
+        "router.w1": (d, c + c2), "router.w2": (nb, d),
+        "stage1_mlp.w_in": (bc, bc), "stage1_mlp.w_out": (d_llm, bc),
+        "out_mlp.w_in": (c, c), "out_mlp.w_out": (d_llm, c),
+    }
+
+
 def init_projector_params(
     grid_h: int, grid_w: int, c_vis: int, c_txt: int, d_llm: int,
     m_tokens: int, stride: int, seed: int = 0,
@@ -152,35 +201,58 @@ def init_projector_params(
     metric: str = "cosine", activation: str = "gelu",
     shared_pool_phi: bool = False,
 ) -> ProjectorParams:
-    """Gaussian init with 1/sqrt(fan_in) scale, one subseed per tensor.
-    `stage1_mlp` gets a draw at its subseeds that runs on its first read,
-    bit-identical to drawing it here."""
+    """Gaussian init with 1/sqrt(fan_in) scale, one subseed per tensor, at
+    the shapes of `_weight_shapes`. `stage1_mlp` gets a draw at its
+    subseeds, taking the dtype, that runs on its first read, bit-identical
+    to drawing it here."""
     h, w = pooled_grid(grid_h, grid_w, stride, m_tokens)
-    c, c2, nb = c_vis, c_txt, len(rt.BRANCHES)
-    d = rt.hidden_width(c + c2, router_hidden)
-    s = [seed * 64 + i for i in range(32)]  # distinct subseed per tensor
+    shapes = _weight_shapes(c_vis, c_txt, d_llm, m_tokens, router_hidden)
+    # a distinct subseed per tensor, out of 64 for each seed
+    seeds = {name: seed * 64 + i for i, name in enumerate(shapes)}
 
-    def g(i, rows, cols, fan):
-        return seeded_fill(s[i], rows, cols, sigma=1.0 / math.sqrt(fan))
+    def g(name):
+        return _draw(seeds[name], shapes[name])
+
+    def mlp_at(tag):   # the subseeds and shapes of an MLP's two weights
+        names = (f"{tag}.w_in", f"{tag}.w_out")
+        return (tuple(seeds[n] for n in names),
+                tuple(shapes[n] for n in names))
 
     return ProjectorParams(
         prune_cfg=br.PruneConfig(lam=lam, m_out=m_tokens, metric=metric),
-        relevance=br.RelevanceMap(g=g(0, c2, c, c)),
+        relevance=br.RelevanceMap(g=g("relevance.g")),
         resampler=br.ResamplerParams(
-            queries=g(1, m_tokens, c, c), w_k=g(2, c, c, c), w_v=g(3, c, c, c)
+            queries=g("resampler.queries"), w_k=g("resampler.w_k"),
+            w_v=g("resampler.w_v"),
         ),
         pool=br.PoolParams(
-            q2d=g(4, m_tokens, c, c), phi_k=g(5, c, c, c), phi_v=g(6, c, c, c),
+            q2d=g("pool.q2d"), phi_k=g("pool.phi_k"), phi_v=g("pool.phi_v"),
             stride=stride, grid_h=h, grid_w=w, shared_phi=shared_pool_phi,
         ),
         router=rt.RouterParams(
-            w1=g(7, d, c + c2, c + c2), b1=np.zeros(d),
-            w2=g(8, nb, d, d), b2=np.zeros(nb), activation=activation,
+            w1=g("router.w1"), b1=np.zeros(shapes["router.w1"][0]),
+            w2=g("router.w2"), b2=np.zeros(shapes["router.w2"][0]),
+            activation=activation,
         ),
-        draw_stage1_mlp=functools.partial(_init_mlp, s[9], s[10], nb * c,
-                                          d_llm, activation),
-        out_mlp=_init_mlp(s[11], s[12], c, d_llm, activation),
+        draw_stage1_mlp=functools.partial(_init_mlp, *mlp_at("stage1_mlp"),
+                                          activation),
+        out_mlp=_init_mlp(*mlp_at("out_mlp"), activation, np.float64),
     )
+
+
+def params_nbytes(c_vis: int, c_txt: int, d_llm: int, m_tokens: int,
+                  router_hidden: int | None = None,
+                  head_itemsize: int = 8) -> int:
+    """Bytes of the weights `init_projector_params` draws at these dims:
+    each in float64 but the stage-1 head's two, at `head_itemsize` bytes an
+    element (8 once drawn, 4 as `digest_head`'s image, 0 while nothing reads
+    it). The zero biases are left out, since a large zeroed array takes no
+    memory until it is written, so the count is a lower bound on what the
+    params take."""
+    return sum(
+        (head_itemsize if name.startswith("stage1_mlp.") else 8) * rows * cols
+        for name, (rows, cols) in _weight_shapes(
+            c_vis, c_txt, d_llm, m_tokens, router_hidden).items())
 
 
 def query_products(params: ProjectorParams) -> dict[str, np.ndarray]:

@@ -296,8 +296,11 @@ def float32_digest(arrays) -> str:
 
 
 def params_digest(params: pl.ProjectorParams) -> str:
-    """`float32_digest` of every tensor, in `named_tensors` order."""
-    return float32_digest(arr for _, arr in params.named_tensors())
+    """`float32_digest` of every tensor, in `named_tensors` order, with
+    `digest_head` in the stage-1 head's place: an undrawn head is hashed
+    from its float32 image, the same bytes, and is not drawn."""
+    return float32_digest(arr for _, arr in
+                          params.named_tensors(params.digest_head()))
 
 
 def _step_mode(config: TrainConfig, step: int, seed: int) -> tuple:

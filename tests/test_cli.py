@@ -660,7 +660,8 @@ def refuse_draw(monkeypatch):
 
 
 # Each used to end in a numpy traceback and exit 1. The stage-1 head is
-# drawn on its first read: in the forward, the backward or the params digest.
+# drawn on its first read, in the forward, the backward or the final check's
+# copy of the params, and its float32 image in the params digest.
 @pytest.mark.parametrize("command,bad_seed", [
     (["compress", "--features", "{features}", "--mode", "stage1"], 9),
     (["compress", "--features", "{features}", "--mode", "topk:2"], 12),
@@ -690,6 +691,59 @@ def test_compress_never_draws_the_stage1_head(runner, workspace, refuse_draw,
     refuse_draw(9)
     res = runner.invoke(main, ["compress", "--features", str(features),
                                "--config", str(cfg), "--mode", mode])
+    assert res.exit_code == 0, res.output
+
+
+# the stage-1 head's bytes an element that each command counts: a float64
+# head where stage 1 reads it (the final check and gradcheck read it in their
+# copy of the params), the float32 image where only the digest reads it,
+# nothing where inference never reads it
+@pytest.mark.parametrize("command,head_itemsize", [
+    (["compress", "--features", "{features}", "--mode", "topk:2"], 0),
+    (["compress", "--features", "{features}", "--mode", "train"], 0),
+    (["compress", "--features", "{features}", "--mode", "stage1"], 8),
+    (["train-toy", "--stage", "1", "--steps", "1"], 8),
+    (["train-toy", "--stage", "2", "--steps", "1"], 8),
+    (["train-toy", "--stage", "2", "--steps", "1", "--no-grad-check"], 4),
+    (["gradcheck", "--trials", "1"], 8)])
+def test_params_beyond_available_memory_exit_2(runner, workspace, monkeypatch,
+                                               command, head_itemsize):
+    tmp, cfg, features = workspace
+    args = [a.format(features=features) for a in command]
+    args += ["--config", str(cfg)]
+    c = cli.load_config(str(cfg))
+    need = pipeline.params_nbytes(c.c_vis, c.c_txt, c.d_llm, c.m_tokens,
+                                  c.router_hidden, head_itemsize)
+    monkeypatch.setattr(cli, "_mem_available", lambda: need)
+    assert runner.invoke(main, args).exit_code == 0, "a run that fits"
+    monkeypatch.setattr(cli, "_mem_available", lambda: need - 1)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == (f"out of memory: the params need "
+                          f"{need / 2**20:.1f} MiB, "
+                          f"{(need - 1) / 2**20:.1f} MiB available\n")
+
+
+def test_mem_available_reads_meminfo(runner, workspace, monkeypatch):
+    tmp, cfg, _ = workspace
+    meminfo = tmp / "meminfo"
+    meminfo.write_text("MemTotal:        8221900 kB\n"
+                       "MemFree:         7136788 kB\n"
+                       "MemAvailable:    7705808 kB\n"
+                       "SwapFree:        1048572 kB\n")
+    monkeypatch.setattr(cli, "MEMINFO", str(meminfo))
+    assert cli._mem_available() == (7705808 + 1048572) * 1024
+    meminfo.write_text("MemAvailable:    7705808 kB\n")   # no swap
+    assert cli._mem_available() == 7705808 * 1024
+    meminfo.write_text("MemTotal:        8221900 kB\n"
+                       "SwapFree:        1048572 kB\n")
+    assert cli._mem_available() is None
+    # an unreadable file checks nothing, and the run goes ahead
+    monkeypatch.setattr(cli, "MEMINFO", str(tmp / "missing"))
+    assert cli._mem_available() is None
+    res = runner.invoke(main, ["train-toy", "--stage", "1", "--steps", "1",
+                               "--config", str(cfg)])
     assert res.exit_code == 0, res.output
 
 

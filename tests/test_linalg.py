@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qmop.linalg import (
+    FILL_CHUNK,
     DomainError,
     NumericError,
     ShapeError,
     grad_check,
+    rng_for,
     seeded_fill,
     softmax_rows,
 )
@@ -168,3 +170,16 @@ class TestSeededFill:
         samples = seeded_fill(0, 100, 100)
         assert abs(samples.mean()) < 0.05
 
+    # rows x cols over several row chunks with a remainder, exactly two
+    # chunks, one row per chunk, and a row wider than a chunk
+    @pytest.mark.parametrize("rows,cols", [
+        (7, FILL_CHUNK // 3 + 5), (2 * 64, FILL_CHUNK // 64),
+        (5, FILL_CHUNK), (3, FILL_CHUNK + 17)])
+    def test_chunked_draw_is_one_full_draw(self, rows, cols):
+        want = rng_for(9).standard_normal((rows, cols)) * 0.3
+        got = seeded_fill(9, rows, cols, sigma=0.3)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        image = seeded_fill(9, rows, cols, sigma=0.3, dtype=np.float32)
+        assert image.dtype == np.float32
+        assert image.tobytes() == want.astype(np.float32).tobytes()

@@ -15,6 +15,7 @@ from qmop.pipeline import (
     fuse,
     infer_forward,
     init_projector_params,
+    params_nbytes,
     query_products,
     run_branches,
     stage1_forward,
@@ -317,14 +318,44 @@ class TestStage1Head:
     @pytest.mark.parametrize("read", [
         lambda b, p, t: stage1_forward([b], p),
         lambda b, p, t: backward([b], p, [t], ("stage1",)),
-        lambda b, p, t: params_digest(p),
         lambda b, p, t: list(p.named_tensors())],
-        ids=["stage1_forward", "backward", "params_digest", "named_tensors"])
+        ids=["stage1_forward", "backward", "named_tensors"])
     def test_first_read_draws_it_once(self, tiny_bundle, tiny_params,
                                       tiny_target, read):
         read(tiny_bundle, tiny_params, tiny_target)
         head = vars(tiny_params)["stage1_mlp"]
         assert tiny_params.stage1_mlp is head
+
+    def test_params_digest_never_draws_it(self, tiny_params):
+        digest = params_digest(tiny_params)
+        assert "stage1_mlp" not in vars(tiny_params)
+        assert params_digest(tiny_params) == digest
+        tiny_params.stage1_mlp
+        assert params_digest(tiny_params) == digest
+
+    def test_stage2_training_never_draws_it(self, tiny_bundle, tiny_target):
+        digests = []
+        for draw_first in (True, False):
+            params = init_projector_params(4, 4, 8, 6, 8, 4, 2, seed=0)
+            if draw_first:
+                params.stage1_mlp
+            report = train_toy(params, TrainConfig(
+                stage=2, steps=2, lr=0.1, seed=0, bundles=[tiny_bundle],
+                targets=[tiny_target], final_grad_check=False))
+            digests.append(report.params_digest)
+        assert digests[0] == digests[1]
+        # the twin that trained undrawn: its digest hashed the float32
+        # image, which holds the head's elements cast, and no head
+        assert "stage1_mlp" not in vars(params)
+        image = params.digest_head()
+        assert params.digest_head() is image
+        head = params.stage1_mlp
+        assert params.digest_head() is head
+        assert params._head_image is None
+        for name in ("w_in", "b_in", "w_out", "b_out"):
+            got, want = getattr(image, name), getattr(head, name)
+            assert got.dtype == np.float32 and want.dtype == np.float64
+            assert got.tobytes() == want.astype(np.float32).tobytes()
 
     def test_training_keeps_its_updates(self, tiny_bundle, tiny_target):
         # two steps, so the second reads the head the first updated
@@ -517,3 +548,25 @@ def test_init_rejects_inconsistent_geometry():
         init_projector_params(4, 4, 8, 6, 8, m_tokens=5, stride=2)
     with pytest.raises(ShapeError):
         init_projector_params(5, 4, 8, 6, 8, m_tokens=4, stride=2)
+
+
+@pytest.mark.parametrize("dims,router_hidden", [
+    ((4, 4, 8, 6, 8, 4, 2), None),
+    ((4, 4, 8, 6, 11, 4, 2), 3),
+    ((6, 6, 5, 2, 8, 4, 3), None)], ids=["tiny", "hidden-3", "6x6"])
+def test_params_nbytes_counts_the_drawn_weights(dims, router_hidden):
+    params = init_projector_params(*dims, router_hidden=router_hidden)
+    c, c2, d_llm, m = dims[2:6]
+
+    def weight_bytes(head, in_head):
+        # every tensor but the zero biases, in the head or out of it
+        return sum(arr.nbytes for name, arr in params.named_tensors(head)
+                   if name.startswith("stage1_mlp.") == in_head
+                   and not name.split(".")[1].startswith("b"))
+
+    rest = params_nbytes(c, c2, d_llm, m, router_hidden, head_itemsize=0)
+    assert rest == weight_bytes(params.digest_head(), False)
+    assert params_nbytes(c, c2, d_llm, m, router_hidden, 4) == (
+        rest + weight_bytes(params.digest_head(), True))
+    assert params_nbytes(c, c2, d_llm, m, router_hidden) == (
+        rest + weight_bytes(params.stage1_mlp, True))

@@ -619,6 +619,30 @@ class TestOneGradientSet:
         assert per_sample < grad_set
         assert step_peak(4)[0] - peak1 <= 3 * per_sample
 
+    def test_stage2_peak_stays_below_the_float64_head(self):
+        # the head is most of the params at these dims. Fresh params and a
+        # stage-2 step on them, whose report hashes the head's float32
+        # image (half its bytes) and never draws the head, peak at less
+        # than the head's bytes beyond the other tensors
+        m, d, c, c2 = 16, 8192, 128, 96
+        config = TrainConfig(
+            stage=2, steps=1, lr=0.1, seed=0,
+            bundles=[synth_bundle(0, 8, 8, c, c2)],
+            targets=[seeded_fill(50, m, d)], final_grad_check=False)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            params = init_projector_params(8, 8, c, c2, d, m, 2, seed=0)
+            train_toy(params, config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        sizes = {name: arr.nbytes for name, arr in params.named_tensors()}
+        head = sum(v for name, v in sizes.items()
+                   if name.startswith("stage1_mlp."))
+        assert head > 24 << 20
+        assert peak < sum(sizes.values())
+
 
 def params_to_vector(params):
     """Flatten all learnable tensors; returns (vector, {name: (slice, shape)}).
