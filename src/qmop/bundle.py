@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import seeded_fill, softmax_rows
+from .linalg import float32_image, seeded_fill, softmax_rows
 
 MAGIC = b"QMOPFT01"
 _HEADER = struct.Struct("<8s5I")  # magic, grid_h, grid_w, c_vis, c_txt, flags
 FLAG_TEXT = 1
+PAYLOADS = ("patches", "cls_token", "eos_token", "cls_attention")  # file order
 
 
 class FormatError(ValueError):
@@ -65,7 +66,7 @@ class FeatureBundle:
             raise ValidationError("eos_token length mismatch")
         if self.cls_attention.shape != (n,):
             raise ValidationError("cls_attention length mismatch")
-        for what in ("patches", "cls_token", "eos_token", "cls_attention"):
+        for what in PAYLOADS:
             if not np.isfinite(getattr(self, what)).all():
                 raise ValidationError(f"{what} has non-finite entries")
         if np.any(self.cls_attention < 0):
@@ -76,15 +77,23 @@ class FeatureBundle:
 
 
 def write_bundle(bundle: FeatureBundle, path) -> None:
+    """Validate `bundle` and write it as QMOPFT01, each payload as its
+    `float32_image`. A payload value beyond float32 range raises
+    `ValidationError` before the file is opened, since `read_bundle` would
+    reject the inf it becomes."""
     bundle.validate()
+    payloads = {what: float32_image(getattr(bundle, what))
+                for what in PAYLOADS}
+    for what, image in payloads.items():
+        if not np.isfinite(image).all():
+            raise ValidationError(f"{what} has entries beyond float32 range")
     flags = FLAG_TEXT if bundle.text_raw is not None else 0
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(
             MAGIC, bundle.grid_h, bundle.grid_w, bundle.c_vis, bundle.c_txt, flags
         ))
-        for payload in (bundle.patches, bundle.cls_token,
-                        bundle.eos_token, bundle.cls_attention):
-            fh.write(np.ascontiguousarray(payload, dtype="<f4").tobytes())
+        for image in payloads.values():
+            fh.write(image)
         if bundle.text_raw is not None:
             raw = bundle.text_raw.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))

@@ -1,9 +1,9 @@
 """Command-line surface. All outputs are machine-readable, strict JSON.
 
-Exit codes: 0 success, 2 usage/input error (dims whose params do not fit in
-available memory included), 3 dimension mismatch, 4 verification failure
-(`gradcheck`, and `train-toy`'s final gradient check, above
-`trainer.GRADCHECK_TOL`), 5 training divergence.
+Exit codes: 0 success, 2 usage/input error (dims whose params and one output
+do not fit in available memory included), 3 dimension mismatch, 4
+verification failure (`gradcheck`, and `train-toy`'s final gradient check,
+above `trainer.GRADCHECK_TOL`), 5 training divergence.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .bundle import (FeatureBundle, FormatError, TruncatedFileError,
                      ValidationError, read_bundle, synth_bundle, write_bundle)
 from .config import (SEED_BOUND, ConfigError, PipelineConfig, load_config,
                      parse_mode)
-from .linalg import NumericError, seeded_fill
+from .linalg import NumericError, float32_image, seeded_fill
 from .router import BRANCHES
 
 EXIT_USAGE = 2
@@ -77,18 +77,23 @@ def _mem_available() -> int | None:
 
 
 def _check_memory(cfg: PipelineConfig, head_itemsize: int):
-    """Exit 2 before any work if the params' weights alone, as
-    `pipeline.params_nbytes` counts them, exceed the memory and swap
-    available: an allocation the operating system grants but cannot back
-    would end the process instead. This catches only params larger than
-    that; activations, other processes and a cgroup limit can still end
-    the run. Where `_mem_available` reads nothing, nothing is checked."""
+    """Exit 2 before any work if the params' weights, as
+    `pipeline.params_nbytes` counts them, and one M x D_llm float64 output
+    exceed the memory and swap available: an allocation the operating
+    system grants but cannot back would end the process instead. Every
+    command holds such an array while its weights are live (`compress`'s
+    tokens, the targets of `train-toy` and `gradcheck`), so the count is a
+    lower bound. Other activations, other processes and a cgroup limit can
+    still end the run. Where `_mem_available` reads nothing, nothing is
+    checked."""
     need = pl.params_nbytes(cfg.c_vis, cfg.c_txt, cfg.d_llm, cfg.m_tokens,
                             cfg.router_hidden, head_itemsize)
+    need += 8 * cfg.m_tokens * cfg.d_llm
     available = _mem_available()
     if available is not None and need > available:
-        _fail(EXIT_USAGE, f"out of memory: the params need {need / 2**20:.1f} "
-                          f"MiB, {available / 2**20:.1f} MiB available")
+        _fail(EXIT_USAGE, f"out of memory: the params and one output need "
+                          f"{need / 2**20:.1f} MiB, "
+                          f"{available / 2**20:.1f} MiB available")
 
 
 def _fail(code: int, message: str):
@@ -165,9 +170,9 @@ def _emit(report: dict, out_path: str | None):
 class _Commands(click.Group):
     """Dims that pass the config rules but do not fit in memory exit 2 with
     one line from every command: before any work where `_check_memory`
-    finds the params too large, and wherever numpy refuses an allocation
-    (in `build_params`, in the first read of the stage-1 head or of its
-    float32 image)."""
+    finds the params and one output too large, and wherever numpy refuses
+    an allocation (in `build_params`, in the first read of the stage-1 head
+    or of its float32 image)."""
 
     def invoke(self, ctx):
         try:
@@ -240,6 +245,7 @@ def cmd_compress(features, cfg, mode_spec, out, no_timing, dump_tokens):
         except NumericError as exc:
             _fail(EXIT_USAGE, f"bad bundle {path}: {exc}")
         elapsed_ms = (time.perf_counter() - t0) * 1e3
+        tokens = float32_image(result.tokens)
         active_names = result.active.members if result.active else None
         cost = costmodel.cost_report(
             cfg.m_tokens, n_in=cfg.n_tokens, c_vis=cfg.c_vis,
@@ -251,7 +257,7 @@ def cmd_compress(features, cfg, mode_spec, out, no_timing, dump_tokens):
             "mode": mode_spec or cfg.inference_mode,
             "output_rows": int(result.tokens.shape[0]),
             "output_cols": int(result.tokens.shape[1]),
-            "output_digest": trainer.float32_digest([result.tokens]),
+            "output_digest": trainer.float32_digest([tokens]),
             "gate": None if result.gate is None else {
                 "alpha": [float(a) for a in result.gate.alpha[0]],
                 "tau": result.gate.tau_used,
@@ -266,8 +272,6 @@ def cmd_compress(features, cfg, mode_spec, out, no_timing, dump_tokens):
         if not no_timing:
             run["timing_ms"] = elapsed_ms
         if dump_tokens:
-            with np.errstate(over="ignore"):
-                tokens = result.tokens.astype(np.float32)
             if not np.isfinite(tokens).all():   # JSON has no infinity
                 _fail(EXIT_USAGE, f"bad bundle {path}: tokens beyond float32 "
                                   f"range cannot be dumped")

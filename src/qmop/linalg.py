@@ -1,7 +1,7 @@
 """Dense float64 tensor primitives: batch row-stacking, last-axis softmax,
 activations, a central-difference gradient checker that perturbs a tensor in
-place, and deterministic seeded gaussian initialization, drawn in row
-chunks into float64 or float32.
+place, deterministic seeded gaussian initialization, drawn in row chunks
+into float64 or float32, and the float32 image that digests and files hold.
 
 Everything downstream operates on plain numpy arrays (2D "matrices", 1D
 "vectors") in float64. Shapes are validated eagerly so errors surface at the
@@ -32,6 +32,13 @@ class NumericError(ArithmeticError):
 def stack_rows(arrays: list[np.ndarray]) -> np.ndarray:
     """Row-stack one array per sample; a batch of one comes back uncopied."""
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def float32_image(arr: np.ndarray) -> np.ndarray:
+    """`arr` as C-order little-endian float32, values beyond range as +-inf:
+    every digest's and bundle payload's format. `<f4` C order is not copied."""
+    with np.errstate(over="ignore"):
+        return np.ascontiguousarray(arr, dtype="<f4")
 
 
 def softmax_rows(x: np.ndarray, temperature: float = 1.0) -> np.ndarray:

@@ -83,7 +83,9 @@ class ProjectorParams:
     image drawn at the same subseeds, half the bytes; drawing the head
     drops the image. Inference's `query_products` are kept in `_fold` (see
     `query_fold`), whose sources are read-only: change a tensor by assigning
-    a new array to its field, never in place."""
+    a new array to its field, never in place. A copy or pickle leaves out
+    `_fold` and `_head_image`, which are rebuilt on demand; a drawn
+    `stage1_mlp` is trained state and is kept."""
     prune_cfg: br.PruneConfig
     relevance: br.RelevanceMap
     resampler: br.ResamplerParams
@@ -97,6 +99,10 @@ class ProjectorParams:
     # the undrawn head's float32 image; see `digest_head`
     _head_image: Mlp | None = field(default=None, init=False, repr=False,
                                     compare=False)
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in vars(self).items()
+                if name not in ("_fold", "_head_image")}
 
     @functools.cached_property
     def stage1_mlp(self) -> Mlp:   # BC -> BC -> D_llm, B branches

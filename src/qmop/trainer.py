@@ -34,7 +34,8 @@ import numpy as np
 from . import pipeline as pl
 from .branches import CompressedTokens
 from .bundle import FeatureBundle
-from .linalg import ACTIVATIONS, ShapeError, grad_check, stack_rows
+from .linalg import (ACTIVATIONS, ShapeError, float32_image, grad_check,
+                     stack_rows)
 from .router import BRANCHES, gate_entropy
 
 
@@ -258,13 +259,14 @@ def gradcheck_params(bundle: FeatureBundle, params: pl.ProjectorParams,
     mode as `backward` takes it. Every tensor is checked: one the mode does
     not reach against zeros.
 
-    `grad_check` perturbs each tensor of a deep copy in place, so the
-    caller's params are never touched. The copy's tensors are writeable, so
-    the check also runs on read-only params, as inference leaves the four
-    tensors `pipeline.query_products` reads."""
+    Both the backward and `grad_check`, which perturbs each tensor in
+    place, run on a deep copy, so the caller's params are never touched: a
+    stage-1 check draws the head in the copy only. The copy's tensors are
+    writeable, so the check also runs on read-only params, as inference
+    leaves the four tensors `pipeline.query_products` reads."""
     bundles, targets = [bundle], [target]
-    _, grads, _ = backward(bundles, params, targets, mode)
     work = copy.deepcopy(params)
+    _, grads, _ = backward(bundles, work, targets, mode)
 
     def loss():
         return batch_loss(pl.forward(bundles, work, mode).tokens, targets)
@@ -274,24 +276,17 @@ def gradcheck_params(bundle: FeatureBundle, params: pl.ProjectorParams,
             for name, arr in work.named_tensors()}
 
 
-DIGEST_CHUNK = 1 << 18   # float32 elements cast and hashed at a time
+DIGEST_CHUNK = 1 << 18   # elements cast and hashed at a time
 
 
 def float32_digest(arrays) -> str:
-    """sha256 of the arrays' elements in C order as little-endian float32,
-    one array after another, cast chunk by chunk into one reused buffer and
-    hashed as they go. Every output and params digest has this format. A
-    value beyond float32 range casts to, and hashes as, +-inf."""
+    """sha256 of each array's `float32_image` in turn, cast and hashed
+    `DIGEST_CHUNK` elements at a time: the format of every digest."""
     digest = hashlib.sha256()
-    buf = np.empty(DIGEST_CHUNK, dtype="<f4")
     for arr in arrays:
         flat = arr.reshape(-1)   # a view of a C-contiguous array
         for start in range(0, arr.size, DIGEST_CHUNK):
-            part = flat[start:start + DIGEST_CHUNK]
-            chunk = buf[:len(part)]
-            with np.errstate(over="ignore"):
-                chunk[...] = part
-            digest.update(chunk)
+            digest.update(float32_image(flat[start:start + DIGEST_CHUNK]))
     return digest.hexdigest()
 
 

@@ -265,6 +265,20 @@ class TestValidate:
                 read_bundle(path)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("what", ["patches", "cls_token", "eos_token"])
+def test_write_rejects_values_beyond_float32(tmp_path, what):
+    # finite in float64, inf as float32: the file would not read back
+    b = synth_bundle(0, 2, 2, 4, 3)
+    arr = getattr(b, what).copy()
+    arr.flat[1] = -1e39 if what == "eos_token" else 1e39
+    setattr(b, what, arr)
+    path = tmp_path / "b.qmop"
+    with pytest.raises(ValidationError, match=f"{what} has entries beyond"):
+        write_bundle(b, path)
+    assert not path.exists()
+
+
 def test_hundred_random_round_trips(tmp_path):
     rng = np.random.default_rng(0)
     for i in range(100):

@@ -714,13 +714,14 @@ def test_params_beyond_available_memory_exit_2(runner, workspace, monkeypatch,
     c = cli.load_config(str(cfg))
     need = pipeline.params_nbytes(c.c_vis, c.c_txt, c.d_llm, c.m_tokens,
                                   c.router_hidden, head_itemsize)
+    need += 8 * c.m_tokens * c.d_llm   # one float64 output
     monkeypatch.setattr(cli, "_mem_available", lambda: need)
     assert runner.invoke(main, args).exit_code == 0, "a run that fits"
     monkeypatch.setattr(cli, "_mem_available", lambda: need - 1)
     res = runner.invoke(main, args)
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
-    assert res.output == (f"out of memory: the params need "
+    assert res.output == (f"out of memory: the params and one output need "
                           f"{need / 2**20:.1f} MiB, "
                           f"{(need - 1) / 2**20:.1f} MiB available\n")
 

@@ -11,6 +11,7 @@ from qmop.linalg import (
     DomainError,
     NumericError,
     ShapeError,
+    float32_image,
     grad_check,
     rng_for,
     seeded_fill,
@@ -183,3 +184,22 @@ class TestSeededFill:
         image = seeded_fill(9, rows, cols, sigma=0.3, dtype=np.float32)
         assert image.dtype == np.float32
         assert image.tobytes() == want.astype(np.float32).tobytes()
+
+
+class TestFloat32Image:
+    def test_c_contiguous_float32_is_not_copied(self):
+        arr = np.arange(12, dtype="<f4").reshape(3, 4)
+        assert float32_image(arr) is arr
+
+    def test_any_layout_casts_to_c_order_float32(self):
+        arr = np.asfortranarray(np.arange(12.0).reshape(3, 4) / 7)
+        image = float32_image(arr)
+        assert image.dtype == np.dtype("<f4") and image.flags.c_contiguous
+        assert image.tobytes() == arr.astype("<f4").tobytes(order="C")
+        assert float32_image(arr[:, ::2]).tobytes() == \
+            arr[:, ::2].astype("<f4").tobytes(order="C")
+
+    @pytest.mark.filterwarnings("error")
+    def test_values_beyond_range_become_inf(self):
+        image = float32_image(np.array([1e39, -1e300, 3.0]))
+        assert image.tolist() == [np.inf, -np.inf, 3.0]

@@ -386,6 +386,27 @@ class TestStage1Head:
             assert a is not b and a.tobytes() == b.tobytes()
         assert mine.activation == theirs.activation
 
+    @pytest.mark.parametrize("clone", [
+        copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["deepcopy", "pickle"])
+    def test_copy_holds_no_derived_state(self, tiny_bundle, tiny_params,
+                                         clone):
+        mode = ("topk", 3)
+        digest = params_digest(tiny_params)
+        tokens = infer_forward(tiny_bundle, tiny_params, mode).tokens
+        assert tiny_params._head_image is not None
+        assert tiny_params._fold is not None
+        twin = clone(tiny_params)
+        assert not {"_fold", "_head_image", "stage1_mlp"} & set(vars(twin))
+        assert params_digest(twin) == digest
+        assert infer_forward(tiny_bundle, twin, mode).tokens.tobytes() == \
+            tokens.tobytes()
+        # a drawn head is trained state, and the copy keeps it
+        tiny_params.stage1_mlp.w_out = tiny_params.stage1_mlp.w_out + 1.0
+        twin = clone(tiny_params)
+        assert twin.stage1_mlp.w_out.tobytes() == \
+            tiny_params.stage1_mlp.w_out.tobytes()
+
     def test_inference_holds_no_head(self):
         # the traced peak of init plus one topk:2 forward: the params
         # without the head, plus the forward's activations (about 0.25 MiB

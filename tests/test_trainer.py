@@ -251,6 +251,11 @@ class TestBackward:
         assert trainer.over_bound(report) == sorted(reached)
         assert all(report[n] == 0.0 for n in report if n not in reached)
 
+    def test_gradcheck_never_draws_the_callers_head(self, tiny_bundle,
+                                                    tiny_params, tiny_target):
+        gradcheck_params(tiny_bundle, tiny_params, tiny_target, ("stage1",))
+        assert "stage1_mlp" not in vars(tiny_params)
+
     @pytest.mark.parametrize("mode", [("stage1",), ("train", 1.3, 0.7, 4)])
     def test_gradcheck_fails_a_nan_gradient(self, tiny_bundle, tiny_params,
                                             tiny_target, monkeypatch, mode):
@@ -688,6 +693,22 @@ def test_float32_digest_hashes_out_of_range_values_as_inf():
     want = hashlib.sha256(
         np.array([np.inf, -np.inf], dtype="<f4").tobytes()).hexdigest()
     assert float32_digest([np.array([1e300, -1e300])]) == want
+
+
+def test_float32_digest_hashes_float32_in_place():
+    # 4.3 MiB of C-contiguous float32: no chunk is copied
+    arr = np.random.default_rng(0).standard_normal((1024, 1100)) \
+        .astype(np.float32)
+    want = hashlib.sha256(arr.tobytes()).hexdigest()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = float32_digest([arr])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 64 << 10
 
 
 # Fixed values: a change to the order, subseeds or shapes of the init draws,
