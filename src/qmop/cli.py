@@ -37,6 +37,9 @@ GRADCHECK_MAX_TOKENS = 64
 COUNT_MAX = 2 ** 53
 # where Linux reports the memory and swap available to new allocations
 MEMINFO = "/proc/meminfo"
+# the process's cgroups, and where the cgroup v2 hierarchy is mounted
+PROC_CGROUP = "/proc/self/cgroup"
+CGROUP_ROOT = "/sys/fs/cgroup"
 
 
 def build_params(cfg: PipelineConfig) -> pl.ProjectorParams:
@@ -59,9 +62,33 @@ def synth_samples(cfg: PipelineConfig,
     return bundles, targets
 
 
+def _cgroup_limits() -> list[int | None]:
+    """`memory.max` and `memory.swap.max` of the process's cgroup v2, the
+    directory under `CGROUP_ROOT` that the `0::` line of `PROC_CGROUP`
+    names, as bytes: None for a file that reads `max`, is missing or does
+    not parse, and for both where no such line is found."""
+    try:
+        with open(PROC_CGROUP) as fh:
+            rel = next(line[3:].strip() for line in fh
+                       if line.startswith("0::"))
+    except (OSError, ValueError, StopIteration):
+        return [None, None]
+    limits = []
+    for name in ("memory.max", "memory.swap.max"):
+        try:
+            with open(os.path.join(CGROUP_ROOT, rel.lstrip("/"), name)) as fh:
+                limits.append(int(fh.read()))
+        except (OSError, ValueError):
+            limits.append(None)
+    return limits
+
+
 def _mem_available() -> int | None:
     """`MemAvailable` plus `SwapFree` in `MEMINFO`, as bytes, or None if
-    `MemAvailable` cannot be read. A cgroup's memory limit is not read."""
+    `MemAvailable` cannot be read. Under a cgroup v2 `memory.max`, the
+    smaller of that and `memory.max` plus the swap the cgroup may still
+    take: `SwapFree`, or `memory.swap.max` if it is smaller. Both are upper
+    bounds on what the process can get."""
     fields = {}
     try:
         with open(MEMINFO) as fh:
@@ -73,7 +100,14 @@ def _mem_available() -> int | None:
         return None
     if "MemAvailable" not in fields:
         return None
-    return fields["MemAvailable"] + fields.get("SwapFree", 0)
+    swap = fields.get("SwapFree", 0)
+    available = fields["MemAvailable"] + swap
+    limit, swap_limit = _cgroup_limits()
+    if limit is None:
+        return available
+    if swap_limit is not None:
+        swap = min(swap, swap_limit)
+    return min(available, limit + swap)
 
 
 def _check_memory(cfg: PipelineConfig, head_itemsize: int):
@@ -83,8 +117,8 @@ def _check_memory(cfg: PipelineConfig, head_itemsize: int):
     system grants but cannot back would end the process instead. Every
     command holds such an array while its weights are live (`compress`'s
     tokens, the targets of `train-toy` and `gradcheck`), so the count is a
-    lower bound. Other activations, other processes and a cgroup limit can
-    still end the run. Where `_mem_available` reads nothing, nothing is
+    lower bound. Other activations, other processes and a cgroup v1 limit
+    can still end the run. Where `_mem_available` reads nothing, nothing is
     checked."""
     need = pl.params_nbytes(cfg.c_vis, cfg.c_txt, cfg.d_llm, cfg.m_tokens,
                             cfg.router_hidden, head_itemsize)

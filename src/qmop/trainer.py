@@ -10,9 +10,12 @@ loss is the batch mean of the per-sample losses. `_step_mode` gives each
 step's mode, which `backward` runs through `pipeline.forward`, and the
 backward reads only the `ProjectedTokens` that forward returns (branch
 outputs, MLP activations, the gate with one row per sample), releases each
-tensor once its gradients are written, and returns gradients only for the
-tensors its mode reaches: stage 1 never reaches the router or `out_mlp`,
-stage 2 never reaches `stage1_mlp`, and neither reaches the relevance map.
+activation once its gradients are computed, and hands the caller's sink a
+gradient only for the tensors its mode reaches, each once its last read of
+that tensor is done: stage 1 never reaches the router or `out_mlp`, stage
+2 never reaches `stage1_mlp`, and neither reaches the relevance map.
+`train_toy`'s sink applies each gradient as it arrives, so no step holds
+its whole gradient set.
 Pool and resample share one backward, `_attend_backward`, as they share
 one forward; `_pool_backward` and `_resample_backward` map its d(qk) and
 the attended rows onto their own tensors.
@@ -28,6 +31,7 @@ import copy
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import Protocol
 
 import numpy as np
 
@@ -130,17 +134,25 @@ def batch_loss(tokens: np.ndarray, targets: list[np.ndarray]) -> float:
                zip(np.split(tokens, len(targets)), targets)) / len(targets)
 
 
+class GradSink(Protocol):
+    """Where `backward` puts each gradient: a dict, or `train_toy`'s update,
+    which replaces the tensor as soon as it is assigned."""
+
+    def __setitem__(self, name: str, grad: np.ndarray) -> None: ...
+
+
 def _mlp_backward(mlp: pl.Mlp, acts: tuple, d_y: np.ndarray,
-                  grads: dict, prefix: str) -> np.ndarray:
+                  grads: GradSink, prefix: str) -> np.ndarray:
     _, act_grad = ACTIVATIONS[mlp.activation]
     x, h, a = acts
+    d_a = d_y @ mlp.w_out
     grads[f"{prefix}.w_out"] = d_y.T @ a
     grads[f"{prefix}.b_out"] = d_y.sum(axis=0)
-    d_a = d_y @ mlp.w_out
     d_h = d_a * act_grad(h)
+    d_x = d_h @ mlp.w_in
     grads[f"{prefix}.w_in"] = d_h.T @ x
     grads[f"{prefix}.b_in"] = d_h.sum(axis=0)
-    return d_h @ mlp.w_in
+    return d_x
 
 
 def _softmax_backward(p: np.ndarray, d_p: np.ndarray) -> np.ndarray:
@@ -164,22 +176,25 @@ def _attend_backward(out: CompressedTokens,
 
 
 def _resample_backward(params: pl.ProjectorParams, out: CompressedTokens,
-                       d_out: np.ndarray, grads: dict) -> None:
+                       d_out: np.ndarray, grads: GradSink) -> None:
     res = params.resampler
-    grads["resampler.w_v"] = d_out.T @ out.pooled
     d_qk = _attend_backward(out, d_out @ res.w_v)
-    grads["resampler.queries"] = d_qk @ res.w_k.T
-    grads["resampler.w_k"] = res.queries.T @ d_qk
+    grads["resampler.w_v"] = d_out.T @ out.pooled
+    d_queries = d_qk @ res.w_k.T
+    d_w_k = res.queries.T @ d_qk
+    grads["resampler.queries"] = d_queries
+    grads["resampler.w_k"] = d_w_k
 
 
 def _pool_backward(params: pl.ProjectorParams, out: CompressedTokens,
-                   d_out: np.ndarray, grads: dict) -> None:
+                   d_out: np.ndarray, grads: GradSink) -> None:
     pool = params.pool
     phi_v = pool.phi_k if pool.shared_phi else pool.phi_v
-    d_phi_v = d_out.T @ out.pooled
     d_qk = _attend_backward(out, d_out @ phi_v)
-    grads["pool.q2d"] = d_qk @ pool.phi_k.T
+    d_phi_v = d_out.T @ out.pooled
+    d_q2d = d_qk @ pool.phi_k.T
     d_phi_k = pool.q2d.T @ d_qk
+    grads["pool.q2d"] = d_q2d
     if pool.shared_phi:
         grads["pool.phi_k"] = d_phi_k + d_phi_v
     else:
@@ -188,7 +203,7 @@ def _pool_backward(params: pl.ProjectorParams, out: CompressedTokens,
 
 
 def _branch_backward(params, name: str, out: CompressedTokens,
-                     d_out: np.ndarray, grads: dict) -> None:
+                     d_out: np.ndarray, grads: GradSink) -> None:
     if name == "resample":
         _resample_backward(params, out, d_out, grads)
     elif name == "pool":
@@ -198,18 +213,20 @@ def _branch_backward(params, name: str, out: CompressedTokens,
 
 
 def backward(bundles: list[FeatureBundle], params: pl.ProjectorParams,
-             targets: list[np.ndarray], mode: tuple):
+             targets: list[np.ndarray], mode: tuple, grads: GradSink):
     """Batch-mean loss and its analytic gradient for every tensor the mode
     reaches.
 
     One forward and one backward over the whole batch: a list of bundles
     and a list of as many targets, one per bundle. mode is ("stage1",) or
     ("train", tau, gumbel_scale, seed), where bundle i draws its gate noise
-    at `seed + i`; an infer mode has no backward. Returns (loss, grads,
-    gate): grads maps each reached tensor's name to a fresh array, and a
-    tensor the mode does not reach has no entry, since its gradient is
-    exactly zero. gate is the forward's gate record, one row per sample, in
-    train mode and None in stage 1.
+    at `seed + i`; an infer mode has no backward. Each reached tensor's
+    gradient, a fresh array, is assigned to `grads` under the tensor's name
+    once, after the backward's last read of that tensor, so the sink may
+    replace the tensor at once. A tensor the mode does not reach is never
+    assigned, since its gradient is exactly zero. Returns (loss, gate):
+    gate is the forward's gate record, one row per sample, in train mode
+    and None in stage 1.
     """
     if mode[0] not in ("stage1", "train"):
         raise ValueError(f"unknown backward mode {mode[0]!r}")
@@ -220,7 +237,6 @@ def backward(bundles: list[FeatureBundle], params: pl.ProjectorParams,
     loss = batch_loss(fwd.tokens, targets)
     d_y = 2.0 * (fwd.tokens - stack_rows(targets)) / fwd.tokens.size
     del fwd
-    grads: dict[str, np.ndarray] = {}
 
     if mode[0] == "stage1":
         d_concat = _mlp_backward(params.stage1_mlp, acts, d_y, grads,
@@ -229,7 +245,7 @@ def backward(bundles: list[FeatureBundle], params: pl.ProjectorParams,
         for name, d_out in zip(BRANCHES, np.split(d_concat, len(BRANCHES),
                                                   axis=1)):
             _branch_backward(params, name, outs.pop(name), d_out, grads)
-        return loss, grads, None
+        return loss, None
 
     d_fused = _mlp_backward(params.out_mlp, acts, d_y, grads, "out_mlp")
     del acts, d_y
@@ -242,22 +258,23 @@ def backward(bundles: list[FeatureBundle], params: pl.ProjectorParams,
 
     # gate: alpha = softmax((base_logits + noise)/tau), noise constant
     d_logits = _softmax_backward(gate.alpha, d_alpha) / gate.tau_used
+    d_a1 = d_logits @ params.router.w2
     grads["router.w2"] = d_logits.T @ gate.a1
     grads["router.b2"] = d_logits.sum(axis=0)
-    d_a1 = d_logits @ params.router.w2
     _, act_grad = ACTIVATIONS[params.router.activation]
     d_h1 = d_a1 * act_grad(gate.h1)
     grads["router.w1"] = d_h1.T @ gate.f
     grads["router.b1"] = d_h1.sum(axis=0)
-    return loss, grads, gate
+    return loss, gate
 
 
 def gradcheck_params(bundle: FeatureBundle, params: pl.ProjectorParams,
                      target: np.ndarray, mode: tuple) -> dict[str, float]:
     """Per-tensor max relative error of analytic vs central-difference grads
     of one sample's loss, for `bundle` and `target` as a batch of one and a
-    mode as `backward` takes it. Every tensor is checked: one the mode does
-    not reach against zeros.
+    mode as `backward` takes it. Every tensor is checked against the
+    gradient the backward writes into a plain dict, so none is applied: one
+    the mode does not reach, which gets no entry, against zeros.
 
     Both the backward and `grad_check`, which perturbs each tensor in
     place, run on a deep copy, so the caller's params are never touched: a
@@ -266,7 +283,8 @@ def gradcheck_params(bundle: FeatureBundle, params: pl.ProjectorParams,
     leaves the four tensors `pipeline.query_products` reads."""
     bundles, targets = [bundle], [target]
     work = copy.deepcopy(params)
-    _, grads, _ = backward(bundles, work, targets, mode)
+    grads: dict[str, np.ndarray] = {}
+    backward(bundles, work, targets, mode, grads)
 
     def loss():
         return batch_loss(pl.forward(bundles, work, mode).tokens, targets)
@@ -307,11 +325,29 @@ def _step_mode(config: TrainConfig, step: int, seed: int) -> tuple:
             gumbel_scale_at(config.schedule, step), seed)
 
 
+class _Update:
+    """`train_toy`'s gradient sink: assigning tensor `name` its gradient g
+    replaces the tensor with a new array, p - lr * g, computed in g's
+    buffer, so no tensor is written in place and read-only tensors train
+    too."""
+
+    def __init__(self, params: pl.ProjectorParams, lr: float):
+        self.params, self.lr = params, lr
+
+    def __setitem__(self, name: str, grad: np.ndarray) -> None:
+        record, attr = name.split(".")
+        holder = getattr(self.params, record)
+        grad *= self.lr    # a fresh array: it becomes the new tensor
+        np.subtract(getattr(holder, attr), grad, out=grad)
+        setattr(holder, attr, grad)
+
+
 def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
     """Plain gradient descent on `params`; deterministic for a fixed seed.
-    Each step assigns every reached tensor a new array, p - lr * g, computed
-    in its gradient's buffer, so no tensor is written in place and read-only
-    tensors train too. Step k's gate-noise seed is `seed * 1000003 + k * B`
+    `backward` hands each reached tensor's gradient to an `_Update`, which
+    replaces the tensor then and there, so a step never holds its whole
+    gradient set; a step whose loss is not finite raises `DivergenceError`
+    after its update. Step k's gate-noise seed is `seed * 1000003 + k * B`
     for a batch of B, so bundle i draws its noise at that plus i. With
     `final_grad_check`, a tensor whose residual is not within
     `GRADCHECK_TOL` raises `GradCheckError`."""
@@ -322,11 +358,12 @@ def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
     tau_trace: list[float] = []
     gumbel_trace: list[float] = []
     first_entropy = final_entropy = None
+    update = _Update(params, config.lr)
 
     for step in range(config.steps):
         mode = _step_mode(config, step, config.seed * 1000003 + step * n)
-        loss, grads, gate = backward(config.bundles, params, config.targets,
-                                     mode)
+        loss, gate = backward(config.bundles, params, config.targets, mode,
+                              update)
         if not math.isfinite(loss):
             raise DivergenceError(step)
         losses.append(loss)
@@ -337,12 +374,6 @@ def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
             if step == 0:
                 first_entropy = entropy
             final_entropy = entropy
-        for name, grad in grads.items():
-            record, attr = name.split(".")
-            holder = getattr(params, record)
-            grad *= config.lr    # a fresh array: it becomes the new tensor
-            np.subtract(getattr(holder, attr), grad, out=grad)
-            setattr(holder, attr, grad)
 
     gc_err = None
     if config.final_grad_check:

@@ -328,9 +328,9 @@ class TestGradcheck:
         real = trainer.backward
 
         def nan_backward(*args):
-            loss, grads, gate = real(*args)
-            grads["pool.q2d"].flat[3] = np.nan
-            return loss, grads, gate
+            loss, gate = real(*args)
+            args[-1]["pool.q2d"].flat[3] = np.nan
+            return loss, gate
 
         monkeypatch.setattr(trainer, "backward", nan_backward)
         tmp, cfg, _ = workspace
@@ -726,6 +726,14 @@ def test_params_beyond_available_memory_exit_2(runner, workspace, monkeypatch,
                           f"{(need - 1) / 2**20:.1f} MiB available\n")
 
 
+@pytest.fixture(autouse=True)
+def no_host_cgroup(monkeypatch):
+    # memory checks read the fake files a test names, never the host's
+    # cgroup limits
+    monkeypatch.setattr(cli, "PROC_CGROUP",
+                        str(Path(__file__).with_name("no-such-cgroup")))
+
+
 def test_mem_available_reads_meminfo(runner, workspace, monkeypatch):
     tmp, cfg, _ = workspace
     meminfo = tmp / "meminfo"
@@ -746,6 +754,57 @@ def test_mem_available_reads_meminfo(runner, workspace, monkeypatch):
     res = runner.invoke(main, ["train-toy", "--stage", "1", "--steps", "1",
                                "--config", str(cfg)])
     assert res.exit_code == 0, res.output
+
+
+@pytest.fixture
+def cgroup(tmp_path, monkeypatch):
+    """Fake meminfo (8 GiB available, 1 GiB swap free) and a fake cgroup v2
+    hierarchy whose process cgroup is `app.slice/run`; returns that
+    cgroup's directory."""
+    (tmp_path / "meminfo").write_text("MemAvailable:    8388608 kB\n"
+                                      "SwapFree:        1048576 kB\n")
+    (tmp_path / "cgroup").write_text("1:memory:/old\n0::/app.slice/run\n")
+    here = tmp_path / "fs" / "app.slice" / "run"
+    here.mkdir(parents=True)
+    monkeypatch.setattr(cli, "MEMINFO", str(tmp_path / "meminfo"))
+    monkeypatch.setattr(cli, "PROC_CGROUP", str(tmp_path / "cgroup"))
+    monkeypatch.setattr(cli, "CGROUP_ROOT", str(tmp_path / "fs"))
+    return here
+
+
+def test_mem_available_reads_the_cgroup_limit(cgroup):
+    gib = 2 ** 30
+    (cgroup / "memory.max").write_text(f"{2 * gib}\n")
+    (cgroup / "memory.swap.max").write_text(f"{gib // 4}\n")
+    assert cli._mem_available() == 2 * gib + gib // 4
+    # swap beyond what is free does not count
+    (cgroup / "memory.swap.max").write_text(f"{4 * gib}\n")
+    assert cli._mem_available() == 3 * gib
+    # a limit above what the host has changes nothing
+    (cgroup / "memory.max").write_text(f"{16 * gib}\n")
+    assert cli._mem_available() == 9 * gib
+
+
+@pytest.mark.parametrize("text", ["max\n", None, "", "12 MiB\n", "\x00\xff"],
+                         ids=["max", "missing", "empty", "units", "binary"])
+def test_mem_available_ignores_an_unread_limit(cgroup, text):
+    gib = 2 ** 30
+    if text is not None:
+        (cgroup / "memory.max").write_text(text)
+    assert cli._mem_available() == 9 * gib
+    # an unread swap limit leaves the free swap
+    (cgroup / "memory.max").write_text(f"{gib}\n")
+    if text is not None:
+        (cgroup / "memory.swap.max").write_text(text)
+    assert cli._mem_available() == 2 * gib
+
+
+@pytest.mark.parametrize("lines", ["", "0::/\n", "1:memory:/old\n"],
+                         ids=["empty", "root", "v1-only"])
+def test_mem_available_without_a_v2_cgroup(cgroup, lines):
+    (cgroup / "memory.max").write_text(f"{2 ** 30}\n")
+    Path(cli.PROC_CGROUP).write_text(lines)
+    assert cli._mem_available() == 9 * 2 ** 30
 
 
 def test_cost_defaults_are_the_llava_dims(runner):

@@ -271,9 +271,11 @@ class TestBatchCheck:
         "forward-stage1": lambda bs, p, ts: forward(bs, p, ("stage1",)),
         "forward-train": lambda bs, p, ts: forward(bs, p,
                                                    ("train", 1.3, 0.7, 5)),
-        "backward-stage1": lambda bs, p, ts: backward(bs, p, ts, ("stage1",)),
+        "backward-stage1": lambda bs, p, ts: backward(bs, p, ts, ("stage1",),
+                                                      {}),
         "backward-train": lambda bs, p, ts: backward(bs, p, ts,
-                                                     ("train", 1.3, 0.7, 5)),
+                                                     ("train", 1.3, 0.7, 5),
+                                                     {}),
     }
 
     @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
@@ -317,7 +319,7 @@ class TestStage1Head:
 
     @pytest.mark.parametrize("read", [
         lambda b, p, t: stage1_forward([b], p),
-        lambda b, p, t: backward([b], p, [t], ("stage1",)),
+        lambda b, p, t: backward([b], p, [t], ("stage1",), {}),
         lambda b, p, t: list(p.named_tensors())],
         ids=["stage1_forward", "backward", "named_tensors"])
     def test_first_read_draws_it_once(self, tiny_bundle, tiny_params,

@@ -45,7 +45,8 @@ def batch_gradcheck(bundles, params, targets, mode):
     """`gradcheck_params` over a batch: per-tensor `grad_check` of the
     batch-mean loss against `backward`'s batch gradients, every tensor
     checked (an unreached one against zeros) on a deep copy of `params`."""
-    _, grads, _ = backward(bundles, params, targets, mode)
+    grads = {}
+    backward(bundles, params, targets, mode, grads)
     work = copy.deepcopy(params)
 
     def loss():
@@ -118,8 +119,9 @@ class TestLoss:
 class TestBackward:
     def test_zero_gradient_at_target(self, tiny_bundle, tiny_params):
         target = stage1_forward([tiny_bundle], tiny_params).tokens
-        loss, grads, _ = backward([tiny_bundle], tiny_params, [target],
-                                  ("stage1",))
+        grads = {}
+        loss, _ = backward([tiny_bundle], tiny_params, [target], ("stage1",),
+                           grads)
         assert loss <= 1e-20
         for g in grads.values():
             assert np.max(np.abs(g)) <= 1e-10
@@ -127,16 +129,18 @@ class TestBackward:
     def test_stage1_router_grads_exactly_zero(self, tiny_bundle, tiny_params,
                                               tiny_target):
         # a tensor the mode does not reach has no gradient entry at all
-        _, grads, gate = backward([tiny_bundle], tiny_params, [tiny_target],
-                                  ("stage1",))
+        grads = {}
+        _, gate = backward([tiny_bundle], tiny_params, [tiny_target],
+                           ("stage1",), grads)
         assert gate is None
         assert set(grads) == {name for name, _ in tiny_params.named_tensors()
                               if name.startswith(STAGE1_REACHES)}
 
     def test_train_stage1_mlp_grads_zero(self, tiny_bundle, tiny_params,
                                          tiny_target):
-        _, grads, gate = backward([tiny_bundle], tiny_params, [tiny_target],
-                                  ("train", 1.0, 0.0, 0))
+        grads = {}
+        _, gate = backward([tiny_bundle], tiny_params, [tiny_target],
+                           ("train", 1.0, 0.0, 0), grads)
         assert gate.alpha.shape == (1, len(BRANCHES))
         assert set(grads) == {name for name, _ in tiny_params.named_tensors()
                               if name.startswith(TRAIN_REACHES)}
@@ -145,8 +149,9 @@ class TestBackward:
     def test_reached_grads_own_their_memory(self, tiny_bundle, tiny_params,
                                             tiny_target, mode):
         # train_toy computes each new tensor in its gradient's array
-        _, grads, gate = backward([tiny_bundle], tiny_params, [tiny_target],
-                                  mode)
+        grads = {}
+        _, gate = backward([tiny_bundle], tiny_params, [tiny_target], mode,
+                           grads)
         tensors = dict(tiny_params.named_tensors())
         held = list(tensors.values()) + [
             tiny_bundle.patches, tiny_bundle.cls_token, tiny_bundle.eos_token,
@@ -210,7 +215,8 @@ class TestBackward:
         params = init_projector_params(6, 6, 8, 6, 8, 9, 2, seed=8)
         bundle = synth_bundle(8, 6, 6, 8, 6)
         target = seeded_fill(508, 9, 8)
-        _, grads, _ = backward([bundle], params, [target], mode)
+        grads = {}
+        backward([bundle], params, [target], mode, grads)
 
         def loss():
             return loss_mse(forward([bundle], params, mode).tokens, target)
@@ -238,11 +244,11 @@ class TestBackward:
         reached = set()
 
         def mutated_backward(*args):
-            loss, grads, gate = real(*args)
-            for name, grad in grads.items():
+            loss, gate = real(*args)
+            for name, grad in args[-1].items():
                 mutate(grad)
                 reached.add(name)
-            return loss, grads, gate
+            return loss, gate
 
         monkeypatch.setattr(trainer, "backward", mutated_backward)
         report = gradcheck_params(bundle, params, target, mode)
@@ -291,7 +297,8 @@ class TestBackward:
         assert tiny_params.pool.phi_k.flags.f_contiguous
 
     @pytest.mark.parametrize("check", [
-        lambda b, p, t, mode: backward([b], p, [t], mode), gradcheck_params],
+        lambda b, p, t, mode: backward([b], p, [t], mode, {}),
+        gradcheck_params],
         ids=["backward", "gradcheck_params"])
     @pytest.mark.parametrize("mode", [("topk", 2), ("threshold", 0.3),
                                       ("bogus",)])
@@ -311,7 +318,7 @@ class TestBackward:
         pool = spy(trainer, "_pool_backward")
         res = spy(trainer, "_resample_backward")
         attend = spy(branches, "_attend")   # pool's and resample's one core
-        backward([tiny_bundle], tiny_params, [tiny_target], mode)
+        backward([tiny_bundle], tiny_params, [tiny_target], mode, {})
         assert branch_calls == dict.fromkeys(BRANCHES, 1)
         assert pool["_pool_backward"] == 1
         assert res["_resample_backward"] == 1
@@ -368,23 +375,24 @@ class TestBackward:
     def test_wrong_target_shape_raises(self, tiny_bundle, tiny_params, mode):
         # a (1, D) target would broadcast against the (M, D) output
         with pytest.raises(ShapeError):
-            backward([tiny_bundle], tiny_params, [np.zeros((1, 8))], mode)
+            backward([tiny_bundle], tiny_params, [np.zeros((1, 8))], mode,
+                     {})
 
     def test_batch_needs_one_target_per_bundle(self, tiny_params):
         bundles, targets = make_batch(12, n=2)
         with pytest.raises(ShapeError):
-            backward(bundles, tiny_params, targets[:1], ("stage1",))
+            backward(bundles, tiny_params, targets[:1], ("stage1",), {})
 
     def test_loss_smooth_below_score_gap(self, tiny_bundle, tiny_params,
                                          tiny_target):
         # perturbations too small to flip kept indices change loss smoothly;
         # the gradcheck above is exactly that consistency, so just confirm a
         # small parameter nudge moves the loss by O(delta)
-        base, _, _ = backward([tiny_bundle], tiny_params, [tiny_target],
-                              ("stage1",))
+        base, _ = backward([tiny_bundle], tiny_params, [tiny_target],
+                           ("stage1",), {})
         tiny_params.resampler.queries[0, 0] += 1e-7
-        nudged, _, _ = backward([tiny_bundle], tiny_params, [tiny_target],
-                                ("stage1",))
+        nudged, _ = backward([tiny_bundle], tiny_params, [tiny_target],
+                             ("stage1",), {})
         assert abs(nudged - base) < 1e-5
 
 
@@ -521,7 +529,8 @@ def summed_backwards(params, bundles, targets, stage, seed):
         mode = step_mode(stage, seed)
         if stage == 2:
             mode = mode[:3] + (mode[3] + i,)
-        loss, grads, _ = backward([bundle], params, [target], mode)
+        grads = {}
+        loss, _ = backward([bundle], params, [target], mode, grads)
         loss_sum += loss
         for name in grads:
             if name in total:
@@ -533,7 +542,7 @@ def summed_backwards(params, bundles, targets, stage, seed):
 
 def reference_step(params, bundles, targets, stage, lr, seed):
     """Step 0 of train_toy written out: sum the per-sample gradients that
-    backward() returns, then scale and subtract them."""
+    backward() hands over, then scale and subtract them."""
     tensors = dict(params.named_tensors())
     _, total = summed_backwards(params, bundles, targets, stage, seed)
     for name, acc in total.items():
@@ -567,8 +576,9 @@ class TestOneGradientSet:
         params = init_projector_params(4, 4, 8, 6, 8, 4, 2, seed=9,
                                        shared_pool_phi=shared)
         bundles, targets = make_batch(9, n=3)
-        loss, grads, _ = backward(bundles, params, targets,
-                                  step_mode(stage, 9))
+        grads = {}
+        loss, _ = backward(bundles, params, targets, step_mode(stage, 9),
+                           grads)
         loss_sum, total = summed_backwards(params, bundles, targets, stage, 9)
         assert set(grads) == set(total)
         assert loss == pytest.approx(loss_sum / 3, rel=1e-12, abs=0)
@@ -589,9 +599,9 @@ class TestOneGradientSet:
 
     @pytest.mark.parametrize("stage", [1, 2])
     def test_traced_peak_grows_by_activations_only(self, stage):
-        # a batched step holds one gradient set and the batch's stacked
-        # activations: one more sample may add its own rows to those, but
-        # never a gradient set of its own
+        # a step traced from its start holds the new tensors its update
+        # builds and the batch's stacked activations: one more sample may
+        # add its own rows to those, but never a gradient set of its own
         m, d, c, c2, n = 16, 512, 128, 96, 64
         bundles = [synth_bundle(i, 8, 8, c, c2) for i in range(4)]
         targets = [seeded_fill(50 + i, m, d) for i in range(4)]
@@ -619,7 +629,8 @@ class TestOneGradientSet:
         per_sample = 8 * (3 * m * width + 4 * m * d + 2 * n * c + n * c2
                           + m * n)
         mode = ("stage1",) if stage == 1 else ("train", 1.0, 0.0, 0)
-        _, grads, _ = backward(bundles[:1], params, targets[:1], mode)
+        grads = {}
+        backward(bundles[:1], params, targets[:1], mode, grads)
         grad_set = sum(grad.nbytes for grad in grads.values())
         assert per_sample < grad_set
         assert step_peak(4)[0] - peak1 <= 3 * per_sample
@@ -647,6 +658,67 @@ class TestOneGradientSet:
                    if name.startswith("stage1_mlp."))
         assert head > 24 << 20
         assert peak < sum(sizes.values())
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_step_peak_stays_below_its_gradient_set(self, stage):
+        # backward hands each gradient to the update once its tensor's last
+        # read is done, so a step never holds every gradient at once. The
+        # first step is traced too, so that the tensors the second replaces
+        # count as freed; it also draws the head (stage 1) or hashes the
+        # head's float32 image (stage 2), which the second reuses
+        m, d, c, c2 = 16, 2048, 256, 192
+        bundles = [synth_bundle(i, 8, 8, c, c2) for i in range(2)]
+        targets = [seeded_fill(50 + i, m, d) for i in range(2)]
+        params = init_projector_params(8, 8, c, c2, d, m, 2, seed=0)
+        grads = {}
+        backward(bundles, params, targets, step_mode(stage, 0), grads)
+        grad_set = sum(grad.nbytes for grad in grads.values())
+        del grads
+        config = TrainConfig(stage=stage, steps=1, lr=0.1, seed=0,
+                             bundles=bundles, targets=targets,
+                             final_grad_check=False)
+        tracemalloc.start()
+        try:
+            train_toy(params, config)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            train_toy(params, config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < grad_set
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_each_gradient_follows_its_tensors_last_read(self, stage,
+                                                         shared, n):
+        # a sink that replaces each tensor with NaNs once its gradient
+        # arrives: a read of that tensor later in the backward would carry
+        # the NaNs into a gradient recorded after it
+        class Poison:
+            def __init__(self, params):
+                self.params, self.grads = params, {}
+
+            def __setitem__(self, name, grad):
+                self.grads[name] = grad.copy()
+                record, attr = name.split(".")
+                holder = getattr(self.params, record)
+                setattr(holder, attr,
+                        np.full_like(getattr(holder, attr), np.nan))
+
+        params = init_projector_params(4, 4, 8, 6, 8, 4, 2, seed=14,
+                                       shared_pool_phi=shared)
+        bundles, targets = make_batch(14, n=n)
+        mode = step_mode(stage, 14)
+        want = {}
+        loss, _ = backward(bundles, copy.deepcopy(params), targets, mode,
+                           want)
+        sink = Poison(params)
+        assert backward(bundles, params, targets, mode, sink)[0] == loss
+        assert sink.grads.keys() == want.keys()
+        for name, grad in want.items():
+            assert sink.grads[name].tobytes() == grad.tobytes(), name
 
 
 def params_to_vector(params):
