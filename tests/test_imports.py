@@ -5,12 +5,18 @@ carries state between them), for defaulted parameters that no program
 caller ever sets (an option without a caller is a constant), for
 dataclass field defaults that no program code relies on, for public
 functions that no program code refers to (code only tests call is dead),
-and for annotations that name something the module never binds."""
+for annotations that name something the module never binds, and for
+third-party imports other than the dependencies `pyproject.toml` declares
+(scipy is only the tests' reference, so the package must not load it)."""
 
 import ast
 import importlib
 import inspect
 import math
+import os
+import re
+import subprocess
+import sys
 import types
 import typing
 from pathlib import Path
@@ -328,3 +334,65 @@ def test_annotations_resolve(path):
     module = importlib.import_module(f"qmop.{path.stem}")
     for obj in annotated_objects(module):
         typing.get_type_hints(obj)   # raises NameError on an unbound name
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Top-level names of the absolute imports in `source` that are neither
+    the standard library's nor the package's own."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"__future__", "qmop"}
+
+
+def declared_dependencies(pyproject: str) -> set[str]:
+    """Distribution names in the `[project]` table's `dependencies` list,
+    read line by line (no `tomllib` before Python 3.11): one quoted
+    requirement per line, its name up to the first version or extra mark."""
+    table, inside, names = None, False, set()
+    for line in map(str.strip, pyproject.splitlines()):
+        if inside:
+            if line.startswith("]"):
+                inside = False
+            elif line.startswith('"'):
+                names.add(re.match(r'"([A-Za-z0-9_.-]+)', line)[1].lower())
+        elif line.startswith("["):
+            table = line
+        elif table == "[project]" and line.startswith("dependencies"):
+            inside = True
+    return names
+
+
+def test_scanner_finds_third_party_imports():
+    source = ("from __future__ import annotations\nimport os.path\n"
+              "import numpy as np\nfrom click import echo\nimport qmop.cli\n"
+              "from . import trainer\nfrom scipy.special import erf\n")
+    assert third_party_imports(source) == {"numpy", "click", "scipy"}
+
+
+def test_reader_finds_declared_dependencies():
+    pyproject = ('[project]\nname = "x"\ndependencies = [\n'
+                 '    "numpy>=1.24",\n    "Click[extra]>=8.0",\n]\n'
+                 '[project.optional-dependencies]\ntest = [\n'
+                 '    "pytest>=7",\n]\n[tool.x]\ndependencies = ["no"]\n')
+    assert declared_dependencies(pyproject) == {"numpy", "click"}
+
+
+def test_imports_match_declared_dependencies():
+    imported = set().union(*(third_party_imports(p.read_text())
+                             for p in SRC.glob("*.py")))
+    declared = declared_dependencies((ROOT / "pyproject.toml").read_text())
+    assert imported == declared == {"numpy", "click"}
+
+
+def test_import_leaves_scipy_unloaded():
+    # a fresh interpreter: this one may have imported scipy for a test
+    probe = ("import sys, qmop, qmop.cli\n"
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

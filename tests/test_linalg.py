@@ -7,11 +7,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qmop.linalg import (
+    ACT_CHUNK,
     FILL_CHUNK,
     DomainError,
     NumericError,
     ShapeError,
+    erf,
     float32_image,
+    gelu,
+    gelu_grad,
     grad_check,
     rng_for,
     seeded_fill,
@@ -61,6 +65,72 @@ class TestSoftmaxRows:
             for tau in (0.1, 1.0, 10.0):
                 assert (np.argmax(softmax_rows(row, tau))
                         == np.argmax(row))
+
+
+def ulps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Units in the last place between float64 arrays, elementwise: the
+    distance of their bit patterns mapped onto one ordered integer line
+    (+0 and -0 meet at zero); two NaNs are 0 apart."""
+    def ordered(x):
+        bits = x.view(np.int64)
+        mag = bits & np.int64(0x7FFF_FFFF_FFFF_FFFF)
+        return np.where(bits < 0, -mag, mag)
+    both_nan = np.isnan(a) & np.isnan(b)
+    return np.where(both_nan, 0, np.abs(ordered(a) - ordered(b)))
+
+
+def erf_sweep() -> np.ndarray:
+    """A seeded sweep of [-30, 30], denser where the fits change, and the
+    edge cases: +-0, +-1, +-8, +-inf and nan."""
+    rng = np.random.default_rng(2023)
+    edges = [0.0, -0.0, 1.0, -1.0, 8.0, -8.0, np.inf, -np.inf, np.nan,
+             np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 5e-324, 1e300]
+    return np.concatenate([rng.uniform(-30.0, 30.0, 40_000),
+                           rng.uniform(-1.0, 1.0, 20_000),
+                           rng.uniform(-8.0, 8.0, 20_000), edges])
+
+
+class TestErf:
+    @pytest.mark.filterwarnings("error")
+    def test_matches_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        x = erf_sweep()
+        got, want = erf(x), special.erf(x)
+        inner = np.abs(x) <= 1.0
+        assert got[inner].tobytes() == want[inner].tobytes()
+        assert ulps(got, want).max() <= 1
+        assert np.isnan(got[np.isnan(x)]).all()
+
+    def test_within_4_ulp_of_math_erf(self):
+        x = erf_sweep()
+        finite = x[~np.isnan(x)]
+        want = np.array([math.erf(v) for v in finite])
+        assert ulps(erf(finite), want).max() <= 4
+
+    def test_odd_bit_for_bit(self):
+        x = erf_sweep()
+        assert erf(-x).tobytes() == (-erf(x)).tobytes()
+        assert np.signbit(erf(np.array([-0.0, 0.0]))).tolist() == [True, False]
+
+    def test_keeps_shape(self):
+        x = erf_sweep()[:60].reshape(3, 4, 5)
+        assert erf(x).tobytes() == erf(x.ravel()).tobytes()
+        assert erf(x).shape == (3, 4, 5)
+        assert erf(np.asfortranarray(x[0])).tobytes() == erf(x[0]).tobytes()
+
+
+# three whole chunks and a remainder: flat, and as rows of 1024
+@pytest.mark.parametrize("shape", [(3 * ACT_CHUNK + 777,),
+                                   (3 * ACT_CHUNK // 1024 + 1, 1024)])
+@pytest.mark.parametrize("fn", [gelu, gelu_grad], ids=["gelu", "gelu_grad"])
+def test_activation_by_chunk_is_elementwise(shape, fn):
+    x = np.random.default_rng(5).standard_normal(shape) * 2.0
+    flat = x.ravel()
+    by_chunk = np.concatenate([fn(flat[i:i + ACT_CHUNK])
+                               for i in range(0, flat.size, ACT_CHUNK)])
+    got = fn(x)
+    assert got.shape == shape
+    assert got.tobytes() == by_chunk.tobytes()
 
 
 class TestGradCheck:
