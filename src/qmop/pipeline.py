@@ -23,9 +23,11 @@ per params object (`ProjectorParams.query_fold`) and keeps them while their
 four source tensors, `pool.q2d`, `pool.phi_k`, `resampler.queries` and
 `resampler.w_k`, are still the params' fields and still read-only: building
 the fold makes them read-only, so writing one in place raises. No code here
-or in `trainer` writes a params tensor in place; `trainer.train_toy` assigns
-each updated tensor as a new array, which the next inference folds afresh,
-and a library caller changes a tensor the same way.
+writes a params tensor in place. `trainer.train_toy` writes only the two
+weights of the MLP it trains in place, row block by row block, and assigns
+every other updated tensor, the four sources among them, as a new array,
+which the next inference folds afresh; a library caller changes a fold
+source the same way.
 """
 
 from __future__ import annotations
@@ -82,8 +84,10 @@ class ProjectorParams:
     dims. Until it is drawn, `digest_head` stands in for it with a float32
     image drawn at the same subseeds, half the bytes; drawing the head
     drops the image. Inference's `query_products` are kept in `_fold` (see
-    `query_fold`), whose sources are read-only: change a tensor by assigning
-    a new array to its field, never in place. A copy or pickle leaves out
+    `query_fold`), whose sources are read-only: change one by assigning a
+    new array to its field, never in place. Training updates the MLP
+    weights, which no fold reads, in place, so a caller holding one of
+    those arrays sees it change. A copy or pickle leaves out
     `_fold` and `_head_image`, which are rebuilt on demand; a drawn
     `stage1_mlp` is trained state and is kept."""
     prune_cfg: br.PruneConfig

@@ -14,8 +14,10 @@ activation once its gradients are computed, and hands the caller's sink a
 gradient only for the tensors its mode reaches, each once its last read of
 that tensor is done: stage 1 never reaches the router or `out_mlp`, stage
 2 never reaches `stage1_mlp`, and neither reaches the relevance map.
-`train_toy`'s sink applies each gradient as it arrives, so no step holds
-its whole gradient set.
+The two MLP weights, the projector's largest tensors, reach the sink in
+blocks of rows (`GRAD_BLOCK`). `train_toy`'s sink applies each gradient as
+it arrives, an MLP weight's block by block into its rows, so no step holds
+its whole gradient set or a second copy of an MLP weight.
 Pool and resample share one backward, `_attend_backward`, as they share
 one forward; `_pool_backward` and `_resample_backward` map its d(qk) and
 the attended rows onto their own tensors.
@@ -135,10 +137,44 @@ def batch_loss(tokens: np.ndarray, targets: list[np.ndarray]) -> float:
 
 
 class GradSink(Protocol):
-    """Where `backward` puts each gradient: a dict, or `train_toy`'s update,
-    which replaces the tensor as soon as it is assigned."""
+    """Where `backward` puts each gradient: `GradDict`, which keeps them, or
+    `train_toy`'s update, which applies each as it arrives. A tensor's
+    whole gradient is assigned under its name; an MLP weight's comes as
+    `rows` calls, one per block of its rows, in row order."""
 
     def __setitem__(self, name: str, grad: np.ndarray) -> None: ...
+
+    def rows(self, name: str, rows: slice, block: np.ndarray) -> None: ...
+
+
+class GradDict(dict):
+    """A `GradSink` that keeps every gradient whole under its tensor's name,
+    an MLP weight's blocks joined in row order."""
+
+    def rows(self, name: str, rows: slice, block: np.ndarray) -> None:
+        self[name] = (np.concatenate((self[name], block)) if rows.start
+                      else block)
+
+
+# elements of an MLP weight's gradient computed and handed over at a time
+GRAD_BLOCK = 1 << 18
+
+
+def _hand_rows(grads: GradSink, name: str, d_out: np.ndarray,
+               x: np.ndarray) -> None:
+    """Hand `grads` the gradient `d_out.T @ x` of the weight `name` in
+    near-equal blocks of rows, each at most `GRAD_BLOCK` elements where
+    that leaves at least three rows a block. Each block is its own GEMM over
+    the batch's rows, and OpenBLAS sums its elements as it sums the whole
+    product's, except perhaps where the block falls below its small-matrix
+    cutoff (m·n·k of 10**6) and the whole does not; at paper dims every
+    block is far above it. No block has one row unless the weight does:
+    numpy runs a one-row product as a GEMV, which sums in another order."""
+    n = d_out.shape[1]
+    count = -(-n // max(3, GRAD_BLOCK // x.shape[1]))
+    for i in range(count):
+        rows = slice(n * i // count, n * (i + 1) // count)
+        grads.rows(name, rows, d_out[:, rows].T @ x)
 
 
 def _mlp_backward(mlp: pl.Mlp, acts: tuple, d_y: np.ndarray,
@@ -146,11 +182,11 @@ def _mlp_backward(mlp: pl.Mlp, acts: tuple, d_y: np.ndarray,
     _, act_grad = ACTIVATIONS[mlp.activation]
     x, h, a = acts
     d_a = d_y @ mlp.w_out
-    grads[f"{prefix}.w_out"] = d_y.T @ a
+    _hand_rows(grads, f"{prefix}.w_out", d_y, a)
     grads[f"{prefix}.b_out"] = d_y.sum(axis=0)
     d_h = d_a * act_grad(h)
     d_x = d_h @ mlp.w_in
-    grads[f"{prefix}.w_in"] = d_h.T @ x
+    _hand_rows(grads, f"{prefix}.w_in", d_h, x)
     grads[f"{prefix}.b_in"] = d_h.sum(axis=0)
     return d_x
 
@@ -221,12 +257,13 @@ def backward(bundles: list[FeatureBundle], params: pl.ProjectorParams,
     and a list of as many targets, one per bundle. mode is ("stage1",) or
     ("train", tau, gumbel_scale, seed), where bundle i draws its gate noise
     at `seed + i`; an infer mode has no backward. Each reached tensor's
-    gradient, a fresh array, is assigned to `grads` under the tensor's name
-    once, after the backward's last read of that tensor, so the sink may
-    replace the tensor at once. A tensor the mode does not reach is never
-    assigned, since its gradient is exactly zero. Returns (loss, gate):
-    gate is the forward's gate record, one row per sample, in train mode
-    and None in stage 1.
+    gradient, in fresh arrays, goes to `grads` under the tensor's name once,
+    after the backward's last read of that tensor, so the sink may replace
+    or update the tensor at once: an MLP weight's through `rows`, block by
+    block (`_hand_rows`), every other tensor's assigned whole. A tensor the
+    mode does not reach gets nothing, since its gradient is exactly zero.
+    Returns (loss, gate): gate is the forward's gate record, one row per
+    sample, in train mode and None in stage 1.
     """
     if mode[0] not in ("stage1", "train"):
         raise ValueError(f"unknown backward mode {mode[0]!r}")
@@ -273,8 +310,8 @@ def gradcheck_params(bundle: FeatureBundle, params: pl.ProjectorParams,
     """Per-tensor max relative error of analytic vs central-difference grads
     of one sample's loss, for `bundle` and `target` as a batch of one and a
     mode as `backward` takes it. Every tensor is checked against the
-    gradient the backward writes into a plain dict, so none is applied: one
-    the mode does not reach, which gets no entry, against zeros.
+    gradient the backward hands a `GradDict`, so none is applied: one the
+    mode does not reach, which gets no entry, against zeros.
 
     Both the backward and `grad_check`, which perturbs each tensor in
     place, run on a deep copy, so the caller's params are never touched: a
@@ -283,7 +320,7 @@ def gradcheck_params(bundle: FeatureBundle, params: pl.ProjectorParams,
     leaves the four tensors `pipeline.query_products` reads."""
     bundles, targets = [bundle], [target]
     work = copy.deepcopy(params)
-    grads: dict[str, np.ndarray] = {}
+    grads = GradDict()
     backward(bundles, work, targets, mode, grads)
 
     def loss():
@@ -326,31 +363,45 @@ def _step_mode(config: TrainConfig, step: int, seed: int) -> tuple:
 
 
 class _Update:
-    """`train_toy`'s gradient sink: assigning tensor `name` its gradient g
-    replaces the tensor with a new array, p - lr * g, computed in g's
-    buffer, so no tensor is written in place and read-only tensors train
-    too."""
+    """`train_toy`'s gradient sink, p - lr * g on arrival. A whole gradient
+    g replaces its tensor with a new array, computed in g's buffer. An MLP
+    weight's row block is applied to those rows in place, by the same
+    operations, so a caller holding that array sees it trained; a
+    read-only one is first replaced, once, by a writeable copy, so the
+    caller's array keeps its values and read-only params train too."""
 
     def __init__(self, params: pl.ProjectorParams, lr: float):
         self.params, self.lr = params, lr
 
-    def __setitem__(self, name: str, grad: np.ndarray) -> None:
+    def _field(self, name: str) -> tuple[object, str]:
         record, attr = name.split(".")
-        holder = getattr(self.params, record)
+        return getattr(self.params, record), attr
+
+    def __setitem__(self, name: str, grad: np.ndarray) -> None:
+        holder, attr = self._field(name)
         grad *= self.lr    # a fresh array: it becomes the new tensor
         np.subtract(getattr(holder, attr), grad, out=grad)
         setattr(holder, attr, grad)
+
+    def rows(self, name: str, rows: slice, block: np.ndarray) -> None:
+        holder, attr = self._field(name)
+        tensor = getattr(holder, attr)
+        if not tensor.flags.writeable:
+            tensor = tensor.copy()
+            setattr(holder, attr, tensor)
+        block *= self.lr
+        np.subtract(tensor[rows], block, out=tensor[rows])
 
 
 def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
     """Plain gradient descent on `params`; deterministic for a fixed seed.
     `backward` hands each reached tensor's gradient to an `_Update`, which
-    replaces the tensor then and there, so a step never holds its whole
-    gradient set; a step whose loss is not finite raises `DivergenceError`
-    after its update. Step k's gate-noise seed is `seed * 1000003 + k * B`
-    for a batch of B, so bundle i draws its noise at that plus i. With
-    `final_grad_check`, a tensor whose residual is not within
-    `GRADCHECK_TOL` raises `GradCheckError`."""
+    applies it then and there, an MLP weight's in row blocks and in place,
+    so a step never holds its whole gradient set; a step whose loss is not
+    finite raises `DivergenceError` after its update. Step k's gate-noise
+    seed is `seed * 1000003 + k * B` for a batch of B, so bundle i draws its
+    noise at that plus i. With `final_grad_check`, a tensor whose residual
+    is not within `GRADCHECK_TOL` raises `GradCheckError`."""
     if len(config.bundles) != len(config.targets) or not config.bundles:
         raise ValueError("need equal, nonzero numbers of bundles and targets")
     n = len(config.bundles)

@@ -22,7 +22,8 @@ from qmop.pipeline import (
     train_forward,
 )
 from qmop.router import BRANCHES
-from qmop.trainer import TrainConfig, backward, params_digest, train_toy
+from qmop.trainer import (GradDict, TrainConfig, backward, params_digest,
+                          train_toy)
 
 
 def force_logits(params, logits):
@@ -272,10 +273,10 @@ class TestBatchCheck:
         "forward-train": lambda bs, p, ts: forward(bs, p,
                                                    ("train", 1.3, 0.7, 5)),
         "backward-stage1": lambda bs, p, ts: backward(bs, p, ts, ("stage1",),
-                                                      {}),
+                                                      GradDict()),
         "backward-train": lambda bs, p, ts: backward(bs, p, ts,
                                                      ("train", 1.3, 0.7, 5),
-                                                     {}),
+                                                     GradDict()),
     }
 
     @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
@@ -319,7 +320,7 @@ class TestStage1Head:
 
     @pytest.mark.parametrize("read", [
         lambda b, p, t: stage1_forward([b], p),
-        lambda b, p, t: backward([b], p, [t], ("stage1",), {}),
+        lambda b, p, t: backward([b], p, [t], ("stage1",), GradDict()),
         lambda b, p, t: list(p.named_tensors())],
         ids=["stage1_forward", "backward", "named_tensors"])
     def test_first_read_draws_it_once(self, tiny_bundle, tiny_params,

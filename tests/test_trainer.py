@@ -14,6 +14,7 @@ from qmop.trainer import (
     DIGEST_CHUNK,
     AnnealSchedule,
     DivergenceError,
+    GradDict,
     TrainConfig,
     backward,
     float32_digest,
@@ -45,7 +46,7 @@ def batch_gradcheck(bundles, params, targets, mode):
     """`gradcheck_params` over a batch: per-tensor `grad_check` of the
     batch-mean loss against `backward`'s batch gradients, every tensor
     checked (an unreached one against zeros) on a deep copy of `params`."""
-    grads = {}
+    grads = GradDict()
     backward(bundles, params, targets, mode, grads)
     work = copy.deepcopy(params)
 
@@ -119,7 +120,7 @@ class TestLoss:
 class TestBackward:
     def test_zero_gradient_at_target(self, tiny_bundle, tiny_params):
         target = stage1_forward([tiny_bundle], tiny_params).tokens
-        grads = {}
+        grads = GradDict()
         loss, _ = backward([tiny_bundle], tiny_params, [target], ("stage1",),
                            grads)
         assert loss <= 1e-20
@@ -129,7 +130,7 @@ class TestBackward:
     def test_stage1_router_grads_exactly_zero(self, tiny_bundle, tiny_params,
                                               tiny_target):
         # a tensor the mode does not reach has no gradient entry at all
-        grads = {}
+        grads = GradDict()
         _, gate = backward([tiny_bundle], tiny_params, [tiny_target],
                            ("stage1",), grads)
         assert gate is None
@@ -138,7 +139,7 @@ class TestBackward:
 
     def test_train_stage1_mlp_grads_zero(self, tiny_bundle, tiny_params,
                                          tiny_target):
-        grads = {}
+        grads = GradDict()
         _, gate = backward([tiny_bundle], tiny_params, [tiny_target],
                            ("train", 1.0, 0.0, 0), grads)
         assert gate.alpha.shape == (1, len(BRANCHES))
@@ -149,7 +150,7 @@ class TestBackward:
     def test_reached_grads_own_their_memory(self, tiny_bundle, tiny_params,
                                             tiny_target, mode):
         # train_toy computes each new tensor in its gradient's array
-        grads = {}
+        grads = GradDict()
         _, gate = backward([tiny_bundle], tiny_params, [tiny_target], mode,
                            grads)
         tensors = dict(tiny_params.named_tensors())
@@ -215,7 +216,7 @@ class TestBackward:
         params = init_projector_params(6, 6, 8, 6, 8, 9, 2, seed=8)
         bundle = synth_bundle(8, 6, 6, 8, 6)
         target = seeded_fill(508, 9, 8)
-        grads = {}
+        grads = GradDict()
         backward([bundle], params, [target], mode, grads)
 
         def loss():
@@ -297,7 +298,7 @@ class TestBackward:
         assert tiny_params.pool.phi_k.flags.f_contiguous
 
     @pytest.mark.parametrize("check", [
-        lambda b, p, t, mode: backward([b], p, [t], mode, {}),
+        lambda b, p, t, mode: backward([b], p, [t], mode, GradDict()),
         gradcheck_params],
         ids=["backward", "gradcheck_params"])
     @pytest.mark.parametrize("mode", [("topk", 2), ("threshold", 0.3),
@@ -318,7 +319,7 @@ class TestBackward:
         pool = spy(trainer, "_pool_backward")
         res = spy(trainer, "_resample_backward")
         attend = spy(branches, "_attend")   # pool's and resample's one core
-        backward([tiny_bundle], tiny_params, [tiny_target], mode, {})
+        backward([tiny_bundle], tiny_params, [tiny_target], mode, GradDict())
         assert branch_calls == dict.fromkeys(BRANCHES, 1)
         assert pool["_pool_backward"] == 1
         assert res["_resample_backward"] == 1
@@ -376,12 +377,13 @@ class TestBackward:
         # a (1, D) target would broadcast against the (M, D) output
         with pytest.raises(ShapeError):
             backward([tiny_bundle], tiny_params, [np.zeros((1, 8))], mode,
-                     {})
+                     GradDict())
 
     def test_batch_needs_one_target_per_bundle(self, tiny_params):
         bundles, targets = make_batch(12, n=2)
         with pytest.raises(ShapeError):
-            backward(bundles, tiny_params, targets[:1], ("stage1",), {})
+            backward(bundles, tiny_params, targets[:1], ("stage1",),
+                     GradDict())
 
     def test_loss_smooth_below_score_gap(self, tiny_bundle, tiny_params,
                                          tiny_target):
@@ -389,10 +391,10 @@ class TestBackward:
         # the gradcheck above is exactly that consistency, so just confirm a
         # small parameter nudge moves the loss by O(delta)
         base, _ = backward([tiny_bundle], tiny_params, [tiny_target],
-                           ("stage1",), {})
+                           ("stage1",), GradDict())
         tiny_params.resampler.queries[0, 0] += 1e-7
         nudged, _ = backward([tiny_bundle], tiny_params, [tiny_target],
-                             ("stage1",), {})
+                             ("stage1",), GradDict())
         assert abs(nudged - base) < 1e-5
 
 
@@ -466,6 +468,33 @@ class TestTrainToy:
         assert report.params_digest == train_toy(twin, config).params_digest
         assert report.grad_check_max_rel_err <= TOL
 
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_read_only_mlp_weight_keeps_its_values(self, stage):
+        # an MLP weight is updated in place, a row block at a time: the
+        # caller's writeable w_in is the array trained, while its read-only
+        # w_out is first replaced, once, by a writeable copy and keeps its
+        # values
+        params, twin = make_params(17), make_params(17)
+        mlp = params.stage1_mlp if stage == 1 else params.out_mlp
+        frozen, held = mlp.w_out, mlp.w_in
+        frozen.setflags(write=False)
+        values = frozen.copy(), held.copy()
+        bundles, targets = make_batch(17, n=2)
+        config = TrainConfig(stage=stage, steps=1, lr=0.1, seed=17,
+                             bundles=bundles, targets=targets,
+                             final_grad_check=False)
+        train_toy(params, config)
+        copied = mlp.w_out
+        train_toy(params, config)
+        assert frozen.tobytes() == values[0].tobytes()
+        assert not frozen.flags.writeable
+        assert mlp.w_out is copied and copied is not frozen
+        assert mlp.w_in is held
+        assert not np.array_equal(held, values[1])
+        for _ in range(2):
+            train_toy(twin, config)
+        assert params_digest(params) == params_digest(twin)
+
     def test_stage2_tau_trace_matches_schedule(self):
         bundles, targets = make_batch(1)
         sched = AnnealSchedule()
@@ -529,7 +558,7 @@ def summed_backwards(params, bundles, targets, stage, seed):
         mode = step_mode(stage, seed)
         if stage == 2:
             mode = mode[:3] + (mode[3] + i,)
-        grads = {}
+        grads = GradDict()
         loss, _ = backward([bundle], params, [target], mode, grads)
         loss_sum += loss
         for name in grads:
@@ -576,7 +605,7 @@ class TestOneGradientSet:
         params = init_projector_params(4, 4, 8, 6, 8, 4, 2, seed=9,
                                        shared_pool_phi=shared)
         bundles, targets = make_batch(9, n=3)
-        grads = {}
+        grads = GradDict()
         loss, _ = backward(bundles, params, targets, step_mode(stage, 9),
                            grads)
         loss_sum, total = summed_backwards(params, bundles, targets, stage, 9)
@@ -629,7 +658,7 @@ class TestOneGradientSet:
         per_sample = 8 * (3 * m * width + 4 * m * d + 2 * n * c + n * c2
                           + m * n)
         mode = ("stage1",) if stage == 1 else ("train", 1.0, 0.0, 0)
-        grads = {}
+        grads = GradDict()
         backward(bundles[:1], params, targets[:1], mode, grads)
         grad_set = sum(grad.nbytes for grad in grads.values())
         assert per_sample < grad_set
@@ -670,7 +699,7 @@ class TestOneGradientSet:
         bundles = [synth_bundle(i, 8, 8, c, c2) for i in range(2)]
         targets = [seeded_fill(50 + i, m, d) for i in range(2)]
         params = init_projector_params(8, 8, c, c2, d, m, 2, seed=0)
-        grads = {}
+        grads = GradDict()
         backward(bundles, params, targets, step_mode(stage, 0), grads)
         grad_set = sum(grad.nbytes for grad in grads.values())
         del grads
@@ -692,33 +721,144 @@ class TestOneGradientSet:
     @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("stage", [1, 2])
     def test_each_gradient_follows_its_tensors_last_read(self, stage,
-                                                         shared, n):
+                                                         shared, n,
+                                                         monkeypatch):
         # a sink that replaces each tensor with NaNs once its gradient
-        # arrives: a read of that tensor later in the backward would carry
-        # the NaNs into a gradient recorded after it
+        # arrives, and writes NaNs into an MLP weight's rows as each of
+        # their blocks arrives: a read of those later in the backward would
+        # carry the NaNs into a gradient recorded after it
         class Poison:
             def __init__(self, params):
-                self.params, self.grads = params, {}
+                self.params, self.grads = params, GradDict()
+
+            def field(self, name):
+                record, attr = name.split(".")
+                return getattr(self.params, record), attr
 
             def __setitem__(self, name, grad):
                 self.grads[name] = grad.copy()
-                record, attr = name.split(".")
-                holder = getattr(self.params, record)
+                holder, attr = self.field(name)
                 setattr(holder, attr,
                         np.full_like(getattr(holder, attr), np.nan))
+
+            def rows(self, name, rows, block):
+                self.grads.rows(name, rows, block.copy())
+                holder, attr = self.field(name)
+                getattr(holder, attr)[rows] = np.nan
 
         params = init_projector_params(4, 4, 8, 6, 8, 4, 2, seed=14,
                                        shared_pool_phi=shared)
         bundles, targets = make_batch(14, n=n)
         mode = step_mode(stage, 14)
-        want = {}
+        want = GradDict()
         loss, _ = backward(bundles, copy.deepcopy(params), targets, mode,
                            want)
+        # the poisoned backward hands each 8-row MLP weight in blocks of
+        # 2 or 3 rows, where the reference took it whole
+        monkeypatch.setattr(trainer, "GRAD_BLOCK", 1)
         sink = Poison(params)
         assert backward(bundles, params, targets, mode, sink)[0] == loss
         assert sink.grads.keys() == want.keys()
         for name, grad in want.items():
             assert sink.grads[name].tobytes() == grad.tobytes(), name
+
+    # stage -> GRAD_BLOCK at BLOCK_DIMS: nominal blocks of 4 rows of the
+    # head's 21 columns, and of 3 rows of out_mlp's 7 columns, so that each
+    # MLP weight (21 or 13 rows in stage 1, 7 or 13 in stage 2) spans three
+    # or more, with one row over a whole number of them
+    BLOCK_DIMS = (4, 4, 7, 6, 13, 4, 2)
+    SMALL_BLOCK = {1: 4 * 21, 2: 3 * 7}
+
+    def blocked_train_toy(self, monkeypatch, params, config, grad_block):
+        """`train_toy` at `GRAD_BLOCK = grad_block`: its report, and the row
+        slices each MLP weight's gradient came in, by name."""
+        blocks = {}
+        apply_rows = trainer._Update.rows
+
+        def record(sink, name, rows, block):
+            blocks.setdefault(name, []).append(rows)
+            apply_rows(sink, name, rows, block)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(trainer._Update, "rows", record)
+            patch.setattr(trainer, "GRAD_BLOCK", grad_block)
+            report = train_toy(params, config)
+        return report, blocks
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_blocked_step_bit_identical_to_reference(self, stage, shared,
+                                                     monkeypatch):
+        # the reference takes every gradient whole; the step takes each MLP
+        # weight's in blocks that cover its rows in order, none one row
+        params = init_projector_params(*self.BLOCK_DIMS, seed=15,
+                                       shared_pool_phi=shared)
+        expected = copy.deepcopy(params)
+        bundles = [synth_bundle(15, 4, 4, 7, 6)]
+        targets = [seeded_fill(65, 4, 13)]
+        reference_step(expected, bundles, targets, stage, 0.1, 15)
+        _, blocks = self.blocked_train_toy(monkeypatch, params, TrainConfig(
+            stage=stage, steps=1, lr=0.1, seed=15, bundles=bundles,
+            targets=targets, final_grad_check=False), self.SMALL_BLOCK[stage])
+        mlp = "stage1_mlp" if stage == 1 else "out_mlp"
+        assert set(blocks) == {f"{mlp}.w_in", f"{mlp}.w_out"}
+        for name, rows in blocks.items():
+            n, cols = dict(params.named_tensors())[name].shape
+            assert n % (self.SMALL_BLOCK[stage] // cols) == 1, name
+            assert len(rows) >= 3, name
+            assert rows[0].start == 0 and rows[-1].stop == n, name
+            assert all(a.stop == b.start for a, b in zip(rows, rows[1:]))
+            assert min(r.stop - r.start for r in rows) >= 2, name
+        for (name, got), (_, want) in zip(params.named_tensors(),
+                                          expected.named_tensors()):
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_blocked_steps_bit_identical_to_whole(self, stage, shared,
+                                                  monkeypatch):
+        # three steps over a batch of 3, whole and at the floor of three
+        # rows a block, which GRAD_BLOCK = 1 asks to go below
+        bundles = [synth_bundle(16 + i, 4, 4, 7, 6) for i in range(3)]
+        targets = [seeded_fill(66 + i, 4, 13) for i in range(3)]
+        config = TrainConfig(stage=stage, steps=3, lr=0.1, seed=16,
+                             bundles=bundles, targets=targets,
+                             final_grad_check=False)
+        whole, blocked = (init_projector_params(*self.BLOCK_DIMS, seed=16,
+                                                shared_pool_phi=shared)
+                          for _ in range(2))
+        want = train_toy(whole, config)
+        got, _ = self.blocked_train_toy(monkeypatch, blocked, config, 1)
+        assert got.losses == want.losses
+        for (name, a), (_, b) in zip(blocked.named_tensors(),
+                                     whole.named_tensors()):
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_step_peak_stays_below_the_reached_w_out(self, stage):
+        # at these dims the reached MLP's w_out is the largest tensor a
+        # step updates (8 MiB in stage 2, the head's 24 MiB in stage 1);
+        # applied in row blocks, its gradient never exists whole, so a
+        # steady-state step peaks below it
+        m, d, c, c2 = 16, 8192, 128, 96
+        bundles = [synth_bundle(i, 8, 8, c, c2) for i in range(2)]
+        targets = [seeded_fill(50 + i, m, d) for i in range(2)]
+        params = init_projector_params(8, 8, c, c2, d, m, 2, seed=0)
+        config = TrainConfig(stage=stage, steps=1, lr=0.1, seed=0,
+                             bundles=bundles, targets=targets,
+                             final_grad_check=False)
+        tracemalloc.start()
+        try:
+            train_toy(params, config)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            train_toy(params, config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        w_out = (params.stage1_mlp if stage == 1 else params.out_mlp).w_out
+        assert w_out.nbytes == d * c * (3 if stage == 1 else 1) * 8
+        assert peak < w_out.nbytes
 
 
 def params_to_vector(params):
