@@ -37,9 +37,13 @@ GRADCHECK_MAX_TOKENS = 64
 COUNT_MAX = 2 ** 53
 # where Linux reports the memory and swap available to new allocations
 MEMINFO = "/proc/meminfo"
-# the process's cgroups, and where the cgroup v2 hierarchy is mounted
+# the process's cgroups, and where the cgroup hierarchies are mounted: v2's
+# at the root, v1's memory controller under memory/
 PROC_CGROUP = "/proc/self/cgroup"
 CGROUP_ROOT = "/sys/fs/cgroup"
+# cgroup v1 reports no limit as the largest page multiple below 2**63
+# (9223372036854771712 at 4 KiB pages); no real limit comes near 2**62
+V1_NO_LIMIT = 1 << 62
 
 
 def build_params(cfg: PipelineConfig) -> pl.ProjectorParams:
@@ -62,33 +66,54 @@ def synth_samples(cfg: PipelineConfig,
     return bundles, targets
 
 
-def _cgroup_limits() -> list[int | None]:
-    """`memory.max` and `memory.swap.max` of the process's cgroup v2, the
-    directory under `CGROUP_ROOT` that the `0::` line of `PROC_CGROUP`
-    names, as bytes: None for a file that reads `max`, is missing or does
-    not parse, and for both where no such line is found."""
+def _read_limit(*path: str) -> int | None:
+    """The byte count in the file at `CGROUP_ROOT`/`path`, or None for one
+    that is missing, does not parse, reads `max`, or reads a negative count
+    or one of at least `V1_NO_LIMIT`."""
+    try:
+        with open(os.path.join(CGROUP_ROOT, *path)) as fh:
+            limit = int(fh.read())
+    except (OSError, ValueError):
+        return None
+    return limit if 0 <= limit < V1_NO_LIMIT else None
+
+
+def _cgroup_limits() -> tuple[int | None, int | None]:
+    """The memory and swap limits of the process's cgroups, as bytes, None
+    where there is none. The memory limit is the smaller of the cgroup v2
+    `memory.max`, in the directory under `CGROUP_ROOT` that the `0::` line
+    of `PROC_CGROUP` names, and the cgroup v1 `memory.limit_in_bytes`,
+    under `CGROUP_ROOT`/memory at the path of the line whose controllers
+    include `memory`. The swap limit is v2's `memory.swap.max`."""
+    v2 = v1 = None
     try:
         with open(PROC_CGROUP) as fh:
-            rel = next(line[3:].strip() for line in fh
-                       if line.startswith("0::"))
-    except (OSError, ValueError, StopIteration):
-        return [None, None]
+            for line in fh:
+                parts = line.rstrip("\n").split(":", 2)
+                if len(parts) < 3:
+                    continue
+                rel = parts[2].lstrip("/")
+                if parts[:2] == ["0", ""]:
+                    v2 = rel
+                elif "memory" in parts[1].split(","):
+                    v1 = rel
+    except (OSError, ValueError):
+        return None, None
     limits = []
-    for name in ("memory.max", "memory.swap.max"):
-        try:
-            with open(os.path.join(CGROUP_ROOT, rel.lstrip("/"), name)) as fh:
-                limits.append(int(fh.read()))
-        except (OSError, ValueError):
-            limits.append(None)
-    return limits
+    if v2 is not None:
+        limits.append(_read_limit(v2, "memory.max"))
+    if v1 is not None:
+        limits.append(_read_limit("memory", v1, "memory.limit_in_bytes"))
+    swap = None if v2 is None else _read_limit(v2, "memory.swap.max")
+    return min((x for x in limits if x is not None), default=None), swap
 
 
 def _mem_available() -> int | None:
     """`MemAvailable` plus `SwapFree` in `MEMINFO`, as bytes, or None if
-    `MemAvailable` cannot be read. Under a cgroup v2 `memory.max`, the
-    smaller of that and `memory.max` plus the swap the cgroup may still
-    take: `SwapFree`, or `memory.swap.max` if it is smaller. Both are upper
-    bounds on what the process can get."""
+    `MemAvailable` cannot be read. Under a cgroup memory limit (see
+    `_cgroup_limits`), the smaller of that and the limit plus the swap the
+    cgroup may still take: `SwapFree`, or v2's `memory.swap.max` if it is
+    smaller. Both are upper bounds on what the process can get."""
     fields = {}
     try:
         with open(MEMINFO) as fh:
@@ -117,8 +142,8 @@ def _check_memory(cfg: PipelineConfig, head_itemsize: int):
     system grants but cannot back would end the process instead. Every
     command holds such an array while its weights are live (`compress`'s
     tokens, the targets of `train-toy` and `gradcheck`), so the count is a
-    lower bound. Other activations, other processes and a cgroup v1 limit
-    can still end the run. Where `_mem_available` reads nothing, nothing is
+    lower bound. Other activations and other processes can still end the
+    run. Where `_mem_available` reads nothing, nothing is
     checked."""
     need = pl.params_nbytes(cfg.c_vis, cfg.c_txt, cfg.d_llm, cfg.m_tokens,
                             cfg.router_hidden, head_itemsize)

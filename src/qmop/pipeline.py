@@ -23,11 +23,11 @@ per params object (`ProjectorParams.query_fold`) and keeps them while their
 four source tensors, `pool.q2d`, `pool.phi_k`, `resampler.queries` and
 `resampler.w_k`, are still the params' fields and still read-only: building
 the fold makes them read-only, so writing one in place raises. No code here
-writes a params tensor in place. `trainer.train_toy` writes only the two
-weights of the MLP it trains in place, row block by row block, and assigns
-every other updated tensor, the four sources among them, as a new array,
-which the next inference folds afresh; a library caller changes a fold
-source the same way.
+writes a params tensor in place. `trainer.train_toy` updates every tensor it
+trains in place, so a caller holding any params array sees it change; it
+first replaces a read-only tensor, a fold source after inference among
+them, by a writeable copy, once, which the next inference folds afresh. A
+library caller changes a fold source by assigning a new array too.
 """
 
 from __future__ import annotations
@@ -85,11 +85,12 @@ class ProjectorParams:
     image drawn at the same subseeds, half the bytes; drawing the head
     drops the image. Inference's `query_products` are kept in `_fold` (see
     `query_fold`), whose sources are read-only: change one by assigning a
-    new array to its field, never in place. Training updates the MLP
-    weights, which no fold reads, in place, so a caller holding one of
-    those arrays sees it change. A copy or pickle leaves out
-    `_fold` and `_head_image`, which are rebuilt on demand; a drawn
-    `stage1_mlp` is trained state and is kept."""
+    new array to its field, never in place. Training updates every tensor
+    in place, so a caller holding any params array sees it change; a
+    read-only one, such as a fold source, is first replaced by a writeable
+    copy. A copy or pickle leaves out `_fold` and `_head_image`, which are
+    rebuilt on demand; a drawn `stage1_mlp` is trained state and is
+    kept."""
     prune_cfg: br.PruneConfig
     relevance: br.RelevanceMap
     resampler: br.ResamplerParams
@@ -135,9 +136,10 @@ class ProjectorParams:
         `copy.deepcopy` makes) rebuilds it on the next call.
 
         The fold holds its sources: one replaced after inference, as
-        `trainer.train_toy` replaces them, stays alive until the next call
-        (up to ~18 MB at paper dims). Holding them is what makes the `is`
-        check sound."""
+        `trainer.train_toy` replaces a read-only tensor by a writeable copy
+        before updating it, stays alive until the next call (up to ~18 MB
+        at paper dims). Holding them is what makes the `is` check
+        sound."""
         sources = (self.pool.q2d, self.pool.phi_k, self.resampler.queries,
                    self.resampler.w_k)
         if self._fold is None or not all(
@@ -329,9 +331,12 @@ def fuse(tokens: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
 def _mlp_forward(mlp: Mlp, x: np.ndarray):
     """(output, pre-activation, activation) of the MLP on the rows of x."""
     act, _ = ACTIVATIONS[mlp.activation]
-    h = x @ mlp.w_in.T + mlp.b_in
+    h = x @ mlp.w_in.T
+    h += mlp.b_in
     a = act(h)
-    return a @ mlp.w_out.T + mlp.b_out, h, a
+    out = a @ mlp.w_out.T
+    out += mlp.b_out
+    return out, h, a
 
 
 def stage1_forward(bundles: list[FeatureBundle],

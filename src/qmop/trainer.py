@@ -9,15 +9,16 @@ every weight gradient is one GEMM over the batch's stacked rows, and the
 loss is the batch mean of the per-sample losses. `_step_mode` gives each
 step's mode, which `backward` runs through `pipeline.forward`, and the
 backward reads only the `ProjectedTokens` that forward returns (branch
-outputs, MLP activations, the gate with one row per sample), releases each
+outputs, MLP activations, the gate with one row per sample), turns the
+output tokens into the loss's gradient in their own buffer, releases each
 activation once its gradients are computed, and hands the caller's sink a
 gradient only for the tensors its mode reaches, each once its last read of
 that tensor is done: stage 1 never reaches the router or `out_mlp`, stage
 2 never reaches `stage1_mlp`, and neither reaches the relevance map.
 The two MLP weights, the projector's largest tensors, reach the sink in
-blocks of rows (`GRAD_BLOCK`). `train_toy`'s sink applies each gradient as
-it arrives, an MLP weight's block by block into its rows, so no step holds
-its whole gradient set or a second copy of an MLP weight.
+blocks of rows (`GRAD_BLOCK`). `train_toy`'s sink applies each gradient in
+place as it arrives, an MLP weight's block by block into its rows, so no
+step holds its whole gradient set or keeps an array it allocates.
 Pool and resample share one backward, `_attend_backward`, as they share
 one forward; `_pool_backward` and `_resample_backward` map its d(qk) and
 the attended rows onto their own tensors.
@@ -40,8 +41,7 @@ import numpy as np
 from . import pipeline as pl
 from .branches import CompressedTokens
 from .bundle import FeatureBundle
-from .linalg import (ACTIVATIONS, ShapeError, float32_image, grad_check,
-                     stack_rows)
+from .linalg import ACTIVATIONS, ShapeError, float32_image, grad_check
 from .router import BRANCHES, gate_entropy
 
 
@@ -136,6 +136,24 @@ def batch_loss(tokens: np.ndarray, targets: list[np.ndarray]) -> float:
                zip(np.split(tokens, len(targets)), targets)) / len(targets)
 
 
+def _residual_loss(tokens: np.ndarray, targets: list[np.ndarray]) -> float:
+    """`batch_loss(tokens, targets)`, computed as `tokens` becomes, in its
+    own buffer, d loss / d tokens: 2 (tokens - targets) / tokens.size. Each
+    sample's rows become its residual in turn, and every target's shape is
+    checked before the first write."""
+    blocks = np.split(tokens, len(targets))
+    for out, target in zip(blocks, targets):
+        if out.shape != target.shape:
+            raise ShapeError(f"output {out.shape} vs target {target.shape}")
+    losses = []
+    for d, target in zip(blocks, targets):
+        d -= target
+        losses.append(float(np.mean(d * d)))
+    tokens *= 2.0
+    tokens /= tokens.size
+    return sum(losses) / len(targets)
+
+
 class GradSink(Protocol):
     """Where `backward` puts each gradient: `GradDict`, which keeps them, or
     `train_toy`'s update, which applies each as it arrives. A tensor's
@@ -177,14 +195,21 @@ def _hand_rows(grads: GradSink, name: str, d_out: np.ndarray,
         grads.rows(name, rows, d_out[:, rows].T @ x)
 
 
-def _mlp_backward(mlp: pl.Mlp, acts: tuple, d_y: np.ndarray,
-                  grads: GradSink, prefix: str) -> np.ndarray:
+def _mlp_backward(mlp: pl.Mlp, fwd: pl.ProjectedTokens, grads: GradSink,
+                  prefix: str) -> np.ndarray:
+    """d loss / d input of the MLP whose output gradient `fwd.tokens` holds
+    and whose activations `fwd.mlp` holds. It takes both from the record,
+    which keeps neither, so d_y and the activation are freed once w_out's
+    blocks are handed over, and the pre-activation once d_h is built."""
     _, act_grad = ACTIVATIONS[mlp.activation]
-    x, h, a = acts
-    d_a = d_y @ mlp.w_out
+    d_y, (x, h, a) = fwd.tokens, fwd.mlp
+    fwd.tokens = fwd.mlp = None
+    d_h = d_y @ mlp.w_out     # d loss / d a, made d loss / d h below
     _hand_rows(grads, f"{prefix}.w_out", d_y, a)
     grads[f"{prefix}.b_out"] = d_y.sum(axis=0)
-    d_h = d_a * act_grad(h)
+    del d_y, a
+    d_h *= act_grad(h)
+    del h
     d_x = d_h @ mlp.w_in
     _hand_rows(grads, f"{prefix}.w_in", d_h, x)
     grads[f"{prefix}.b_in"] = d_h.sum(axis=0)
@@ -225,17 +250,18 @@ def _resample_backward(params: pl.ProjectorParams, out: CompressedTokens,
 def _pool_backward(params: pl.ProjectorParams, out: CompressedTokens,
                    d_out: np.ndarray, grads: GradSink) -> None:
     pool = params.pool
-    phi_v = pool.phi_k if pool.shared_phi else pool.phi_v
-    d_qk = _attend_backward(out, d_out @ phi_v)
-    d_phi_v = d_out.T @ out.pooled
+    if pool.shared_phi:
+        d_qk = _attend_backward(out, d_out @ pool.phi_k)
+        d_phi_v = d_out.T @ out.pooled
+    else:
+        d_qk = _attend_backward(out, d_out @ pool.phi_v)
+        grads["pool.phi_v"] = d_out.T @ out.pooled
     d_q2d = d_qk @ pool.phi_k.T
     d_phi_k = pool.q2d.T @ d_qk
     grads["pool.q2d"] = d_q2d
     if pool.shared_phi:
-        grads["pool.phi_k"] = d_phi_k + d_phi_v
-    else:
-        grads["pool.phi_k"] = d_phi_k
-        grads["pool.phi_v"] = d_phi_v
+        d_phi_k += d_phi_v
+    grads["pool.phi_k"] = d_phi_k
 
 
 def _branch_backward(params, name: str, out: CompressedTokens,
@@ -258,8 +284,8 @@ def backward(bundles: list[FeatureBundle], params: pl.ProjectorParams,
     ("train", tau, gumbel_scale, seed), where bundle i draws its gate noise
     at `seed + i`; an infer mode has no backward. Each reached tensor's
     gradient, in fresh arrays, goes to `grads` under the tensor's name once,
-    after the backward's last read of that tensor, so the sink may replace
-    or update the tensor at once: an MLP weight's through `rows`, block by
+    after the backward's last read of that tensor, so the sink may update
+    the tensor in place at once: an MLP weight's through `rows`, block by
     block (`_hand_rows`), every other tensor's assigned whole. A tensor the
     mode does not reach gets nothing, since its gradient is exactly zero.
     Returns (loss, gate): gate is the forward's gate record, one row per
@@ -270,22 +296,19 @@ def backward(bundles: list[FeatureBundle], params: pl.ProjectorParams,
     if len(targets) != len(bundles):
         raise ShapeError(f"{len(targets)} targets for {len(bundles)} bundles")
     fwd = pl.forward(bundles, params, mode)
-    outs, acts, gate = fwd.outputs, fwd.mlp, fwd.gate
-    loss = batch_loss(fwd.tokens, targets)
-    d_y = 2.0 * (fwd.tokens - stack_rows(targets)) / fwd.tokens.size
-    del fwd
+    loss = _residual_loss(fwd.tokens, targets)
+    outs, gate = fwd.outputs, fwd.gate
 
     if mode[0] == "stage1":
-        d_concat = _mlp_backward(params.stage1_mlp, acts, d_y, grads,
-                                 "stage1_mlp")
-        del acts, d_y
+        d_concat = _mlp_backward(params.stage1_mlp, fwd, grads, "stage1_mlp")
+        del fwd
         for name, d_out in zip(BRANCHES, np.split(d_concat, len(BRANCHES),
                                                   axis=1)):
             _branch_backward(params, name, outs.pop(name), d_out, grads)
         return loss, None
 
-    d_fused = _mlp_backward(params.out_mlp, acts, d_y, grads, "out_mlp")
-    del acts, d_y
+    d_fused = _mlp_backward(params.out_mlp, fwd, grads, "out_mlp")
+    del fwd
     d_alpha = np.stack([(d_fused * outs[name].tokens)
                         .reshape(len(gate.alpha), -1).sum(axis=1)
                         for name in BRANCHES], axis=1)  # B x branches
@@ -363,41 +386,39 @@ def _step_mode(config: TrainConfig, step: int, seed: int) -> tuple:
 
 
 class _Update:
-    """`train_toy`'s gradient sink, p - lr * g on arrival. A whole gradient
-    g replaces its tensor with a new array, computed in g's buffer. An MLP
-    weight's row block is applied to those rows in place, by the same
-    operations, so a caller holding that array sees it trained; a
-    read-only one is first replaced, once, by a writeable copy, so the
+    """`train_toy`'s gradient sink: p -= lr * g on arrival, in place, for a
+    tensor's whole gradient and for a block of an MLP weight's rows alike,
+    so a step allocates no new tensor and a caller holding any params array
+    sees it trained. A read-only tensor, such as a fold source after
+    inference, is first replaced, once, by a writeable copy, so the
     caller's array keeps its values and read-only params train too."""
 
     def __init__(self, params: pl.ProjectorParams, lr: float):
         self.params, self.lr = params, lr
 
-    def _field(self, name: str) -> tuple[object, str]:
+    def _apply(self, name: str, rows, grad: np.ndarray) -> None:
         record, attr = name.split(".")
-        return getattr(self.params, record), attr
-
-    def __setitem__(self, name: str, grad: np.ndarray) -> None:
-        holder, attr = self._field(name)
-        grad *= self.lr    # a fresh array: it becomes the new tensor
-        np.subtract(getattr(holder, attr), grad, out=grad)
-        setattr(holder, attr, grad)
-
-    def rows(self, name: str, rows: slice, block: np.ndarray) -> None:
-        holder, attr = self._field(name)
+        holder = getattr(self.params, record)
         tensor = getattr(holder, attr)
         if not tensor.flags.writeable:
             tensor = tensor.copy()
             setattr(holder, attr, tensor)
-        block *= self.lr
-        np.subtract(tensor[rows], block, out=tensor[rows])
+        grad *= self.lr
+        np.subtract(tensor[rows], grad, out=tensor[rows])
+
+    def __setitem__(self, name: str, grad: np.ndarray) -> None:
+        self._apply(name, ..., grad)
+
+    def rows(self, name: str, rows: slice, block: np.ndarray) -> None:
+        self._apply(name, rows, block)
 
 
 def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
     """Plain gradient descent on `params`; deterministic for a fixed seed.
     `backward` hands each reached tensor's gradient to an `_Update`, which
-    applies it then and there, an MLP weight's in row blocks and in place,
-    so a step never holds its whole gradient set; a step whose loss is not
+    applies it then and there, in place, an MLP weight's in row blocks, so
+    a step never holds its whole gradient set and every trained tensor of
+    writeable params stays the same array; a step whose loss is not
     finite raises `DivergenceError` after its update. Step k's gate-noise
     seed is `seed * 1000003 + k * B` for a batch of B, so bundle i draws its
     noise at that plus i. With `final_grad_check`, a tensor whose residual

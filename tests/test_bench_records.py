@@ -41,6 +41,9 @@ SCHEMA = {
                                "pattern": "^[0-9a-f]{64}$"},
                 "gemm_gflops_per_s": {"type": "number",
                                       "exclusiveMinimum": 0},
+                # optional: the run's minor page faults (the bench child's
+                # ru_minflt, setup included) over its attempted ops
+                "ru_minflt_per_op": {"type": "number", "minimum": 0},
                 "result": {"type": "string"}}}},
         # workload -> side -> end-to-end metric -> quartiles
         "summary": {"type": "object", "additionalProperties": {
@@ -146,9 +149,11 @@ def test_checker_accepts_a_sample():
     lambda r: r["runs"][1].update(side="other"),
     lambda r: r["runs"][1].update(order=0),
     lambda r: r["runs"][2].pop("src_sha256"),
+    lambda r: r["runs"][3].update(ru_minflt_per_op=-1.0),
     lambda r: r["summary"][WORKLOADS[0]]["change"]["setup_s"].update(
         median=2.0)],
-    ids=["nan", "two-lines", "side", "order", "provenance", "summary"])
+    ids=["nan", "two-lines", "side", "order", "provenance", "minflt",
+         "summary"])
 def test_checker_rejects(corrupt):
     record = sample_record()
     corrupt(record)

@@ -807,6 +807,54 @@ def test_mem_available_without_a_v2_cgroup(cgroup, lines):
     assert cli._mem_available() == 9 * 2 ** 30
 
 
+@pytest.fixture
+def cgroup_v1(cgroup):
+    """The `cgroup` fixture's files, with a cgroup v1 memory controller
+    line for `jobs/run` and no v2 line; returns that cgroup's directory
+    under the memory hierarchy."""
+    Path(cli.PROC_CGROUP).write_text(
+        "5:devices:/\n4:memory:/jobs/run\n3:cpu,cpuacct:/\n0::/\n")
+    here = Path(cli.CGROUP_ROOT) / "memory" / "jobs" / "run"
+    here.mkdir(parents=True)
+    return here
+
+
+def test_mem_available_reads_a_v1_limit(cgroup_v1):
+    gib = 2 ** 30
+    (cgroup_v1 / "memory.limit_in_bytes").write_text(f"{2 * gib}\n")
+    # v1 swap is not read: the limit adds all the free swap
+    assert cli._mem_available() == 3 * gib
+    (cgroup_v1 / "memory.limit_in_bytes").write_text(f"{16 * gib}\n")
+    assert cli._mem_available() == 9 * gib
+    # the memory controller may share its hierarchy with others
+    Path(cli.PROC_CGROUP).write_text("4:cpu,memory:/jobs/run\n")
+    (cgroup_v1 / "memory.limit_in_bytes").write_text(f"{gib}\n")
+    assert cli._mem_available() == 2 * gib
+
+
+@pytest.mark.parametrize("text", ["9223372036854771712\n",
+                                  "9223372036854710272\n", "-1\n", None,
+                                  "", "max\n"],
+                         ids=["unlimited", "unlimited-64k", "minus-one",
+                              "missing", "empty", "max"])
+def test_mem_available_ignores_an_unset_v1_limit(cgroup_v1, text):
+    if text is not None:
+        (cgroup_v1 / "memory.limit_in_bytes").write_text(text)
+    assert cli._mem_available() == 9 * 2 ** 30
+
+
+def test_mem_available_takes_the_smaller_of_v1_and_v2(cgroup, cgroup_v1):
+    gib = 2 ** 30
+    Path(cli.PROC_CGROUP).write_text("4:memory:/jobs/run\n"
+                                     "0::/app.slice/run\n")
+    (cgroup / "memory.max").write_text(f"{3 * gib}\n")
+    (cgroup / "memory.swap.max").write_text("0\n")
+    (cgroup_v1 / "memory.limit_in_bytes").write_text(f"{2 * gib}\n")
+    assert cli._mem_available() == 2 * gib
+    (cgroup_v1 / "memory.limit_in_bytes").write_text(f"{4 * gib}\n")
+    assert cli._mem_available() == 3 * gib
+
+
 def test_cost_defaults_are_the_llava_dims(runner):
     explicit = runner.invoke(main, ["cost", "--tokens", "144", "--n-in", "576",
                                     "--cvis", "1024", "--ctxt", "768",

@@ -455,8 +455,9 @@ class TestTrainToy:
 
     @pytest.mark.parametrize("stage", [1, 2])
     def test_trains_read_only_params(self, stage):
-        # training assigns each updated tensor as a new array, so params
-        # whose every tensor is read-only train as a writeable twin does
+        # training first replaces each read-only tensor it updates by a
+        # writeable copy, so params whose every tensor is read-only train
+        # as a writeable twin does
         frozen, twin = make_params(8), make_params(8)
         for _, arr in frozen.named_tensors():
             arr.setflags(write=False)
@@ -494,6 +495,50 @@ class TestTrainToy:
         for _ in range(2):
             train_toy(twin, config)
         assert params_digest(params) == params_digest(twin)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_trains_every_tensor_in_place(self, stage, shared):
+        params = init_projector_params(4, 4, 8, 6, 8, 4, 2, seed=18,
+                                       shared_pool_phi=shared)
+        bundles, targets = make_batch(18, n=2)
+        config = TrainConfig(stage=stage, steps=2, lr=0.1, seed=18,
+                             bundles=bundles, targets=targets,
+                             final_grad_check=False)
+        reached = GradDict()
+        backward(bundles, copy.deepcopy(params), targets,
+                 step_mode(stage, 18), reached)
+        held = {name: (arr, arr.copy()) for name, arr in
+                params.named_tensors()}
+        train_toy(params, config)
+        for name, arr in params.named_tensors():
+            assert arr is held[name][0], name
+            assert np.array_equal(arr, held[name][1]) != (name in reached), \
+                name
+        # inference leaves the four fold sources read-only: the next step
+        # trains one writeable copy of each, and the caller's arrays keep
+        # their values and flags
+        mode = ("topk", 2)
+        pipeline.infer_forward(bundles[0], params, mode)
+        sources = {name: (arr, arr.copy()) for name, arr in
+                   params.named_tensors() if not arr.flags.writeable}
+        assert sorted(sources) == ["pool.phi_k", "pool.q2d",
+                                   "resampler.queries", "resampler.w_k"]
+        train_toy(params, config)
+        copies = dict(params.named_tensors())
+        for name, (arr, values) in sources.items():
+            assert copies[name] is not arr and copies[name].flags.writeable
+            assert arr.tobytes() == values.tobytes(), name
+            assert not arr.flags.writeable, name
+        train_toy(params, config)
+        for name, arr in params.named_tensors():
+            assert arr is copies[name], name
+        # the next inference folds the trained copies afresh
+        got = pipeline.infer_forward(bundles[0], params, mode).tokens
+        fresh = copy.deepcopy(params)
+        assert fresh._fold is None
+        want = pipeline.infer_forward(bundles[0], fresh, mode).tokens
+        assert got.tobytes() == want.tobytes()
 
     def test_stage2_tau_trace_matches_schedule(self):
         bundles, targets = make_batch(1)
@@ -717,16 +762,50 @@ class TestOneGradientSet:
             tracemalloc.stop()
         assert peak < grad_set
 
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_residual_holds_no_second_output(self, stage, monkeypatch):
+        # backward turns the forward's output tokens into the residual, and
+        # then into d loss / d tokens, in their own buffer, a sample's rows
+        # at a time: from forward's return to the MLP backward it never
+        # holds another B*M x D_llm array beside them
+        m, d, c, c2, batch = 16, 8192, 16, 12, 2
+        params = init_projector_params(8, 8, c, c2, d, m, 2, seed=0)
+        bundles = [synth_bundle(i, 8, 8, c, c2) for i in range(batch)]
+        targets = [seeded_fill(50 + i, m, d) for i in range(batch)]
+        run_forward, mlp_backward = pipeline.forward, trainer._mlp_backward
+        seen = {}
+
+        def forward_then_reset(*args):
+            out = run_forward(*args)
+            seen["base"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            return out
+
+        def read_peak(*args):
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+            return mlp_backward(*args)
+
+        monkeypatch.setattr(pipeline, "forward", forward_then_reset)
+        monkeypatch.setattr(trainer, "_mlp_backward", read_peak)
+        tracemalloc.start()
+        try:
+            backward(bundles, params, targets, step_mode(stage, 0),
+                     GradDict())
+        finally:
+            tracemalloc.stop()
+        assert seen["peak"] - seen["base"] < 8 * batch * m * d
+
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("stage", [1, 2])
     def test_each_gradient_follows_its_tensors_last_read(self, stage,
                                                          shared, n,
                                                          monkeypatch):
-        # a sink that replaces each tensor with NaNs once its gradient
-        # arrives, and writes NaNs into an MLP weight's rows as each of
-        # their blocks arrives: a read of those later in the backward would
-        # carry the NaNs into a gradient recorded after it
+        # a sink that writes NaNs into each tensor, in place, once its
+        # gradient arrives, and into an MLP weight's rows as each of their
+        # blocks arrives: a read of those later in the backward, through
+        # the params or through a local alias, would carry the NaNs into a
+        # gradient recorded after it
         class Poison:
             def __init__(self, params):
                 self.params, self.grads = params, GradDict()
@@ -738,8 +817,7 @@ class TestOneGradientSet:
             def __setitem__(self, name, grad):
                 self.grads[name] = grad.copy()
                 holder, attr = self.field(name)
-                setattr(holder, attr,
-                        np.full_like(getattr(holder, attr), np.nan))
+                getattr(holder, attr)[...] = np.nan
 
             def rows(self, name, rows, block):
                 self.grads.rows(name, rows, block.copy())
