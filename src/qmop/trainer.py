@@ -19,9 +19,10 @@ The two MLP weights, the projector's largest tensors, reach the sink in
 blocks of rows (`GRAD_BLOCK`). `train_toy`'s sink applies each gradient in
 place as it arrives, an MLP weight's block by block into its rows, so no
 step holds its whole gradient set or keeps an array it allocates.
-Pool and resample share one backward, `_attend_backward`, as they share
-one forward; `_pool_backward` and `_resample_backward` map its d(qk) and
-the attended rows onto their own tensors.
+Pool and resample share one backward, as they share one forward:
+`_attend_backward` gives d(qk), and `_attend_params_backward` maps it and
+the attended rows onto the query, key and value tensors that
+`_pool_backward` and `_resample_backward` name.
 
 The discrete top-M prune selection is treated as fixed indices: gradients
 flow through the selected token values only, never through the scores, so
@@ -122,22 +123,10 @@ class TrainReport:
     gumbel_trace: list[float]
 
 
-def loss_mse(output: np.ndarray, target: np.ndarray) -> float:
-    if output.shape != target.shape:
-        raise ShapeError(f"output {output.shape} vs target {target.shape}")
-    d = output - target
-    return float(np.mean(d * d))
-
-
-def batch_loss(tokens: np.ndarray, targets: list[np.ndarray]) -> float:
-    """Mean over the batch of each sample's `loss_mse`; `tokens` stacks the
-    samples' output rows in batch order."""
-    return sum(loss_mse(out, target) for out, target in
-               zip(np.split(tokens, len(targets)), targets)) / len(targets)
-
-
 def _residual_loss(tokens: np.ndarray, targets: list[np.ndarray]) -> float:
-    """`batch_loss(tokens, targets)`, computed as `tokens` becomes, in its
+    """The batch-mean loss: the mean over the samples of each one's mean
+    squared error against its target, where `tokens` stacks the samples'
+    output rows in batch order. It is computed as `tokens` becomes, in its
     own buffer, d loss / d tokens: 2 (tokens - targets) / tokens.size. Each
     sample's rows become its residual in turn, and every target's shape is
     checked before the first write."""
@@ -236,32 +225,38 @@ def _attend_backward(out: CompressedTokens,
     return sum(parts[1:], parts[0]).reshape(-1, c)
 
 
+def _attend_params_backward(params, tag: str, names: tuple[str, str, str],
+                            out: CompressedTokens, d_out: np.ndarray,
+                            grads: GradSink) -> None:
+    """Hand `grads` the gradients of record `tag`'s query, key and value
+    tensors, whose field names `names` holds, for the `branches._attend`
+    record `out` given d loss / d out. A value field that is the key field
+    gets its two terms summed and handed over once. Each gradient is handed
+    over after the last read of its tensor, and no local keeps it."""
+    record = getattr(params, tag)
+    q, k, v = names
+    d_qk = _attend_backward(out, d_out @ getattr(record, v))
+    if v != k:
+        grads[f"{tag}.{v}"] = d_out.T @ out.pooled
+    d_w_k = getattr(record, q).T @ d_qk
+    grads[f"{tag}.{q}"] = d_qk @ getattr(record, k).T
+    if v == k:
+        d_w_k += d_out.T @ out.pooled
+    grads[f"{tag}.{k}"] = d_w_k
+
+
 def _resample_backward(params: pl.ProjectorParams, out: CompressedTokens,
                        d_out: np.ndarray, grads: GradSink) -> None:
-    res = params.resampler
-    d_qk = _attend_backward(out, d_out @ res.w_v)
-    grads["resampler.w_v"] = d_out.T @ out.pooled
-    d_queries = d_qk @ res.w_k.T
-    d_w_k = res.queries.T @ d_qk
-    grads["resampler.queries"] = d_queries
-    grads["resampler.w_k"] = d_w_k
+    _attend_params_backward(params, "resampler", ("queries", "w_k", "w_v"),
+                            out, d_out, grads)
 
 
 def _pool_backward(params: pl.ProjectorParams, out: CompressedTokens,
                    d_out: np.ndarray, grads: GradSink) -> None:
-    pool = params.pool
-    if pool.shared_phi:
-        d_qk = _attend_backward(out, d_out @ pool.phi_k)
-        d_phi_v = d_out.T @ out.pooled
-    else:
-        d_qk = _attend_backward(out, d_out @ pool.phi_v)
-        grads["pool.phi_v"] = d_out.T @ out.pooled
-    d_q2d = d_qk @ pool.phi_k.T
-    d_phi_k = pool.q2d.T @ d_qk
-    grads["pool.q2d"] = d_q2d
-    if pool.shared_phi:
-        d_phi_k += d_phi_v
-    grads["pool.phi_k"] = d_phi_k
+    _attend_params_backward(
+        params, "pool",
+        ("q2d", "phi_k", "phi_k" if params.pool.shared_phi else "phi_v"),
+        out, d_out, grads)
 
 
 def _branch_backward(params, name: str, out: CompressedTokens,
@@ -284,8 +279,9 @@ def backward(bundles: list[FeatureBundle], params: pl.ProjectorParams,
     ("train", tau, gumbel_scale, seed), where bundle i draws its gate noise
     at `seed + i`; an infer mode has no backward. Each reached tensor's
     gradient, in fresh arrays, goes to `grads` under the tensor's name once,
-    after the backward's last read of that tensor, so the sink may update
-    the tensor in place at once: an MLP weight's through `rows`, block by
+    after the backward's last read of that tensor, and the backward keeps
+    no reference to it, so the sink may update the tensor in place at once
+    and free the gradient: an MLP weight's through `rows`, block by
     block (`_hand_rows`), every other tensor's assigned whole. A tensor the
     mode does not reach gets nothing, since its gradient is exactly zero.
     Returns (loss, gate): gate is the forward's gate record, one row per
@@ -347,7 +343,7 @@ def gradcheck_params(bundle: FeatureBundle, params: pl.ProjectorParams,
     backward(bundles, work, targets, mode, grads)
 
     def loss():
-        return batch_loss(pl.forward(bundles, work, mode).tokens, targets)
+        return _residual_loss(pl.forward(bundles, work, mode).tokens, targets)
 
     return {name: grad_check(loss, arr, grads[name] if name in grads
                              else np.zeros(arr.shape))

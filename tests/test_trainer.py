@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from qmop.trainer import (
     float32_digest,
     gradcheck_params,
     gumbel_scale_at,
-    loss_mse,
     params_digest,
     tau_at,
     train_toy,
@@ -51,8 +51,8 @@ def batch_gradcheck(bundles, params, targets, mode):
     work = copy.deepcopy(params)
 
     def loss():
-        return trainer.batch_loss(forward(bundles, work, mode).tokens,
-                                  targets)
+        return trainer._residual_loss(forward(bundles, work, mode).tokens,
+                                      targets)
 
     return {name: grad_check(loss, arr, grads.get(name, np.zeros(arr.shape)))
             for name, arr in work.named_tensors()}
@@ -97,24 +97,46 @@ class TestSchedules:
         assert AnnealSchedule(gumbel0=0.0).gumbel0 == 0.0
 
 
+def loss_of(output, target):
+    """`_residual_loss` of one sample, on a copy of `output`, which the
+    loss turns into its gradient."""
+    return trainer._residual_loss(output.copy(), [target])
+
+
 class TestLoss:
     def test_zero_at_target(self):
         t = seeded_fill(0, 3, 3)
-        assert loss_mse(t, t) == 0.0
+        assert loss_of(t, t) == 0.0
 
     def test_unit_offset(self):
         t = seeded_fill(0, 3, 3)
-        assert loss_mse(t + 1.0, t) == pytest.approx(1.0)
+        assert loss_of(t + 1.0, t) == pytest.approx(1.0)
 
     def test_hand_mse(self):
         # diffs (0.1, 0.2, 0.3, 0.4): mean of squares = 0.3 / 4
         out = np.array([[0.1, 0.2], [0.3, 0.4]])
-        assert loss_mse(out, np.zeros((2, 2))) == pytest.approx(0.075)
+        assert loss_of(out, np.zeros((2, 2))) == pytest.approx(0.075)
 
     def test_shape_mismatch(self):
-        from qmop.linalg import ShapeError
         with pytest.raises(ShapeError):
-            loss_mse(np.zeros((2, 2)), np.zeros((2, 3)))
+            loss_of(np.zeros((2, 2)), np.zeros((2, 3)))
+
+    def test_batch_mean_of_sample_losses(self):
+        # each sample's mean of squares, summed in batch order over 3
+        targets = [seeded_fill(10 + i, 4, 5) for i in range(3)]
+        tokens = seeded_fill(20, 12, 5)
+        want = sum(float(np.mean((out - t) * (out - t))) for out, t in
+                   zip(np.split(tokens, 3), targets)) / 3
+        assert trainer._residual_loss(tokens.copy(), targets) == want
+
+    def test_last_target_shape_checked_before_any_write(self):
+        targets = [seeded_fill(10 + i, 4, 5) for i in range(2)]
+        targets.append(np.zeros((4, 6)))
+        tokens = seeded_fill(20, 12, 5)
+        before = tokens.copy()
+        with pytest.raises(ShapeError):
+            trainer._residual_loss(tokens, targets)
+        assert tokens.tobytes() == before.tobytes()
 
 
 class TestBackward:
@@ -220,7 +242,8 @@ class TestBackward:
         backward([bundle], params, [target], mode, grads)
 
         def loss():
-            return loss_mse(forward([bundle], params, mode).tokens, target)
+            tokens = forward([bundle], params, mode).tokens
+            return trainer._residual_loss(tokens, [target])
 
         for attr in ("queries", "w_k", "w_v"):
             err = grad_check(loss, getattr(params.resampler, attr),
@@ -319,11 +342,14 @@ class TestBackward:
         pool = spy(trainer, "_pool_backward")
         res = spy(trainer, "_resample_backward")
         attend = spy(branches, "_attend")   # pool's and resample's one core
+        # and their one backward onto the query, key and value weights
+        weights = spy(trainer, "_attend_params_backward")
         backward([tiny_bundle], tiny_params, [tiny_target], mode, GradDict())
         assert branch_calls == dict.fromkeys(BRANCHES, 1)
         assert pool["_pool_backward"] == 1
         assert res["_resample_backward"] == 1
         assert attend["_attend"] == 2
+        assert weights["_attend_params_backward"] == 2
 
         # one train_toy step over a batch of 3 is one forward and one
         # backward, with each branch and (stage 2) the gate run once over
@@ -333,7 +359,7 @@ class TestBackward:
                       else "train_forward")
         step = spy(trainer, "backward")
         gate = spy(router, "gate_forward")
-        for calls in (branch_calls, pool, res, attend):
+        for calls in (branch_calls, pool, res, attend, weights):
             calls.clear()
         bundles, targets = make_batch(3, n=3)
         train_toy(tiny_params, TrainConfig(
@@ -346,6 +372,7 @@ class TestBackward:
         assert pool["_pool_backward"] == 1
         assert res["_resample_backward"] == 1
         assert attend["_attend"] == 2
+        assert weights["_attend_params_backward"] == 2
 
         # infer runs `_attend` once per active pool or resample branch
         for k in range(1, len(BRANCHES) + 1):
@@ -839,6 +866,42 @@ class TestOneGradientSet:
         assert sink.grads.keys() == want.keys()
         for name, grad in want.items():
             assert sink.grads[name].tobytes() == grad.tobytes(), name
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_each_gradient_is_dropped_at_hand_over(self, stage, shared, n,
+                                                   monkeypatch):
+        # a sink that keeps only a weak reference to each array it is
+        # handed, whole or as a row block: the backward keeps none either,
+        # so each is freed by the next hand-over and the last one by the
+        # backward's return
+        class Weak:
+            def __init__(self):
+                self.last, self.held = None, []
+
+            def alive(self):
+                return self.last is not None and self.last[1]() is not None
+
+            def take(self, name, grad):
+                if self.alive():
+                    self.held.append(self.last[0])
+                self.last = name, weakref.ref(grad)
+
+            def __setitem__(self, name, grad):
+                self.take(name, grad)
+
+            def rows(self, name, rows, block):
+                self.take(f"{name}[{rows.start}:{rows.stop}]", block)
+
+        params = init_projector_params(4, 4, 8, 6, 8, 4, 2, seed=19,
+                                       shared_pool_phi=shared)
+        bundles, targets = make_batch(19, n=n)
+        monkeypatch.setattr(trainer, "GRAD_BLOCK", 1)
+        sink = Weak()
+        backward(bundles, params, targets, step_mode(stage, 19), sink)
+        assert sink.held == []
+        assert not sink.alive(), sink.last[0]
 
     # stage -> GRAD_BLOCK at BLOCK_DIMS: nominal blocks of 4 rows of the
     # head's 21 columns, and of 3 rows of out_mlp's 7 columns, so that each
