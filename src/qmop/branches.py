@@ -100,7 +100,7 @@ def _blend(bundle: FeatureBundle, projected: np.ndarray, lam: float,
         en = np.linalg.norm(eos)
         raw = np.zeros(bundle.n_tokens)
         ok = (pn > 0) & (en > 0)
-        raw[ok] = projected[ok] @ eos / (pn[ok] * en)
+        raw[ok] = (projected @ eos)[ok] / (pn[ok] * en)
     elif metric == "neg_euclidean":
         raw = -np.linalg.norm(projected - eos, axis=1)
     else:

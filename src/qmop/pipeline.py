@@ -366,14 +366,12 @@ def infer_forward(bundle: FeatureBundle, params: ProjectorParams,
                   mode: tuple) -> ProjectedTokens:
     """("topk", k) or ("threshold", theta) on one bundle."""
     kind, arg = mode
+    if kind not in ("topk", "threshold"):
+        raise ValueError(f"unknown inference mode {kind!r}")
     gate = rt.gate_forward(rt.build_context([bundle]), params.router, 1.0,
                            0.0, 0)
-    if kind == "topk":
-        active = rt.select_topk(gate.alpha[0], arg)
-    elif kind == "threshold":
-        active = rt.select_threshold(gate.alpha[0], arg)
-    else:
-        raise ValueError(f"unknown inference mode {kind!r}")
+    select = rt.select_topk if kind == "topk" else rt.select_threshold
+    active = select(gate.alpha[0], arg)
     # only active branches are executed, and only their tokens are kept:
     # infer has no backward to read the rest
     qk = params.query_fold()

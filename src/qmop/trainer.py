@@ -15,10 +15,15 @@ activation once its gradients are computed, and hands the caller's sink a
 gradient only for the tensors its mode reaches, each once its last read of
 that tensor is done: stage 1 never reaches the router or `out_mlp`, stage
 2 never reaches `stage1_mlp`, and neither reaches the relevance map.
-The two MLP weights, the projector's largest tensors, reach the sink in
-blocks of rows (`GRAD_BLOCK`). `train_toy`'s sink applies each gradient in
-place as it arrives, an MLP weight's block by block into its rows, so no
-step holds its whole gradient set or keeps an array it allocates.
+Each gradient is assigned at `grads[name, rows]`, indexed as `tensor[rows]`
+indexes its tensor: a whole tensor at `slice(None)`, and the two MLP
+weights, the projector's largest tensors, in blocks of rows (`GRAD_BLOCK`).
+`train_toy`'s sink applies each gradient in place as it arrives, into those
+rows, so no step holds its whole gradient set or keeps an array it
+allocates. After the head's MLP backward, one loop over the branches hands
+pool and resample their output gradient, in stage 1 their block of
+d(concat) and in stage 2 d(fused) scaled by their gate column; prune gets
+none (see below).
 Pool and resample share one backward, as they share one forward:
 `_attend_backward` gives d(qk), and `_attend_params_backward` maps it and
 the attended rows onto the query, key and value tensors that
@@ -145,22 +150,24 @@ def _residual_loss(tokens: np.ndarray, targets: list[np.ndarray]) -> float:
 
 class GradSink(Protocol):
     """Where `backward` puts each gradient: `GradDict`, which keeps them, or
-    `train_toy`'s update, which applies each as it arrives. A tensor's
-    whole gradient is assigned under its name; an MLP weight's comes as
-    `rows` calls, one per block of its rows, in row order."""
+    `train_toy`'s update, which applies each as it arrives. Each gradient is
+    assigned at `grads[name, rows]`, indexing the tensor `name` as
+    `tensor[rows]` does: `rows` is `slice(None)` for a whole tensor, and an
+    MLP weight's gradient comes as one assignment per block of its rows, in
+    row order."""
 
-    def __setitem__(self, name: str, grad: np.ndarray) -> None: ...
-
-    def rows(self, name: str, rows: slice, block: np.ndarray) -> None: ...
+    def __setitem__(self, key: tuple[str, slice], grad: np.ndarray) -> None:
+        ...
 
 
 class GradDict(dict):
     """A `GradSink` that keeps every gradient whole under its tensor's name,
     an MLP weight's blocks joined in row order."""
 
-    def rows(self, name: str, rows: slice, block: np.ndarray) -> None:
-        self[name] = (np.concatenate((self[name], block)) if rows.start
-                      else block)
+    def __setitem__(self, key: tuple[str, slice], grad: np.ndarray) -> None:
+        name, rows = key
+        super().__setitem__(name, np.concatenate((self[name], grad))
+                            if rows.start else grad)
 
 
 # elements of an MLP weight's gradient computed and handed over at a time
@@ -181,7 +188,7 @@ def _hand_rows(grads: GradSink, name: str, d_out: np.ndarray,
     count = -(-n // max(3, GRAD_BLOCK // x.shape[1]))
     for i in range(count):
         rows = slice(n * i // count, n * (i + 1) // count)
-        grads.rows(name, rows, d_out[:, rows].T @ x)
+        grads[name, rows] = d_out[:, rows].T @ x
 
 
 def _mlp_backward(mlp: pl.Mlp, fwd: pl.ProjectedTokens, grads: GradSink,
@@ -195,13 +202,13 @@ def _mlp_backward(mlp: pl.Mlp, fwd: pl.ProjectedTokens, grads: GradSink,
     fwd.tokens = fwd.mlp = None
     d_h = d_y @ mlp.w_out     # d loss / d a, made d loss / d h below
     _hand_rows(grads, f"{prefix}.w_out", d_y, a)
-    grads[f"{prefix}.b_out"] = d_y.sum(axis=0)
+    grads[f"{prefix}.b_out", :] = d_y.sum(axis=0)
     del d_y, a
     d_h *= act_grad(h)
     del h
     d_x = d_h @ mlp.w_in
     _hand_rows(grads, f"{prefix}.w_in", d_h, x)
-    grads[f"{prefix}.b_in"] = d_h.sum(axis=0)
+    grads[f"{prefix}.b_in", :] = d_h.sum(axis=0)
     return d_x
 
 
@@ -237,12 +244,12 @@ def _attend_params_backward(params, tag: str, names: tuple[str, str, str],
     q, k, v = names
     d_qk = _attend_backward(out, d_out @ getattr(record, v))
     if v != k:
-        grads[f"{tag}.{v}"] = d_out.T @ out.pooled
+        grads[f"{tag}.{v}", :] = d_out.T @ out.pooled
     d_w_k = getattr(record, q).T @ d_qk
-    grads[f"{tag}.{q}"] = d_qk @ getattr(record, k).T
+    grads[f"{tag}.{q}", :] = d_qk @ getattr(record, k).T
     if v == k:
         d_w_k += d_out.T @ out.pooled
-    grads[f"{tag}.{k}"] = d_w_k
+    grads[f"{tag}.{k}", :] = d_w_k
 
 
 def _resample_backward(params: pl.ProjectorParams, out: CompressedTokens,
@@ -259,16 +266,6 @@ def _pool_backward(params: pl.ProjectorParams, out: CompressedTokens,
         out, d_out, grads)
 
 
-def _branch_backward(params, name: str, out: CompressedTokens,
-                     d_out: np.ndarray, grads: GradSink) -> None:
-    if name == "resample":
-        _resample_backward(params, out, d_out, grads)
-    elif name == "pool":
-        _pool_backward(params, out, d_out, grads)
-    # prune: selected rows come straight from the input features, and score
-    # influence is detached, so no parameter receives gradient.
-
-
 def backward(bundles: list[FeatureBundle], params: pl.ProjectorParams,
              targets: list[np.ndarray], mode: tuple, grads: GradSink):
     """Batch-mean loss and its analytic gradient for every tensor the mode
@@ -278,12 +275,12 @@ def backward(bundles: list[FeatureBundle], params: pl.ProjectorParams,
     and a list of as many targets, one per bundle. mode is ("stage1",) or
     ("train", tau, gumbel_scale, seed), where bundle i draws its gate noise
     at `seed + i`; an infer mode has no backward. Each reached tensor's
-    gradient, in fresh arrays, goes to `grads` under the tensor's name once,
+    gradient, in fresh arrays, is assigned to `grads[name, rows]` once,
     after the backward's last read of that tensor, and the backward keeps
     no reference to it, so the sink may update the tensor in place at once
-    and free the gradient: an MLP weight's through `rows`, block by
-    block (`_hand_rows`), every other tensor's assigned whole. A tensor the
-    mode does not reach gets nothing, since its gradient is exactly zero.
+    and free the gradient: `rows` is `slice(None)` for a whole tensor, and
+    an MLP weight's comes block by block (`_hand_rows`). A tensor the mode
+    does not reach gets nothing, since its gradient is exactly zero.
     Returns (loss, gate): gate is the forward's gate record, one row per
     sample, in train mode and None in stage 1.
     """
@@ -295,32 +292,35 @@ def backward(bundles: list[FeatureBundle], params: pl.ProjectorParams,
     loss = _residual_loss(fwd.tokens, targets)
     outs, gate = fwd.outputs, fwd.gate
 
-    if mode[0] == "stage1":
-        d_concat = _mlp_backward(params.stage1_mlp, fwd, grads, "stage1_mlp")
-        del fwd
-        for name, d_out in zip(BRANCHES, np.split(d_concat, len(BRANCHES),
-                                                  axis=1)):
-            _branch_backward(params, name, outs.pop(name), d_out, grads)
-        return loss, None
-
-    d_fused = _mlp_backward(params.out_mlp, fwd, grads, "out_mlp")
+    stage1 = mode[0] == "stage1"
+    head = "stage1_mlp" if stage1 else "out_mlp"
+    d_in = _mlp_backward(getattr(params, head), fwd, grads, head)
     del fwd
-    d_alpha = np.stack([(d_fused * outs[name].tokens)
-                        .reshape(len(gate.alpha), -1).sum(axis=1)
-                        for name in BRANCHES], axis=1)  # B x branches
-    for name, weight in zip(BRANCHES, gate.alpha.T):
-        _branch_backward(params, name, outs.pop(name),
-                         pl.scale_samples(weight, d_fused), grads)
+    if not stage1:
+        d_alpha = np.stack([(d_in * outs[name].tokens)
+                            .reshape(len(gate.alpha), -1).sum(axis=1)
+                            for name in BRANCHES], axis=1)  # B x branches
+    for i, name in enumerate(BRANCHES):
+        # prune's rows come straight from the input features, and its scores
+        # are detached, so no parameter of it receives gradient; the others'
+        # backwards are looked up at call time, where a tracer patches them
+        if name != "prune":
+            globals()[f"_{name}_backward"](
+                params, outs.pop(name),
+                np.split(d_in, len(BRANCHES), axis=1)[i] if stage1
+                else pl.scale_samples(gate.alpha[:, i], d_in), grads)
+    if stage1:
+        return loss, None
 
     # gate: alpha = softmax((base_logits + noise)/tau), noise constant
     d_logits = _softmax_backward(gate.alpha, d_alpha) / gate.tau_used
     d_a1 = d_logits @ params.router.w2
-    grads["router.w2"] = d_logits.T @ gate.a1
-    grads["router.b2"] = d_logits.sum(axis=0)
+    grads["router.w2", :] = d_logits.T @ gate.a1
+    grads["router.b2", :] = d_logits.sum(axis=0)
     _, act_grad = ACTIVATIONS[params.router.activation]
     d_h1 = d_a1 * act_grad(gate.h1)
-    grads["router.w1"] = d_h1.T @ gate.f
-    grads["router.b1"] = d_h1.sum(axis=0)
+    grads["router.w1", :] = d_h1.T @ gate.f
+    grads["router.b1", :] = d_h1.sum(axis=0)
     return loss, gate
 
 
@@ -392,7 +392,8 @@ class _Update:
     def __init__(self, params: pl.ProjectorParams, lr: float):
         self.params, self.lr = params, lr
 
-    def _apply(self, name: str, rows, grad: np.ndarray) -> None:
+    def __setitem__(self, key: tuple[str, slice], grad: np.ndarray) -> None:
+        name, rows = key
         record, attr = name.split(".")
         holder = getattr(self.params, record)
         tensor = getattr(holder, attr)
@@ -401,12 +402,6 @@ class _Update:
             setattr(holder, attr, tensor)
         grad *= self.lr
         np.subtract(tensor[rows], grad, out=tensor[rows])
-
-    def __setitem__(self, name: str, grad: np.ndarray) -> None:
-        self._apply(name, ..., grad)
-
-    def rows(self, name: str, rows: slice, block: np.ndarray) -> None:
-        self._apply(name, rows, block)
 
 
 def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:

@@ -19,7 +19,7 @@ from qmop.branches import (
 )
 from qmop.bundle import synth_bundle
 from qmop.linalg import DomainError, ShapeError, seeded_fill, softmax_rows
-from qmop.trainer import _pool_backward, _resample_backward
+from qmop.trainer import GradDict, _pool_backward, _resample_backward
 
 
 def run_resample(xs, p):
@@ -86,10 +86,34 @@ class TestPruneScores:
         s = blend_scores(tiny_bundle, g, 0.0)
         assert np.allclose(s, 0.5)  # constant criterion -> all 0.5
 
+    @pytest.mark.parametrize("zero", [None, 0, 27, "eos"],
+                             ids=["none", "first-row", "middle-row", "eos"])
+    def test_cosine_reads_the_projection_in_place(self, zero):
+        # each token's cosine numerator is its own row of one product over
+        # the whole projection, so a zero-norm token (cosine 0) or a zero EOS
+        # vector leaves every other token's bits as they are
+        b = synth_bundle(1, 8, 8, 16, 64)
+        projected = b.patches @ seeded_fill(1, 64, 16).T
+        if zero == "eos":
+            b.eos_token = np.zeros(64)
+        elif zero is not None:
+            projected[zero] = 0.0
+        dots = projected @ b.eos_token
+        pn, en = np.linalg.norm(projected, axis=1), np.linalg.norm(b.eos_token)
+        raw = np.array([d / (p * en) if p > 0 and en > 0 else 0.0
+                        for d, p in zip(dots, pn)])
+        want = 0.3 * _minmax(b.cls_attention) + 0.7 * _minmax(raw)
+        got = _blend(b, projected, 0.3, "cosine")
+        assert got.tobytes() == want.tobytes()
+
     def test_bad_lambda(self):
         # prune reads lambda from its config, which checks it once
         with pytest.raises(DomainError):
             PruneConfig(lam=1.5, m_out=1, metric="cosine")
+
+    def test_unknown_metric(self):
+        with pytest.raises(DomainError, match="metric"):
+            PruneConfig(lam=0.5, m_out=1, metric="dot")
 
     def test_neg_euclidean_metric(self, tiny_bundle):
         g = seeded_fill(2, 6, 8)
@@ -379,7 +403,7 @@ def test_pool_over_the_whole_grid_is_resample(batch):
     by_res = run_resample([b.patches for b in bundles], res)
     assert np.max(np.abs(by_pool.tokens - by_res.tokens)) <= 1e-12
     d_out = seeded_fill(11, batch, 5)
-    grads = {}
+    grads = GradDict()
     _pool_backward(params, by_pool, d_out, grads)
     _resample_backward(params, by_res, d_out, grads)
     for ours, theirs in (("q2d", "queries"), ("phi_k", "w_k"),

@@ -290,3 +290,19 @@ def test_hundred_random_round_trips(tmp_path):
         path = tmp_path / "b.qmop"
         write_bundle(b, path)
         assert_bundles_equal(read_bundle(path), quantized(b))
+
+
+@pytest.mark.parametrize("changes,message", [
+    (dict(c_txt=0, eos_token=np.zeros(0)), "dimensions must be >= 1"),
+    (dict(cls_token=np.zeros(3)), "cls_token length"),
+    (dict(eos_token=np.zeros(4)), "eos_token length"),
+    (dict(cls_attention=np.full(3, 1 / 3)), "cls_attention length")],
+    ids=["dims", "cls_token", "eos_token", "cls_attention"])
+def test_write_rejects_an_invalid_bundle(tmp_path, changes, message):
+    b = synth_bundle(0, 2, 2, 4, 3)
+    for what, value in changes.items():
+        setattr(b, what, value)
+    path = tmp_path / "b.qmop"
+    with pytest.raises(ValidationError, match=message):
+        write_bundle(b, path)
+    assert not path.exists()

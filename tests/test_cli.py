@@ -799,8 +799,9 @@ def test_mem_available_ignores_an_unread_limit(cgroup, text):
     assert cli._mem_available() == 2 * gib
 
 
-@pytest.mark.parametrize("lines", ["", "0::/\n", "1:memory:/old\n"],
-                         ids=["empty", "root", "v1-only"])
+@pytest.mark.parametrize("lines", ["", "0::/\n", "1:memory:/old\n",
+                                   "0\n1:memory\n1:memory:/old\n"],
+                         ids=["empty", "root", "v1-only", "short-lines"])
 def test_mem_available_without_a_v2_cgroup(cgroup, lines):
     (cgroup / "memory.max").write_text(f"{2 ** 30}\n")
     Path(cli.PROC_CGROUP).write_text(lines)

@@ -103,6 +103,16 @@ def test_parse_mode_gives_forward_modes(tiny_bundle, tiny_params, spec,
     assert forward([tiny_bundle], tiny_params, parsed).tokens.shape == (4, 8)
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("topk:x", "bad topk"), ("topk:0", r"topk k must be in \[1,3\]"),
+    ("topk:4", r"topk k must be in \[1,3\]"), ("threshold:x", "bad threshold"),
+    ("threshold:1", r"threshold must be in \[0,1\)"),
+    ("bogus", "unknown mode")])
+def test_parse_mode_rejects(spec, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_mode(spec)
+
+
 def test_domains_name_config_fields():
     assert set(config._DOMAINS) <= set(FIELDS)
 

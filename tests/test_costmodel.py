@@ -50,6 +50,10 @@ class TestKvCache:
         assert kv_cache(10) + kv_cache(20) == pytest.approx(kv_cache(30),
                                                             abs=1e-12)
 
+    def test_negative_tokens(self):
+        with pytest.raises(DomainError):
+            kv_cache(-1)
+
 
 class TestProjectorFlops:
     def test_zero_config(self):

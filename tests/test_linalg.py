@@ -241,6 +241,11 @@ class TestSeededFill:
         samples = seeded_fill(0, 100, 100)
         assert abs(samples.mean()) < 0.05
 
+    @pytest.mark.parametrize("sigma", [0.0, -0.3])
+    def test_nonpositive_sigma(self, sigma):
+        with pytest.raises(DomainError, match="sigma"):
+            seeded_fill(0, 2, 3, sigma=sigma)
+
     # rows x cols over several row chunks with a remainder, exactly two
     # chunks, one row per chunk, and a row wider than a chunk
     @pytest.mark.parametrize("rows,cols", [

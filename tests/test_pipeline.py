@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmop import pipeline, synth_bundle
+from qmop import pipeline, router, synth_bundle
 from qmop.branches import _blend, pool_local, prune_select, resample
 from qmop.linalg import ACTIVATIONS, NumericError, ShapeError, seeded_fill
 from test_trainer import params_to_vector
@@ -262,6 +262,14 @@ class TestForward:
         with pytest.raises(ValueError, match="unknown forward mode"):
             forward([tiny_bundle], tiny_params, mode)
         assert branch_calls == {}
+
+    @pytest.mark.parametrize("kind", ["bogus", "stage1", "train"])
+    def test_infer_rejects_an_unknown_kind_before_the_gate(
+            self, tiny_bundle, tiny_params, spy, branch_calls, kind):
+        gate = spy(router, "gate_forward")
+        with pytest.raises(ValueError, match="unknown inference mode"):
+            infer_forward(tiny_bundle, tiny_params, (kind, 2))
+        assert gate == {} and branch_calls == {}
 
 
 class TestBatchCheck:

@@ -86,6 +86,11 @@ class TestGateForward:
         with pytest.raises(DomainError):
             gate(np.zeros(4), router_with_logits([0, 0, 0]), tau=0.0)
 
+    def test_bad_gumbel_scale(self):
+        with pytest.raises(DomainError, match="gumbel_scale"):
+            gate(np.zeros(4), router_with_logits([0, 0, 0]),
+                 gumbel_scale=-0.5)
+
     def test_deterministic_for_seed(self):
         params = random_router(0)
         f = seeded_fill(5, 1, 10)[0]

@@ -426,6 +426,15 @@ class TestBackward:
 
 
 class TestTrainToy:
+    @pytest.mark.parametrize("n_bundles,n_targets", [(2, 1), (1, 2), (0, 0)])
+    def test_needs_equal_nonzero_bundles_and_targets(self, n_bundles,
+                                                     n_targets):
+        bundles, targets = make_batch(0, n=2)
+        with pytest.raises(ValueError, match="equal, nonzero"):
+            train_toy(make_params(), TrainConfig(
+                stage=1, steps=1, lr=0.1, seed=0, bundles=bundles[:n_bundles],
+                targets=targets[:n_targets], final_grad_check=False))
+
     def test_zero_lr_constant_loss(self):
         bundles, targets = make_batch(0)
         report = train_toy(make_params(), TrainConfig(
@@ -837,19 +846,11 @@ class TestOneGradientSet:
             def __init__(self, params):
                 self.params, self.grads = params, GradDict()
 
-            def field(self, name):
+            def __setitem__(self, key, grad):
+                self.grads[key] = grad.copy()
+                name, rows = key
                 record, attr = name.split(".")
-                return getattr(self.params, record), attr
-
-            def __setitem__(self, name, grad):
-                self.grads[name] = grad.copy()
-                holder, attr = self.field(name)
-                getattr(holder, attr)[...] = np.nan
-
-            def rows(self, name, rows, block):
-                self.grads.rows(name, rows, block.copy())
-                holder, attr = self.field(name)
-                getattr(holder, attr)[rows] = np.nan
+                getattr(getattr(self.params, record), attr)[rows] = np.nan
 
         params = init_projector_params(4, 4, 8, 6, 8, 4, 2, seed=14,
                                        shared_pool_phi=shared)
@@ -883,16 +884,10 @@ class TestOneGradientSet:
             def alive(self):
                 return self.last is not None and self.last[1]() is not None
 
-            def take(self, name, grad):
+            def __setitem__(self, key, grad):
                 if self.alive():
                     self.held.append(self.last[0])
-                self.last = name, weakref.ref(grad)
-
-            def __setitem__(self, name, grad):
-                self.take(name, grad)
-
-            def rows(self, name, rows, block):
-                self.take(f"{name}[{rows.start}:{rows.stop}]", block)
+                self.last = key, weakref.ref(grad)
 
         params = init_projector_params(4, 4, 8, 6, 8, 4, 2, seed=19,
                                        shared_pool_phi=shared)
@@ -902,6 +897,45 @@ class TestOneGradientSet:
         backward(bundles, params, targets, step_mode(stage, 19), sink)
         assert sink.held == []
         assert not sink.alive(), sink.last[0]
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_branch_backwards_get_only_what_they_read(self, stage, n,
+                                                      monkeypatch):
+        # prune's scores are detached, so a stage-2 backward scales d(fused)
+        # by the gate for pool and resample only; and pool's record is freed
+        # before resample's backward starts
+        params = init_projector_params(4, 4, 8, 6, 8, 4, 2, seed=20)
+        bundles, targets = make_batch(20, n=n)
+        run_forward, scale = pipeline.forward, pipeline.scale_samples
+        pool_backward = trainer._pool_backward
+        resample_backward = trainer._resample_backward
+        seen = {}
+
+        def forward_then_count(*args):
+            out = run_forward(*args)
+            seen["scaled"] = 0
+            return out
+
+        def count(*args):
+            seen["scaled"] = seen.get("scaled", 0) + 1
+            return scale(*args)
+
+        def pool(params, out, *rest):
+            seen["pool"] = weakref.ref(out)
+            return pool_backward(params, out, *rest)
+
+        def resample(*args):
+            seen["pool alive"] = seen["pool"]() is not None
+            return resample_backward(*args)
+
+        monkeypatch.setattr(pipeline, "forward", forward_then_count)
+        monkeypatch.setattr(pipeline, "scale_samples", count)
+        monkeypatch.setattr(trainer, "_pool_backward", pool)
+        monkeypatch.setattr(trainer, "_resample_backward", resample)
+        backward(bundles, params, targets, step_mode(stage, 20), GradDict())
+        assert seen["scaled"] == (0 if stage == 1 else 2)
+        assert seen["pool alive"] is False
 
     # stage -> GRAD_BLOCK at BLOCK_DIMS: nominal blocks of 4 rows of the
     # head's 21 columns, and of 3 rows of out_mlp's 7 columns, so that each
@@ -914,14 +948,16 @@ class TestOneGradientSet:
         """`train_toy` at `GRAD_BLOCK = grad_block`: its report, and the row
         slices each MLP weight's gradient came in, by name."""
         blocks = {}
-        apply_rows = trainer._Update.rows
+        apply = trainer._Update.__setitem__
 
-        def record(sink, name, rows, block):
-            blocks.setdefault(name, []).append(rows)
-            apply_rows(sink, name, rows, block)
+        def record(sink, key, grad):
+            name, rows = key
+            if rows != slice(None):
+                blocks.setdefault(name, []).append(rows)
+            apply(sink, key, grad)
 
         with monkeypatch.context() as patch:
-            patch.setattr(trainer._Update, "rows", record)
+            patch.setattr(trainer._Update, "__setitem__", record)
             patch.setattr(trainer, "GRAD_BLOCK", grad_block)
             report = train_toy(params, config)
         return report, blocks
