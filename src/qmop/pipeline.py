@@ -20,9 +20,9 @@ Pool and resample attend with queries folded through their key projection,
 `query_products`. stage1 and train compute those two M x C products on
 every call, since training changes the params. Inference computes them once
 per params object (`ProjectorParams.query_fold`) and keeps them while their
-four source tensors, `pool.q2d`, `pool.phi_k`, `resampler.queries` and
-`resampler.w_k`, are still the params' fields and still read-only: building
-the fold makes them read-only, so writing one in place raises. No code here
+four source tensors, the (query, key) pairs that `query_key_pairs` names,
+are still the params' fields and still read-only: building the fold makes
+them read-only, so writing one in place raises. No code here
 writes a params tensor in place. `trainer.train_toy` updates every tensor it
 trains in place, so a caller holding any params array sees it change; it
 first replaces a read-only tensor, a fold source after inference among
@@ -140,8 +140,7 @@ class ProjectorParams:
         before updating it, stays alive until the next call (up to ~18 MB
         at paper dims). Holding them is what makes the `is` check
         sound."""
-        sources = (self.pool.q2d, self.pool.phi_k, self.resampler.queries,
-                   self.resampler.w_k)
+        sources = sum(query_key_pairs(self).values(), ())
         if self._fold is None or not all(
                 held is now and not now.flags.writeable
                 for held, now in zip(self._fold[0], sources)):
@@ -213,39 +212,36 @@ def init_projector_params(
     metric: str = "cosine", activation: str = "gelu",
     shared_pool_phi: bool = False,
 ) -> ProjectorParams:
-    """Gaussian init with 1/sqrt(fan_in) scale, one subseed per tensor, at
-    the shapes of `_weight_shapes`. `stage1_mlp` gets a draw at its
-    subseeds, taking the dtype, that runs on its first read, bit-identical
-    to drawing it here."""
+    """Gaussian init with 1/sqrt(fan_in) scale: each weight that
+    `_weight_shapes` lists is drawn at its shape and its own subseed, and
+    goes to the record field it names; every bias is zeros. `stage1_mlp`
+    gets a draw at its subseeds, taking the dtype, that runs on its first
+    read, bit-identical to drawing it here."""
     h, w = pooled_grid(grid_h, grid_w, stride, m_tokens)
     shapes = _weight_shapes(c_vis, c_txt, d_llm, m_tokens, router_hidden)
     # a distinct subseed per tensor, out of 64 for each seed
     seeds = {name: seed * 64 + i for i, name in enumerate(shapes)}
 
-    def g(name):
-        return _draw(seeds[name], shapes[name])
+    def drawn(tag):   # {field: weight} of record `tag`, each at its subseed
+        return {name.split(".")[1]: _draw(seeds[name], shape)
+                for name, shape in shapes.items()
+                if name.startswith(f"{tag}.")}
 
     def mlp_at(tag):   # the subseeds and shapes of an MLP's two weights
         names = (f"{tag}.w_in", f"{tag}.w_out")
         return (tuple(seeds[n] for n in names),
                 tuple(shapes[n] for n in names))
 
+    router = drawn("router")
     return ProjectorParams(
         prune_cfg=br.PruneConfig(lam=lam, m_out=m_tokens, metric=metric),
-        relevance=br.RelevanceMap(g=g("relevance.g")),
-        resampler=br.ResamplerParams(
-            queries=g("resampler.queries"), w_k=g("resampler.w_k"),
-            w_v=g("resampler.w_v"),
-        ),
-        pool=br.PoolParams(
-            q2d=g("pool.q2d"), phi_k=g("pool.phi_k"), phi_v=g("pool.phi_v"),
-            stride=stride, grid_h=h, grid_w=w, shared_phi=shared_pool_phi,
-        ),
-        router=rt.RouterParams(
-            w1=g("router.w1"), b1=np.zeros(shapes["router.w1"][0]),
-            w2=g("router.w2"), b2=np.zeros(shapes["router.w2"][0]),
-            activation=activation,
-        ),
+        relevance=br.RelevanceMap(**drawn("relevance")),
+        resampler=br.ResamplerParams(**drawn("resampler")),
+        pool=br.PoolParams(**drawn("pool"), stride=stride, grid_h=h, grid_w=w,
+                           shared_phi=shared_pool_phi),
+        router=rt.RouterParams(**router, b1=np.zeros(len(router["w1"])),
+                               b2=np.zeros(len(router["w2"])),
+                               activation=activation),
         draw_stage1_mlp=functools.partial(_init_mlp, *mlp_at("stage1_mlp"),
                                           activation),
         out_mlp=_init_mlp(*mlp_at("out_mlp"), activation, np.float64),
@@ -267,11 +263,19 @@ def params_nbytes(c_vis: int, c_txt: int, d_llm: int, m_tokens: int,
             c_vis, c_txt, d_llm, m_tokens, router_hidden).items())
 
 
+def query_key_pairs(params: ProjectorParams) -> dict[str, tuple]:
+    """Each attention branch's learned (query, key) pair, by branch name:
+    pool's `q2d` and `phi_k`, resample's `queries` and `w_k`. Their
+    products are `query_products`, and these four arrays are the sources of
+    `ProjectorParams.query_fold`."""
+    return {"pool": (params.pool.q2d, params.pool.phi_k),
+            "resample": (params.resampler.queries, params.resampler.w_k)}
+
+
 def query_products(params: ProjectorParams) -> dict[str, np.ndarray]:
     """The params-only M x C products `branches._attend` takes as its
-    queries: pool's `q2d @ phi_k` and resample's `queries @ w_k`."""
-    return {"pool": params.pool.q2d @ params.pool.phi_k,
-            "resample": params.resampler.queries @ params.resampler.w_k}
+    queries: each `query_key_pairs` pair's query times its key."""
+    return {name: q @ k for name, (q, k) in query_key_pairs(params).items()}
 
 
 def _run_branch(name: str, bundles: list[FeatureBundle],

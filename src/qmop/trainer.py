@@ -309,18 +309,16 @@ def backward(bundles: list[FeatureBundle], params: pl.ProjectorParams,
                 params, outs.pop(name),
                 np.split(d_in, len(BRANCHES), axis=1)[i] if stage1
                 else pl.scale_samples(gate.alpha[:, i], d_in), grads)
-    if stage1:
-        return loss, None
-
-    # gate: alpha = softmax((base_logits + noise)/tau), noise constant
-    d_logits = _softmax_backward(gate.alpha, d_alpha) / gate.tau_used
-    d_a1 = d_logits @ params.router.w2
-    grads["router.w2", :] = d_logits.T @ gate.a1
-    grads["router.b2", :] = d_logits.sum(axis=0)
-    _, act_grad = ACTIVATIONS[params.router.activation]
-    d_h1 = d_a1 * act_grad(gate.h1)
-    grads["router.w1", :] = d_h1.T @ gate.f
-    grads["router.b1", :] = d_h1.sum(axis=0)
+    if not stage1:
+        # gate: alpha = softmax((base_logits + noise)/tau), noise constant
+        d_logits = _softmax_backward(gate.alpha, d_alpha) / gate.tau_used
+        d_a1 = d_logits @ params.router.w2
+        grads["router.w2", :] = d_logits.T @ gate.a1
+        grads["router.b2", :] = d_logits.sum(axis=0)
+        _, act_grad = ACTIVATIONS[params.router.activation]
+        d_h1 = d_a1 * act_grad(gate.h1)
+        grads["router.w1", :] = d_h1.T @ gate.f
+        grads["router.b1", :] = d_h1.sum(axis=0)
     return loss, gate
 
 
@@ -336,7 +334,7 @@ def gradcheck_params(bundle: FeatureBundle, params: pl.ProjectorParams,
     place, run on a deep copy, so the caller's params are never touched: a
     stage-1 check draws the head in the copy only. The copy's tensors are
     writeable, so the check also runs on read-only params, as inference
-    leaves the four tensors `pipeline.query_products` reads."""
+    leaves the four tensors `pipeline.query_key_pairs` names."""
     bundles, targets = [bundle], [target]
     work = copy.deepcopy(params)
     grads = GradDict()
@@ -413,49 +411,48 @@ def train_toy(params: pl.ProjectorParams, config: TrainConfig) -> TrainReport:
     finite raises `DivergenceError` after its update. Step k's gate-noise
     seed is `seed * 1000003 + k * B` for a batch of B, so bundle i draws its
     noise at that plus i. With `final_grad_check`, a tensor whose residual
-    is not within `GRADCHECK_TOL` raises `GradCheckError`."""
+    is not within `GRADCHECK_TOL` raises `GradCheckError`. The steps and
+    the check run with numpy's overflow and invalid-value warnings off: a
+    divergence is reported by the error alone. The report is read off the
+    steps: their losses and, in stage 2, each step's mode and mean gate
+    entropy, which give the tau and noise traces and the first and final
+    entropy."""
     if len(config.bundles) != len(config.targets) or not config.bundles:
         raise ValueError("need equal, nonzero numbers of bundles and targets")
     n = len(config.bundles)
     losses: list[float] = []
-    tau_trace: list[float] = []
-    gumbel_trace: list[float] = []
-    first_entropy = final_entropy = None
+    stage2: list[tuple[tuple, float]] = []   # each step's (mode, entropy)
     update = _Update(params, config.lr)
 
-    for step in range(config.steps):
-        mode = _step_mode(config, step, config.seed * 1000003 + step * n)
-        loss, gate = backward(config.bundles, params, config.targets, mode,
-                              update)
-        if not math.isfinite(loss):
-            raise DivergenceError(step)
-        losses.append(loss)
-        if gate is not None:    # stage 2
-            tau_trace.append(mode[1])
-            gumbel_trace.append(mode[2])
-            entropy = sum(gate_entropy(alpha) for alpha in gate.alpha) / n
-            if step == 0:
-                first_entropy = entropy
-            final_entropy = entropy
+    # a step or a final check over diverged params raises, which says all
+    # that numpy's overflow warnings would
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(config.steps):
+            mode = _step_mode(config, step, config.seed * 1000003 + step * n)
+            loss, gate = backward(config.bundles, params, config.targets,
+                                  mode, update)
+            if not math.isfinite(loss):
+                raise DivergenceError(step)
+            losses.append(loss)
+            if gate is not None:
+                stage2.append((mode, sum(map(gate_entropy, gate.alpha)) / n))
 
-    gc_err = None
-    if config.final_grad_check:
-        mode = _step_mode(config, max(config.steps - 1, 0), config.seed)
-        # over diverged params the check raises NumericError, which says
-        # all that numpy's overflow warnings would
-        with np.errstate(over="ignore", invalid="ignore"):
+        gc_err = None
+        if config.final_grad_check:
+            mode = _step_mode(config, max(config.steps - 1, 0), config.seed)
             errors = gradcheck_params(config.bundles[0], params,
                                       config.targets[0], mode)
-        if over_bound(errors):
-            raise GradCheckError(errors)
-        gc_err = max(errors.values())
+            if over_bound(errors):
+                raise GradCheckError(errors)
+            gc_err = max(errors.values())
 
+    entropies = [entropy for _, entropy in stage2] or [None]   # no gate
     return TrainReport(
         losses=losses,
-        final_gate_entropy=final_entropy,
-        first_gate_entropy=first_entropy,
+        final_gate_entropy=entropies[-1],
+        first_gate_entropy=entropies[0],
         grad_check_max_rel_err=gc_err,
         params_digest=params_digest(params),
-        tau_trace=tau_trace,
-        gumbel_trace=gumbel_trace,
+        tau_trace=[mode[1] for mode, _ in stage2],
+        gumbel_trace=[mode[2] for mode, _ in stage2],
     )

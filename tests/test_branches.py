@@ -115,6 +115,13 @@ class TestPruneScores:
         with pytest.raises(DomainError, match="metric"):
             PruneConfig(lam=0.5, m_out=1, metric="dot")
 
+    def test_blend_rejects_an_unknown_metric(self, tiny_bundle):
+        # `PruneConfig` rejects one first; `_blend` checks on its own too
+        projected = tiny_bundle.patches @ seeded_fill(2, 6, 8).T
+        with pytest.raises(DomainError,
+                           match="^unknown relevance metric 'dot'$"):
+            _blend(tiny_bundle, projected, 0.5, "dot")
+
     def test_neg_euclidean_metric(self, tiny_bundle):
         g = seeded_fill(2, 6, 8)
         s = blend_scores(tiny_bundle, g, 0.0, "neg_euclidean")

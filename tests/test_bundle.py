@@ -1,5 +1,6 @@
 import os
 import struct
+import threading
 import time
 import tracemalloc
 import warnings
@@ -32,6 +33,26 @@ def assert_bundles_equal(a: FeatureBundle, b: FeatureBundle):
     assert a.text_raw == b.text_raw
 
 
+def read_through_fifo(tmp_path, payload: bytes) -> FeatureBundle:
+    """`read_bundle` of `payload` fed through a FIFO by a writer thread. A
+    pipe is not a regular file, so no read from it is capped at the bytes
+    left."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(payload)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return read_bundle(fifo)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
 class TestRoundTrip:
     def test_simple(self, tmp_path):
         b = synth_bundle(3, 4, 4, 8, 6)
@@ -46,6 +67,13 @@ class TestRoundTrip:
         write_bundle(b, path)
         back = read_bundle(path)
         assert back.text_raw == b.text_raw
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_through_a_fifo(self, tmp_path):
+        b = synth_bundle(3, 4, 4, 8, 6)
+        write_bundle(b, tmp_path / "b.qmop")
+        back = read_through_fifo(tmp_path, (tmp_path / "b.qmop").read_bytes())
+        assert_bundles_equal(back, quantized(b))
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         b = synth_bundle(5, 3, 3, 4, 3)
@@ -80,6 +108,15 @@ class TestErrors:
         path.write_bytes(path.read_bytes()[: 28 + 10])
         with pytest.raises(TruncatedFileError, match="expected"):
             read_bundle(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_truncated_fifo(self, tmp_path):
+        # 28 header bytes, then 72 of the 4x4x8 float32 patches' 512
+        write_bundle(synth_bundle(3, 4, 4, 8, 6), tmp_path / "b.qmop")
+        head = (tmp_path / "b.qmop").read_bytes()[:100]
+        with pytest.raises(TruncatedFileError, match=r"^truncated patches: "
+                           r"expected 512 bytes, got 72$"):
+            read_through_fifo(tmp_path, head)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "b.qmop"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import jsonschema
@@ -90,6 +91,14 @@ class TestSynth:
         assert isinstance(res.exception, SystemExit)
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("grid", ["2by2", "x"])
+    def test_unparsed_grid_is_usage_error(self, runner, tmp_path, grid):
+        res = runner.invoke(main, ["synth", "--grid", grid,
+                                   "--out", str(tmp_path / "x")])
+        assert res.exit_code == 2
+        assert f"grid must look like HxW, got {grid!r}" in res.output
+        assert not (tmp_path / "x").exists()
+
     def test_zero_grid_is_usage_error(self, runner, tmp_path):
         res = runner.invoke(main, ["synth", "--grid", "0x4",
                                    "--out", str(tmp_path / "x")])
@@ -107,6 +116,16 @@ class TestCompress:
         run = report["runs"][0]
         assert run["output_rows"] == 4
         assert run["output_cols"] == 8
+
+    def test_bad_mode_flag_is_usage_error(self, runner, workspace):
+        # the config's mode is checked as it loads; a --mode flag, here
+        tmp, cfg, features = workspace
+        res = runner.invoke(main, ["compress", "--features", str(features),
+                                   "--config", str(cfg), "--mode", "topk:9"])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == \
+            "config error: topk k must be in [1,3], got 9\n"
 
     def test_topk1_single_member(self, runner, workspace):
         tmp, cfg, features = workspace
@@ -388,6 +407,17 @@ class TestCost:
         assert report["kv_cache_m"] == 0.0
         assert report["projector_gflops"] == 0.0
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    def test_failed_report_write_is_usage_error(self, runner):
+        # the --out probe opens /dev/full, and the report's write then fails
+        res = runner.invoke(main, ["cost", "--tokens", "144",
+                                   "--out", "/dev/full"])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == \
+            "cannot write /dev/full: No space left on device\n"
+
     @pytest.mark.parametrize("args", [["--tokens", "1000"],
                                       ["--tokens", "17", "--n-in", "16"]])
     def test_more_tokens_than_inputs_is_usage_error(self, runner, args):
@@ -451,6 +481,24 @@ class TestTrainToy:
         res = runner.invoke(main, args + ["--no-grad-check"])
         assert res.exit_code == 0, res.output
         assert steps["backward"] == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_step_divergence_exits_5_in_one_line(self, runner, tmp_path,
+                                                 stage):
+        # at lr 100 the fifth step's loss overflows: a divergence, reported
+        # in one line as the final check's is, with no report and no numpy
+        # warning
+        cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+        cfg.write_text(json.dumps({"lr": 100.0}))
+        res = runner.invoke(main, ["train-toy", "--config", str(cfg),
+                                   "--stage", str(stage), "--steps", "30",
+                                   "--no-grad-check", "--out", str(out)])
+        assert res.exit_code == 5, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.stdout == ""
+        assert res.stderr == "non-finite loss at step 4\n"
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("stage,lr", [(1, 1e4), (2, 1e8)])

@@ -92,6 +92,16 @@ def test_ints_in_float_fields_are_kept(cfg_path):
     assert type(cfg.lr) is int
 
 
+def test_null_optional_field_is_none(cfg_path):
+    # router_hidden is `int | None`: null asks for the default width
+    cfg_path.write_text(json.dumps({"router_hidden": 3}))
+    assert load_config(cfg_path).router_hidden == 3
+    cfg_path.write_text(json.dumps({"router_hidden": None}))
+    cfg = load_config(cfg_path)
+    assert cfg.router_hidden is None
+    assert_well_typed(cfg)
+
+
 @pytest.mark.parametrize("spec,mode", [
     ("stage1", ("stage1",)), ("train", ("train", 1.0, 0.0, 0)),
     ("topk:2", ("topk", 2)), ("threshold:0.3", ("threshold", 0.3))])

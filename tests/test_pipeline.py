@@ -63,6 +63,11 @@ class TestRunBranches:
             outs["prune"].tokens,
             tiny_bundle.patches[prune_select(scores, 4)])
 
+    def test_unknown_branch(self, tiny_bundle, tiny_params):
+        with pytest.raises(ValueError, match="^unknown branch 'bogus'$"):
+            pipeline._run_branch("bogus", [tiny_bundle], tiny_params,
+                                 query_products(tiny_params))
+
     def test_counters(self, tiny_bundle, tiny_params, branch_calls):
         run_branches([tiny_bundle], tiny_params)
         assert branch_calls == {"pool": 1, "resample": 1, "prune": 1}

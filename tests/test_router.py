@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from qmop.router import (
     gate_entropy,
     gate_forward,
     hidden_width,
+    sample_gumbel,
     select_threshold,
     select_topk,
 )
@@ -218,3 +221,36 @@ def test_gate_entropy():
     assert gate_entropy(np.array([1 / 3, 1 / 3, 1 / 3])) == \
         pytest.approx(np.log(3))
     assert gate_entropy(np.array([1.0, 0.0, 0.0])) == pytest.approx(0.0)
+
+
+class ScriptedRng:
+    """Stands in for a `Generator`: `random(n)` returns the next of the
+    given draws, which must hold n values, and raises once they run out."""
+
+    def __init__(self, *draws):
+        self.draws = [np.array(d) for d in draws]
+
+    def random(self, n):
+        draw = self.draws.pop(0)   # IndexError past the last one
+        assert draw.shape == (n,)
+        return draw
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs alarms")
+def test_gumbel_redraws_each_zero():
+    # only the zeros are drawn again, until none is left; a zero kept would
+    # spin the redraw loop, so an alarm ends the call
+    def stop(*_):
+        raise TimeoutError("sample_gumbel kept a zero draw")
+
+    rng = ScriptedRng([0.5, 0.0, 0.25, 0.0], [0.0, 0.75], [0.125])
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        got = sample_gumbel(rng, 4)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    want = -np.log(-np.log(np.array([0.5, 0.125, 0.25, 0.75])))
+    assert got.tobytes() == want.tobytes()
+    assert rng.draws == []
