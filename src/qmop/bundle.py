@@ -101,13 +101,18 @@ def write_bundle(bundle: FeatureBundle, path) -> None:
 
 
 def _read_exact(fh, nbytes: int, what: str) -> bytes:
-    # Cap the read at the bytes a regular file has left, so a corrupt header
-    # cannot make read() allocate the size it claims.
+    # A corrupt header must not make read() allocate the size it claims:
+    # cap a regular file's read at the bytes it has left, and read a pipe
+    # 1 MiB at a time until the count or EOF.
     st = os.fstat(fh.fileno())
     if stat.S_ISREG(st.st_mode):
         buf = fh.read(min(nbytes, max(st.st_size - fh.tell(), 0)))
     else:
-        buf = fh.read(nbytes)
+        chunks, left = [], nbytes
+        while left and (chunk := fh.read(min(left, 1 << 20))):
+            chunks.append(chunk)
+            left -= len(chunk)
+        buf = b"".join(chunks)
     if len(buf) != nbytes:
         raise TruncatedFileError(
             f"truncated {what}: expected {nbytes} bytes, got {len(buf)}"

@@ -1,7 +1,7 @@
 """Command-line surface. All outputs are machine-readable, strict JSON.
 
-Exit codes: 0 success, 2 usage/input error (dims whose params and one output
-do not fit in available memory included), 3 dimension mismatch, 4
+Exit codes: 0 success, 2 usage/input error (dims whose params and samples do
+not fit in available memory included), 3 dimension mismatch, 4
 verification failure (`gradcheck`, and `train-toy`'s final gradient check,
 above `trainer.GRADCHECK_TOL`), 5 training divergence.
 """
@@ -135,23 +135,24 @@ def _mem_available() -> int | None:
     return min(available, limit + swap)
 
 
-def _check_memory(cfg: PipelineConfig, head_itemsize: int):
+def _check_memory(cfg: PipelineConfig, head_itemsize: int, batch: int):
     """Exit 2 before any work if the params' weights, as
-    `pipeline.params_nbytes` counts them, and one M x D_llm float64 output
-    exceed the memory and swap available: an allocation the operating
-    system grants but cannot back would end the process instead. Every
-    command holds such an array while its weights are live (`compress`'s
-    tokens, the targets of `train-toy` and `gradcheck`), so the count is a
-    lower bound. Other activations and other processes can still end the
-    run. Where `_mem_available` reads nothing, nothing is
-    checked."""
+    `pipeline.params_nbytes` counts them, and `batch` samples, each an
+    M x D_llm float64 output and an N x C float64 patch grid, exceed the
+    memory and swap available: an allocation the operating system grants
+    but cannot back would end the process instead. Every command holds that
+    many while its weights are live (`compress` one bundle and its tokens,
+    `gradcheck` one bundle and its target, `train-toy` its batch's bundles
+    and targets for the whole run), so the count is a lower bound. Other
+    activations and other processes can still end the run. Where
+    `_mem_available` reads nothing, nothing is checked."""
     need = pl.params_nbytes(cfg.c_vis, cfg.c_txt, cfg.d_llm, cfg.m_tokens,
                             cfg.router_hidden, head_itemsize)
-    need += 8 * cfg.m_tokens * cfg.d_llm
+    need += 8 * batch * (cfg.m_tokens * cfg.d_llm + cfg.n_tokens * cfg.c_vis)
     available = _mem_available()
     if available is not None and need > available:
-        _fail(EXIT_USAGE, f"out of memory: the params and one output need "
-                          f"{need / 2**20:.1f} MiB, "
+        _fail(EXIT_USAGE, f"out of memory: the params and a batch of {batch} "
+                          f"need {need / 2**20:.1f} MiB, "
                           f"{available / 2**20:.1f} MiB available")
 
 
@@ -229,7 +230,7 @@ def _emit(report: dict, out_path: str | None):
 class _Commands(click.Group):
     """Dims that pass the config rules but do not fit in memory exit 2 with
     one line from every command: before any work where `_check_memory`
-    finds the params and one output too large, and wherever numpy refuses
+    finds the params and samples too large, and wherever numpy refuses
     an allocation (in `build_params`, in the first read of the stage-1 head
     or of its float32 image)."""
 
@@ -279,7 +280,7 @@ def cmd_compress(features, cfg, mode_spec, out, no_timing, dump_tokens):
         mode = parse_mode(mode_spec or cfg.inference_mode)
     except ConfigError as exc:
         _fail(EXIT_USAGE, f"config error: {exc}")
-    _check_memory(cfg, 8 if mode[0] == "stage1" else 0)
+    _check_memory(cfg, 8 if mode[0] == "stage1" else 0, batch=1)
     params = build_params(cfg)
 
     def run_one(path: str) -> dict:
@@ -348,7 +349,7 @@ def cmd_compress(features, cfg, mode_spec, out, no_timing, dump_tokens):
 def cmd_gradcheck(cfg, trials):
     """Verify analytic gradients against central differences, both stages."""
     _limit_gradcheck(cfg, "gradcheck")
-    _check_memory(cfg, 8)
+    _check_memory(cfg, 8, batch=1)
 
     worst: dict[str, float] = {}
     for trial in range(trials):
@@ -408,11 +409,12 @@ def cmd_train_toy(cfg, stage, steps, batch, no_grad_check, out):
     """Run the two-stage toy trainer on a synthetic batch."""
     if not no_grad_check:
         _limit_gradcheck(cfg, "train-toy without --no-grad-check")
+    batch = batch or cfg.batch_size
     # stage 2 holds the head only as `params_digest`'s float32 image, unless
     # the final check draws it in its copy of the params
-    _check_memory(cfg, 4 if stage == 2 and no_grad_check else 8)
+    _check_memory(cfg, 4 if stage == 2 and no_grad_check else 8, batch)
     params = build_params(cfg)
-    bundles, targets = synth_samples(cfg, batch or cfg.batch_size)
+    bundles, targets = synth_samples(cfg, batch)
     tconf = trainer.TrainConfig(
         stage=stage, steps=steps, lr=cfg.lr, seed=cfg.seed,
         bundles=bundles, targets=targets, schedule=cfg.schedule,

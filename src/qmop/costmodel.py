@@ -68,8 +68,7 @@ def _attend_flops(m: int, keys_read: int, c: int) -> int:
 
 def projector_flops(
     n_in: int, m_out: int, c_vis: int, c_txt: int, d_llm: int,
-    router_hidden: int | None = None,
-    active: tuple[str, ...] = BRANCHES,
+    active: tuple[str, ...], router_hidden: int | None = None,
 ) -> dict[str, float]:
     """Per-branch, router, and output-MLP GFLOPs (2 FLOPs per MAC).
 

@@ -28,6 +28,11 @@ trains in place, so a caller holding any params array sees it change; it
 first replaces a read-only tensor, a fold source after inference among
 them, by a writeable copy, once, which the next inference folds afresh. A
 library caller changes a fold source by assigning a new array too.
+
+`init_projector_params` builds every record from one layout table,
+`_weight_shapes`: `_drawn` draws a record's weights, and `_two_layer` builds
+each two-layer record (`out_mlp`, the router and the stage-1 head) from its
+two drawn weights and two zero biases.
 """
 
 from __future__ import annotations
@@ -54,30 +59,12 @@ class Mlp:
     activation: str
 
 
-def _draw(seed: int, shape: tuple[int, int],
-          dtype: type = np.float64) -> np.ndarray:
-    """A (rows, cols) gaussian weight at std 1/sqrt(cols), its fan-in."""
-    rows, cols = shape
-    return seeded_fill(seed, rows, cols, sigma=1.0 / math.sqrt(cols),
-                       dtype=dtype)
-
-
-def _init_mlp(seeds: tuple[int, int], shapes: tuple[tuple[int, int], ...],
-              activation: str, dtype: type) -> Mlp:
-    """width -> width -> d_out: the two weights drawn at their subseeds and
-    shapes, zero biases, every tensor in `dtype`."""
-    (s_in, s_out), (in_shape, out_shape) = seeds, shapes
-    return Mlp(w_in=_draw(s_in, in_shape, dtype),
-               b_in=np.zeros(in_shape[0], dtype=dtype),
-               w_out=_draw(s_out, out_shape, dtype),
-               b_out=np.zeros(out_shape[0], dtype=dtype),
-               activation=activation)
-
-
 @dataclass
 class ProjectorParams:
     """Every learnable tensor of the projector. `stage1_mlp` is drawn in
-    float64 by `draw_stage1_mlp` the first time something reads it
+    float64 by `draw_stage1_mlp`, `_two_layer` bound to the head by
+    `functools.partial` (so a copy or pickle carries it), the first time
+    something reads it
     (`stage1_forward`, the stage-1 `backward`, `named_tensors`), and later
     reads return that same `Mlp`. Inference and stage-2 training never read
     it, so they never hold the head, which is most of the params at paper
@@ -205,6 +192,28 @@ def _weight_shapes(c: int, c2: int, d_llm: int, m_tokens: int,
     }
 
 
+def _drawn(tag: str, seed: int, shapes: dict[str, tuple[int, int]],
+           dtype: type) -> dict[str, np.ndarray]:
+    """{field: weight} of record `tag`: each `shapes` entry named
+    `tag.field`, drawn in `dtype` as a gaussian at std 1/sqrt(cols), its
+    fan-in, at subseed `seed * 64 + i`, i its index in `shapes`."""
+    return {name.split(".")[1]: seeded_fill(seed * 64 + i, rows, cols,
+                                            sigma=1.0 / math.sqrt(cols),
+                                            dtype=dtype)
+            for i, (name, (rows, cols)) in enumerate(shapes.items())
+            if name.startswith(f"{tag}.")}
+
+
+def _two_layer(cls: type, tag: str, seed: int,
+               shapes: dict[str, tuple[int, int]], activation: str,
+               dtype: type) -> Mlp | rt.RouterParams:
+    """Two-layer record `tag` as `cls`, `Mlp` or `router.RouterParams`,
+    whose fields are weight, bias, weight, bias, activation: each of its
+    two `_drawn` weights followed by a zero bias sized by its rows."""
+    return cls(*(t for w in _drawn(tag, seed, shapes, dtype).values()
+                 for t in (w, np.zeros(len(w), dtype=dtype))), activation)
+
+
 def init_projector_params(
     grid_h: int, grid_w: int, c_vis: int, c_txt: int, d_llm: int,
     m_tokens: int, stride: int, seed: int = 0,
@@ -213,44 +222,30 @@ def init_projector_params(
     shared_pool_phi: bool = False,
 ) -> ProjectorParams:
     """Gaussian init with 1/sqrt(fan_in) scale: each weight that
-    `_weight_shapes` lists is drawn at its shape and its own subseed, and
-    goes to the record field it names; every bias is zeros. `stage1_mlp`
-    gets a draw at its subseeds, taking the dtype, that runs on its first
-    read, bit-identical to drawing it here."""
+    `_weight_shapes` lists is drawn by `_drawn` at its shape and its own
+    subseed, and goes to the record field it names; every bias is zeros.
+    `stage1_mlp` gets `_two_layer` bound to its tag, taking the dtype, which
+    runs on its first read, bit-identical to drawing it here."""
     h, w = pooled_grid(grid_h, grid_w, stride, m_tokens)
     shapes = _weight_shapes(c_vis, c_txt, d_llm, m_tokens, router_hidden)
-    # a distinct subseed per tensor, out of 64 for each seed
-    seeds = {name: seed * 64 + i for i, name in enumerate(shapes)}
-
-    def drawn(tag):   # {field: weight} of record `tag`, each at its subseed
-        return {name.split(".")[1]: _draw(seeds[name], shape)
-                for name, shape in shapes.items()
-                if name.startswith(f"{tag}.")}
-
-    def mlp_at(tag):   # the subseeds and shapes of an MLP's two weights
-        names = (f"{tag}.w_in", f"{tag}.w_out")
-        return (tuple(seeds[n] for n in names),
-                tuple(shapes[n] for n in names))
-
-    router = drawn("router")
+    f64 = np.float64
     return ProjectorParams(
         prune_cfg=br.PruneConfig(lam=lam, m_out=m_tokens, metric=metric),
-        relevance=br.RelevanceMap(**drawn("relevance")),
-        resampler=br.ResamplerParams(**drawn("resampler")),
-        pool=br.PoolParams(**drawn("pool"), stride=stride, grid_h=h, grid_w=w,
-                           shared_phi=shared_pool_phi),
-        router=rt.RouterParams(**router, b1=np.zeros(len(router["w1"])),
-                               b2=np.zeros(len(router["w2"])),
-                               activation=activation),
-        draw_stage1_mlp=functools.partial(_init_mlp, *mlp_at("stage1_mlp"),
-                                          activation),
-        out_mlp=_init_mlp(*mlp_at("out_mlp"), activation, np.float64),
+        relevance=br.RelevanceMap(**_drawn("relevance", seed, shapes, f64)),
+        resampler=br.ResamplerParams(**_drawn("resampler", seed, shapes,
+                                              f64)),
+        pool=br.PoolParams(**_drawn("pool", seed, shapes, f64), stride=stride,
+                           grid_h=h, grid_w=w, shared_phi=shared_pool_phi),
+        router=_two_layer(rt.RouterParams, "router", seed, shapes, activation,
+                          f64),
+        draw_stage1_mlp=functools.partial(_two_layer, Mlp, "stage1_mlp", seed,
+                                          shapes, activation),
+        out_mlp=_two_layer(Mlp, "out_mlp", seed, shapes, activation, f64),
     )
 
 
 def params_nbytes(c_vis: int, c_txt: int, d_llm: int, m_tokens: int,
-                  router_hidden: int | None = None,
-                  head_itemsize: int = 8) -> int:
+                  router_hidden: int | None, head_itemsize: int) -> int:
     """Bytes of the weights `init_projector_params` draws at these dims:
     each in float64 but the stage-1 head's two, at `head_itemsize` bytes an
     element (8 once drawn, 4 as `digest_head`'s image, 0 while nothing reads

@@ -46,7 +46,7 @@ class ActiveSet:
     renorm_weights: np.ndarray  # over members, sums to 1
 
 
-def hidden_width(context: int, router_hidden: int | None = None) -> int:
+def hidden_width(context: int, router_hidden: int | None) -> int:
     """`router_hidden`, or by default half the context length rounded up."""
     return router_hidden if router_hidden is not None else -(-context // 2)
 

@@ -1,3 +1,6 @@
+import contextlib
+import os
+import threading
 from collections import Counter
 
 import numpy as np
@@ -19,6 +22,26 @@ def quantized(b: FeatureBundle) -> FeatureBundle:
         b.grid_h, b.grid_w, b.c_vis, b.c_txt, f32(b.patches),
         f32(b.cls_token), f32(b.eos_token), f32(b.cls_attention), b.text_raw,
     )
+
+
+@contextlib.contextmanager
+def fed_fifo(tmp_path, payload: bytes):
+    """A FIFO under `tmp_path` that a writer thread feeds `payload` to and
+    then closes. On exit the writer must have finished."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(payload)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield fifo
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
 @pytest.fixture

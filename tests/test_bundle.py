@@ -1,6 +1,5 @@
 import os
 import struct
-import threading
 import time
 import tracemalloc
 import warnings
@@ -20,7 +19,7 @@ from qmop.bundle import (
     synth_bundle,
     write_bundle,
 )
-from conftest import quantized
+from conftest import fed_fifo, quantized
 
 
 def assert_bundles_equal(a: FeatureBundle, b: FeatureBundle):
@@ -37,20 +36,8 @@ def read_through_fifo(tmp_path, payload: bytes) -> FeatureBundle:
     """`read_bundle` of `payload` fed through a FIFO by a writer thread. A
     pipe is not a regular file, so no read from it is capped at the bytes
     left."""
-    fifo = tmp_path / "pipe"
-    os.mkfifo(fifo)
-
-    def feed():
-        with open(fifo, "wb") as fh:
-            fh.write(payload)
-
-    writer = threading.Thread(target=feed, daemon=True)
-    writer.start()
-    try:
+    with fed_fifo(tmp_path, payload) as fifo:
         return read_bundle(fifo)
-    finally:
-        writer.join(timeout=10)
-        assert not writer.is_alive()
 
 
 class TestRoundTrip:
@@ -163,6 +150,24 @@ class TestErrors:
             tracemalloc.stop()
         assert elapsed < 1.0
         assert peak < 1 << 20
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_huge_header_through_a_fifo_fails_fast(self, tmp_path):
+        # a pipe has no size to cap the read at: it is read in chunks, so
+        # the ~100 MB the header claims is never allocated
+        head = struct.pack("<8s5I", MAGIC, 128, 128, 1536, 3, 0) + bytes(16)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(TruncatedFileError, match=r"^truncated "
+                               r"patches: expected 100663296 bytes, got 16$"):
+                read_through_fifo(tmp_path, head)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 2 << 20
 
     @pytest.mark.parametrize("field", range(1, 5))
     def test_high_bit_dimension_is_truncation(self, tmp_path, field):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import struct
 from pathlib import Path
 
 import jsonschema
@@ -13,9 +14,10 @@ from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT202012
 
 from qmop import cli, pipeline, trainer
-from qmop.bundle import read_bundle, write_bundle
+from qmop.bundle import MAGIC, read_bundle, write_bundle
 from qmop.cli import main
 from qmop.router import BRANCHES
+from conftest import fed_fifo
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "qmop" / "schemas"
 
@@ -212,6 +214,22 @@ class TestCompress:
         assert isinstance(res.exception, SystemExit)
         assert len(res.output.strip().splitlines()) == 1
         assert str(features) in res.output
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @pytest.mark.parametrize("dim", [2 ** 32 - 1, 2 ** 16 - 1])
+    def test_huge_header_through_a_fifo_exit_2(self, runner, workspace, dim):
+        # a pipe's read is not capped at a file size: it used to ask for
+        # the claimed size at once, an OverflowError traceback (exit 1) at
+        # 2**32 - 1 and an empty "out of memory: " at 2**16 - 1
+        tmp, cfg, _ = workspace
+        header = struct.pack("<8s5I", MAGIC, dim, dim, dim, dim, 0)
+        with fed_fifo(tmp, header) as fifo:
+            res = runner.invoke(main, ["compress", "--features", str(fifo),
+                                       "--config", str(cfg)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == (f"bad bundle {fifo}: truncated patches: "
+                              f"expected {4 * dim ** 3} bytes, got 0\n")
 
     def test_overflowing_bundle_exit_2(self, runner, workspace, monkeypatch):
         # a float32 file cannot carry values that overflow the float64
@@ -760,18 +778,42 @@ def test_params_beyond_available_memory_exit_2(runner, workspace, monkeypatch,
     args = [a.format(features=features) for a in command]
     args += ["--config", str(cfg)]
     c = cli.load_config(str(cfg))
+    # train-toy holds its batch's samples, compress and gradcheck one
+    batch = c.batch_size if command[0] == "train-toy" else 1
     need = pipeline.params_nbytes(c.c_vis, c.c_txt, c.d_llm, c.m_tokens,
                                   c.router_hidden, head_itemsize)
-    need += 8 * c.m_tokens * c.d_llm   # one float64 output
+    # each sample's float64 output (or target) and patches
+    need += 8 * batch * (c.m_tokens * c.d_llm + c.n_tokens * c.c_vis)
     monkeypatch.setattr(cli, "_mem_available", lambda: need)
     assert runner.invoke(main, args).exit_code == 0, "a run that fits"
     monkeypatch.setattr(cli, "_mem_available", lambda: need - 1)
     res = runner.invoke(main, args)
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
-    assert res.output == (f"out of memory: the params and one output need "
-                          f"{need / 2**20:.1f} MiB, "
+    assert res.output == (f"out of memory: the params and a batch of {batch} "
+                          f"need {need / 2**20:.1f} MiB, "
                           f"{(need - 1) / 2**20:.1f} MiB available\n")
+
+
+def test_memory_check_counts_the_batch(runner, workspace, monkeypatch):
+    # 1000 desk samples take 1.2 MiB beyond the params and one output, so
+    # memory between the two counts lets the run start only if the batch is
+    # left out; a --batch large enough for the host to kill the run exits 2
+    tmp, cfg, _ = workspace
+    c = cli.load_config(str(cfg))
+    params = pipeline.params_nbytes(c.c_vis, c.c_txt, c.d_llm, c.m_tokens,
+                                    c.router_hidden, 4)
+    need = params + 8 * 1000 * (c.m_tokens * c.d_llm + c.n_tokens * c.c_vis)
+    one_output = params + 8 * c.m_tokens * c.d_llm
+    available = (one_output + need) // 2
+    monkeypatch.setattr(cli, "_mem_available", lambda: available)
+    res = runner.invoke(main, ["train-toy", "--config", str(cfg), "--stage",
+                               "2", "--steps", "1", "--batch", "1000",
+                               "--no-grad-check"])
+    assert res.exit_code == 2, res.output
+    assert res.output == (f"out of memory: the params and a batch of 1000 "
+                          f"need {need / 2**20:.1f} MiB, "
+                          f"{available / 2**20:.1f} MiB available\n")
 
 
 @pytest.fixture(autouse=True)

@@ -10,6 +10,7 @@ from qmop.costmodel import (
     projector_flops,
 )
 from qmop.linalg import DomainError
+from qmop.router import BRANCHES
 
 # published complexity-table rows: tokens -> (TFLOPs, KV cache in M)
 TABLE = {576: (3.82, 302.0), 144: (0.94, 75.5), 64: (0.42, 33.6),
@@ -57,15 +58,17 @@ class TestKvCache:
 
 class TestProjectorFlops:
     def test_zero_config(self):
-        out = projector_flops(0, 0, 1024, 768, 4096)
+        out = projector_flops(0, 0, 1024, 768, 4096, BRANCHES)
         assert out["total"] == 0.0
 
     def test_doubling_c_quadruples_resampler_projection(self):
         def resample_terms(c):
             # the resampler is affine in N: the N-free part is the C^2
             # projection, the N-proportional part is the attention
-            one = projector_flops(576, 144, c, 768, 4096)["resample"]
-            two = projector_flops(2 * 576, 144, c, 768, 4096)["resample"]
+            one = projector_flops(576, 144, c, 768, 4096,
+                                  BRANCHES)["resample"]
+            two = projector_flops(2 * 576, 144, c, 768, 4096,
+                                  BRANCHES)["resample"]
             attn = two - one
             return one - attn, attn
 
@@ -82,21 +85,21 @@ class TestProjectorFlops:
         assert attn_doubled == pytest.approx(2 * attn_base, rel=1e-12)
 
     def test_llava_scale_order_of_magnitude(self):
-        out = projector_flops(576, 144, 1024, 768, 4096)
+        out = projector_flops(576, 144, 1024, 768, 4096, BRANCHES)
         branch_total = out["total"] - out["router"]
         assert 0.729 <= branch_total <= 72.9  # within 10x of 7.29G
 
     def test_monotone_in_dims(self):
-        base = projector_flops(576, 144, 1024, 768, 4096)["total"]
+        base = projector_flops(576, 144, 1024, 768, 4096, BRANCHES)["total"]
         for kwargs in (dict(n_in=600), dict(m_out=200), dict(c_vis=1100),
                        dict(c_txt=800), dict(d_llm=5000)):
             args = dict(n_in=576, m_out=144, c_vis=1024, c_txt=768,
-                        d_llm=4096)
+                        d_llm=4096, active=BRANCHES)
             args.update(kwargs)
             assert projector_flops(**args)["total"] >= base
 
     def test_topk2_cheaper_than_topk3(self):
-        full = projector_flops(576, 144, 1024, 768, 4096)
+        full = projector_flops(576, 144, 1024, 768, 4096, BRANCHES)
         two = projector_flops(576, 144, 1024, 768, 4096,
                               active=("pool", "resample"))
         assert two["total"] < full["total"]

@@ -3,6 +3,8 @@ for imported names they never use, for functions that take a `cache`
 argument (a forward returns what its backward reads, so no side channel
 carries state between them), for defaulted parameters that no program
 caller ever sets (an option without a caller is a constant), for
+defaulted parameters that every program call sets outside the package's
+exported entry points (a default no caller relies on is dead), for
 dataclass field defaults that no program code relies on, for public
 functions that no program code refers to (code only tests call is dead),
 for annotations that name something the module never binds, and for
@@ -154,6 +156,43 @@ def test_scanner_finds_uncalled_defaults():
 def test_every_default_has_a_caller():
     sources = [p.read_text() for p in CALLERS]
     assert uncalled_defaults([p.read_text() for p in MODULES], sources) == []
+
+
+def overridden_defaults(definitions: list[str], callers: list[str],
+                        exempt: set[str]) -> list[str]:
+    """`function.parameter` for each defaulted parameter in `definitions`
+    that every call in `callers` passes, by keyword or by position, where
+    there is at least one: no caller relies on the default. A function
+    named in `exempt` (a library entry point) is skipped."""
+    calls = [c for source in callers for c in call_arguments(source)]
+    return sorted(
+        f"{qual}.{param}" for source in definitions
+        for name, qual, param, pos in defaulted_parameters(source)
+        if name not in exempt
+        and (mine := [(n, kw) for called, n, kw in calls if called == name])
+        and all(kw is None or param in kw or (pos is not None and n > pos)
+                for n, kw in mine))
+
+
+def test_scanner_finds_overridden_defaults():
+    definitions = ["def f(a, b=1, *, c=2): pass\n"
+                   "def g(x=0, y=0): pass\n"
+                   "def h(y=0): pass\n"
+                   "def api(z=0): pass\n"
+                   "def unused(u=0): pass\n"
+                   "class K:\n"
+                   "    def m(self, y=1, z=2): pass\n"]
+    callers = ["f(1, 2)\nf(1, b=3, c=4)\nmod.g(**kw)\nh(*args)\nh()\n"
+               "api(1)\nK().m(5)\nK().m(6, z=7)\n"]
+    assert overridden_defaults(definitions, callers, {"api"}) == [
+        "K.m.y", "f.b", "g.x", "g.y"]
+
+
+def test_every_default_is_relied_on():
+    import qmop
+    sources = [p.read_text() for p in CALLERS]
+    assert overridden_defaults([p.read_text() for p in MODULES], sources,
+                               set(qmop.__all__)) == []
 
 
 def defaulted_fields(source: str) -> list[tuple[str, str, int]]:

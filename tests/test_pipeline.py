@@ -605,5 +605,5 @@ def test_params_nbytes_counts_the_drawn_weights(dims, router_hidden):
     assert rest == weight_bytes(params.digest_head(), False)
     assert params_nbytes(c, c2, d_llm, m, router_hidden, 4) == (
         rest + weight_bytes(params.digest_head(), True))
-    assert params_nbytes(c, c2, d_llm, m, router_hidden) == (
+    assert params_nbytes(c, c2, d_llm, m, router_hidden, 8) == (
         rest + weight_bytes(params.stage1_mlp, True))

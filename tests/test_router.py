@@ -134,7 +134,7 @@ def test_batch_rows_equal_one_row_calls(context, gumbel_scale):
     # each row must equal the sample's batch-of-one gate bit for bit, so a
     # sample's gate, and every digest after it, does not depend on its
     # batch: row i of a batch gated at seed s is a batch of one at s + i
-    d = hidden_width(context)
+    d = hidden_width(context, None)
     params = RouterParams(
         w1=seeded_fill(1, d, context, sigma=context ** -0.5),
         b1=seeded_fill(2, 1, d)[0], w2=seeded_fill(3, 3, d, sigma=d ** -0.5),
