@@ -23,7 +23,7 @@ from .bundle import (FeatureBundle, FormatError, TruncatedFileError,
                      ValidationError, read_bundle, synth_bundle, write_bundle)
 from .config import (SEED_BOUND, ConfigError, PipelineConfig, load_config,
                      parse_mode)
-from .linalg import NumericError, float32_image, seeded_fill
+from .linalg import NumericError, float32_image, seeded_fills
 from .router import BRANCHES
 
 EXIT_USAGE = 2
@@ -61,8 +61,8 @@ def synth_samples(cfg: PipelineConfig,
     """n synthetic (bundle, target) samples at `cfg`'s dims and seed."""
     bundles = [synth_bundle(cfg.seed + i, cfg.grid_h, cfg.grid_w,
                             cfg.c_vis, cfg.c_txt) for i in range(n)]
-    targets = [seeded_fill(cfg.seed + 7919 + i, cfg.m_tokens, cfg.d_llm)
-               for i in range(n)]
+    targets = seeded_fills([(cfg.seed + 7919 + i, cfg.m_tokens, cfg.d_llm, 1.0)
+                            for i in range(n)])
     return bundles, targets
 
 

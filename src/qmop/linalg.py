@@ -4,6 +4,13 @@ checker that perturbs a tensor in place, deterministic seeded gaussian
 initialization, drawn in row chunks into float64 or float32, and the float32
 image that digests and files hold.
 
+`seeded_fills` draws a batch of gaussian matrices concurrently, one thread
+per CPU the process may use, into arrays the calling thread allocates. Each
+matrix is the stream of its own Philox key, a counter-based generator whose
+keyed streams are independent by construction (Salmon et al., SC 2011), and
+no draw touches another's generator or array, so the result is the serial
+draw bit for bit at any thread count.
+
 `erf` is the Cephes rational approximation (Moshier 1989), the one
 `scipy.special.erf` evaluates, in numpy with Cephes' coefficients and Horner
 order: bit for bit scipy's where |x| <= 1, and within 1 ULP beyond, where
@@ -17,6 +24,8 @@ call site with both shapes named.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -203,33 +212,70 @@ def rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-FILL_CHUNK = 1 << 16   # elements `seeded_fill` draws at a time
+# elements `draw_into` draws at a time: a float32 draw's float64 buffer
+# holds this many (256 KiB) or one wider row, and each draw that
+# `seeded_fills` runs at once holds its own
+FILL_CHUNK = 1 << 15
 
 
-def seeded_fill(seed: int, rows: int, cols: int, sigma: float = 1.0,
-                dtype: type = np.float64) -> np.ndarray:
-    """Deterministic (seed, shape)-keyed gaussian matrix with std `sigma`.
+def draw_into(out: np.ndarray, seed: int, sigma: float) -> np.ndarray:
+    """Fill the C-order matrix `out` with a (seed, shape)-keyed gaussian at
+    std `sigma` and return it.
 
     Uses the Philox 4x64 counter-based generator so streams are reproducible
     bit-for-bit on any platform for a fixed numpy major line. The float64
     draw runs in chunks of whole rows, about `FILL_CHUNK` elements each (one
     row if a row is wider), each scaled by `sigma`: in place in a float64
-    result, or in a float64 chunk cast on assignment into a `dtype` one. The
-    stream does not depend on the chunking, so the float64 result is
-    `rng_for(seed).standard_normal((rows, cols)) * sigma` bit for bit, a
-    float32 result is that cast to float32, and no float64 copy of a
-    float32 result is ever held.
+    `out`, or in one float64 chunk buffer, reused for every chunk and cast
+    on assignment into an `out` of another dtype. The stream does not
+    depend on the chunking, so a float64 `out` ends as
+    `rng_for(seed).standard_normal(out.shape) * sigma` bit for bit, a
+    float32 one as that cast to float32, and no float64 copy of a float32
+    result is ever held.
     """
     if sigma <= 0:
         raise DomainError(f"gaussian sigma must be > 0, got {sigma}")
     rng = rng_for(seed)
-    out = np.empty((rows, cols), dtype=dtype)
+    rows, cols = out.shape
     step = max(1, FILL_CHUNK // max(cols, 1))
+    buf = (None if out.dtype == np.float64
+           else np.empty((min(step, rows), cols)))
     for start in range(0, rows, step):
         dst = out[start:start + step]
-        part = dst if dst.dtype == np.float64 else np.empty(dst.shape)
+        part = dst if buf is None else buf[:len(dst)]
         rng.standard_normal(out=part)
         part *= sigma
-        if part is not dst:
+        if buf is not None:
             dst[...] = part
     return out
+
+
+def seeded_fill(seed: int, rows: int, cols: int) -> np.ndarray:
+    """A new rows x cols float64 matrix, `draw_into` drawn at `seed` and
+    std 1, in this thread."""
+    return draw_into(np.empty((rows, cols)), seed, 1.0)
+
+
+def seeded_fills(draws: list[tuple[int, int, int, float]],
+                 dtype: type = np.float64) -> list[np.ndarray]:
+    """A new rows x cols `dtype` matrix for each (seed, rows, cols, sigma)
+    of `draws`, `draw_into` drawn at `seed` and std `sigma`, bit for bit
+    as this thread would draw it, but drawn concurrently.
+
+    This thread allocates every result first, since arrays the pool's
+    threads allocated would come from their own malloc arenas and raise the
+    process's peak memory. A pool of one thread per CPU the process may use
+    then draws them with `draw_into`, largest first. Each matrix is the
+    stream of its own Philox key, which no other draw advances, so which
+    thread draws it, and when, cannot change a bit of it. An error a draw
+    raises is raised here, with its type unchanged, once every draw already
+    started has ended; the draws not yet started are dropped, and no thread
+    outlives the call.
+    """
+    outs = [np.empty((rows, cols), dtype=dtype) for _, rows, cols, _ in draws]
+    jobs = sorted(((out, seed, sigma)
+                   for out, (seed, _, _, sigma) in zip(outs, draws)),
+                  key=lambda job: -job[0].size)
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        list(pool.map(lambda job: draw_into(*job), jobs))
+    return outs

@@ -30,9 +30,10 @@ them, by a writeable copy, once, which the next inference folds afresh. A
 library caller changes a fold source by assigning a new array too.
 
 `init_projector_params` builds every record from one layout table,
-`_weight_shapes`: `_drawn` draws a record's weights, and `_two_layer` builds
-each two-layer record (`out_mlp`, the router and the stage-1 head) from its
-two drawn weights and two zero biases.
+`_weight_shapes`: `_drawn` draws the weights of every record but the stage-1
+head in one concurrent batch, or the head's two in another, and
+`_two_layer` builds each two-layer record (`out_mlp`, the router and the
+stage-1 head) from its two drawn weights and two zero biases.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 from . import branches as br
 from . import router as rt
 from .bundle import FeatureBundle
-from .linalg import ACTIVATIONS, NumericError, ShapeError, seeded_fill
+from .linalg import ACTIVATIONS, NumericError, ShapeError, seeded_fills
 
 
 @dataclass
@@ -62,8 +63,8 @@ class Mlp:
 @dataclass
 class ProjectorParams:
     """Every learnable tensor of the projector. `stage1_mlp` is drawn in
-    float64 by `draw_stage1_mlp`, `_two_layer` bound to the head by
-    `functools.partial` (so a copy or pickle carries it), the first time
+    float64 by `draw_stage1_mlp`, `_draw_head` bound to the params' seed
+    by `functools.partial` (so a copy or pickle carries it), the first time
     something reads it
     (`stage1_forward`, the stage-1 `backward`, `named_tensors`), and later
     reads return that same `Mlp`. Inference and stage-2 training never read
@@ -192,26 +193,40 @@ def _weight_shapes(c: int, c2: int, d_llm: int, m_tokens: int,
     }
 
 
-def _drawn(tag: str, seed: int, shapes: dict[str, tuple[int, int]],
-           dtype: type) -> dict[str, np.ndarray]:
-    """{field: weight} of record `tag`: each `shapes` entry named
-    `tag.field`, drawn in `dtype` as a gaussian at std 1/sqrt(cols), its
-    fan-in, at subseed `seed * 64 + i`, i its index in `shapes`."""
-    return {name.split(".")[1]: seeded_fill(seed * 64 + i, rows, cols,
-                                            sigma=1.0 / math.sqrt(cols),
-                                            dtype=dtype)
-            for i, (name, (rows, cols)) in enumerate(shapes.items())
-            if name.startswith(f"{tag}.")}
+def _drawn(seed: int, shapes: dict[str, tuple[int, int]], dtype: type,
+           head: bool) -> dict[str, dict[str, np.ndarray]]:
+    """{record: {field: weight}} of the stage-1 head's weights if `head`,
+    else of every other record's: each `shapes` entry `record.field`, drawn
+    in `dtype` as a gaussian at std 1/sqrt(cols), its fan-in, at subseed
+    `seed * 64 + i`, i its index in `shapes`, all in one `seeded_fills`
+    batch."""
+    picked = [(i, name, rows, cols)
+              for i, (name, (rows, cols)) in enumerate(shapes.items())
+              if name.startswith("stage1_mlp.") == head]
+    weights = seeded_fills([(seed * 64 + i, rows, cols,
+                             1.0 / math.sqrt(cols))
+                            for i, _, rows, cols in picked], dtype)
+    records: dict[str, dict[str, np.ndarray]] = {}
+    for (_, name, _, _), w in zip(picked, weights):
+        tag, fld = name.split(".")
+        records.setdefault(tag, {})[fld] = w
+    return records
 
 
-def _two_layer(cls: type, tag: str, seed: int,
-               shapes: dict[str, tuple[int, int]], activation: str,
+def _two_layer(cls: type, weights: dict[str, np.ndarray], activation: str,
                dtype: type) -> Mlp | rt.RouterParams:
-    """Two-layer record `tag` as `cls`, `Mlp` or `router.RouterParams`,
-    whose fields are weight, bias, weight, bias, activation: each of its
-    two `_drawn` weights followed by a zero bias sized by its rows."""
-    return cls(*(t for w in _drawn(tag, seed, shapes, dtype).values()
+    """Two-layer record as `cls`, `Mlp` or `router.RouterParams`, whose
+    fields are weight, bias, weight, bias, activation: each of its two
+    `_drawn` weights followed by a zero bias sized by its rows."""
+    return cls(*(t for w in weights.values()
                  for t in (w, np.zeros(len(w), dtype=dtype))), activation)
+
+
+def _draw_head(seed: int, shapes: dict[str, tuple[int, int]],
+               activation: str, dtype: type) -> Mlp:
+    """The stage-1 head in `dtype`, its two weights drawn in one batch."""
+    return _two_layer(Mlp, _drawn(seed, shapes, dtype, True)["stage1_mlp"],
+                      activation, dtype)
 
 
 def init_projector_params(
@@ -224,23 +239,24 @@ def init_projector_params(
     """Gaussian init with 1/sqrt(fan_in) scale: each weight that
     `_weight_shapes` lists is drawn by `_drawn` at its shape and its own
     subseed, and goes to the record field it names; every bias is zeros.
-    `stage1_mlp` gets `_two_layer` bound to its tag, taking the dtype, which
-    runs on its first read, bit-identical to drawing it here."""
+    The eleven weights outside the stage-1 head are drawn here, in one
+    concurrent batch. `stage1_mlp` gets `_draw_head` bound to its seed,
+    taking the dtype, which runs on its first read, bit-identical to
+    drawing it here."""
     h, w = pooled_grid(grid_h, grid_w, stride, m_tokens)
     shapes = _weight_shapes(c_vis, c_txt, d_llm, m_tokens, router_hidden)
     f64 = np.float64
+    drawn = _drawn(seed, shapes, f64, False)
     return ProjectorParams(
         prune_cfg=br.PruneConfig(lam=lam, m_out=m_tokens, metric=metric),
-        relevance=br.RelevanceMap(**_drawn("relevance", seed, shapes, f64)),
-        resampler=br.ResamplerParams(**_drawn("resampler", seed, shapes,
-                                              f64)),
-        pool=br.PoolParams(**_drawn("pool", seed, shapes, f64), stride=stride,
-                           grid_h=h, grid_w=w, shared_phi=shared_pool_phi),
-        router=_two_layer(rt.RouterParams, "router", seed, shapes, activation,
-                          f64),
-        draw_stage1_mlp=functools.partial(_two_layer, Mlp, "stage1_mlp", seed,
-                                          shapes, activation),
-        out_mlp=_two_layer(Mlp, "out_mlp", seed, shapes, activation, f64),
+        relevance=br.RelevanceMap(**drawn["relevance"]),
+        resampler=br.ResamplerParams(**drawn["resampler"]),
+        pool=br.PoolParams(**drawn["pool"], stride=stride, grid_h=h,
+                           grid_w=w, shared_phi=shared_pool_phi),
+        router=_two_layer(rt.RouterParams, drawn["router"], activation, f64),
+        draw_stage1_mlp=functools.partial(_draw_head, seed, shapes,
+                                          activation),
+        out_mlp=_two_layer(Mlp, drawn["out_mlp"], activation, f64),
     )
 
 

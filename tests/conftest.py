@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qmop import init_projector_params, pipeline, synth_bundle
+from qmop import init_projector_params, linalg, pipeline, synth_bundle
 from qmop.bundle import FeatureBundle
 from qmop.linalg import seeded_fill
 
@@ -42,6 +42,29 @@ def fed_fifo(tmp_path, payload: bytes):
     finally:
         writer.join(timeout=10)
         assert not writer.is_alive()
+
+
+def on_cpus(monkeypatch, n: int) -> None:
+    """Make the process look allowed on `n` CPUs, the size of the thread
+    pool `linalg.seeded_fills` draws on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def watch_draws(monkeypatch, bad_seed=None, error=None) -> list:
+    """Wrap `linalg.draw_into`, which a `seeded_fills` pool thread calls
+    for each matrix, to record each draw's (seed, thread) and to raise
+    `error` instead of drawing `bad_seed`; returns the record."""
+    seen = []
+    real = linalg.draw_into
+
+    def draw(out, seed, sigma):
+        seen.append((seed, threading.get_ident()))
+        if seed == bad_seed:
+            raise error
+        return real(out, seed, sigma)
+
+    monkeypatch.setattr(linalg, "draw_into", draw)
+    return seen
 
 
 @pytest.fixture

@@ -238,9 +238,9 @@ class TestResample:
     def test_equals_project_every_token(self, m, n, c):
         sigma = 1.0 / math.sqrt(c)
         p = ResamplerParams(
-            queries=seeded_fill(20, m, c, sigma=sigma),
-            w_k=seeded_fill(21, c, c, sigma=sigma),
-            w_v=seeded_fill(22, c, c, sigma=sigma),
+            queries=seeded_fill(20, m, c) * sigma,
+            w_k=seeded_fill(21, c, c) * sigma,
+            w_v=seeded_fill(22, c, c) * sigma,
         )
         x = seeded_fill(23, n, c)
         out = run_resample([x], p)

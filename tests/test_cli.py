@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import struct
+import threading
 from pathlib import Path
 
 import jsonschema
@@ -16,8 +17,10 @@ from referencing.jsonschema import DRAFT202012
 from qmop import cli, pipeline, trainer
 from qmop.bundle import MAGIC, read_bundle, write_bundle
 from qmop.cli import main
+from qmop.config import PipelineConfig
+from qmop.linalg import seeded_fill
 from qmop.router import BRANCHES
-from conftest import fed_fifo
+from conftest import fed_fifo, on_cpus, watch_draws
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "qmop" / "schemas"
 
@@ -702,26 +705,28 @@ def test_unusable_path_is_usage_error(runner, workspace, spy, case):
     assert not (tmp / "nodir").exists()
 
 
+OOM = ("Unable to allocate 5.96 GiB for an array with shape (100000000, 8) "
+       "and data type float64")
+
+
 @pytest.fixture
 def refuse_draw(monkeypatch):
-    """refuse_draw(seed) makes `seeded_fill`, as `pipeline` and `cli` call
-    it, raise numpy's out-of-memory error for `seed` and draw every other
-    seed as before: dims too large for memory, without allocating them. At
-    config seed 0, tensor i of `init_projector_params` is drawn at seed i
-    (9: the stage-1 head's w_in, 12: out_mlp's w_out), and the CLI draws
-    its regression targets from seed 7919 on."""
+    """refuse_draw(seed) makes `seeded_fills`, as `pipeline` and `cli` call
+    it, raise numpy's out-of-memory error for a batch that draws `seed` and
+    draw every other batch as before: dims too large for memory, without
+    allocating them. At config seed 0, tensor i of `init_projector_params`
+    is drawn at seed i (9: the stage-1 head's w_in, 12: out_mlp's w_out),
+    and the CLI draws its regression targets from seed 7919 on."""
     def install(bad_seed):
-        real = pipeline.seeded_fill
+        real = pipeline.seeded_fills
 
-        def fill(seed, *args, **kwargs):
-            if seed == bad_seed:
-                raise MemoryError("Unable to allocate 5.96 GiB for an array "
-                                  "with shape (100000000, 8) and data type "
-                                  "float64")
-            return real(seed, *args, **kwargs)
+        def fills(draws, *args, **kwargs):
+            if any(seed == bad_seed for seed, *_ in draws):
+                raise MemoryError(OOM)
+            return real(draws, *args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "seeded_fill", fill)
-        monkeypatch.setattr(cli, "seeded_fill", fill)
+        monkeypatch.setattr(pipeline, "seeded_fills", fills)
+        monkeypatch.setattr(cli, "seeded_fills", fills)
     return install
 
 
@@ -744,9 +749,7 @@ def test_out_of_memory_is_usage_error(runner, workspace, refuse_draw,
     res = runner.invoke(main, args + ["--config", str(cfg)])
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
-    assert res.output == ("out of memory: Unable to allocate 5.96 GiB for an "
-                          "array with shape (100000000, 8) and data type "
-                          "float64\n")
+    assert res.output == f"out of memory: {OOM}\n"
 
 
 @pytest.mark.parametrize("mode", ["topk:1", "topk:2", "topk:3",
@@ -758,6 +761,31 @@ def test_compress_never_draws_the_stage1_head(runner, workspace, refuse_draw,
     res = runner.invoke(main, ["compress", "--features", str(features),
                                "--config", str(cfg), "--mode", mode])
     assert res.exit_code == 0, res.output
+
+
+def test_out_of_memory_on_a_draw_thread_is_usage_error(runner, workspace,
+                                                      monkeypatch):
+    # the error raised where out_mlp's w_out is drawn, on a pool thread
+    tmp, cfg, features = workspace
+    watch_draws(monkeypatch, 12, MemoryError(OOM))
+    before = threading.active_count()
+    res = runner.invoke(main, ["compress", "--features", str(features),
+                               "--config", str(cfg), "--mode", "topk:2"])
+    assert res.exit_code == 2, res.output
+    assert res.output == f"out of memory: {OOM}\n"
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_synth_targets_are_serial_draws(monkeypatch, workers):
+    on_cpus(monkeypatch, workers)
+    cfg = PipelineConfig(seed=3, d_llm=40000)   # 4 x 40000: four chunks
+    before = threading.active_count()
+    _, targets = cli.synth_samples(cfg, 3)
+    assert threading.active_count() == before
+    for i, target in enumerate(targets):
+        assert target.tobytes() == seeded_fill(3 + 7919 + i, 4,
+                                               40000).tobytes()
 
 
 # the stage-1 head's bytes an element that each command counts: a float64

@@ -435,3 +435,12 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_import_starts_no_thread():
+    probe = ("import threading, qmop, qmop.cli\n"
+             "print(threading.active_count())")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "1"

@@ -1,4 +1,6 @@
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from qmop.linalg import (
     DomainError,
     NumericError,
     ShapeError,
+    draw_into,
     erf,
     float32_image,
     gelu,
@@ -19,8 +22,10 @@ from qmop.linalg import (
     grad_check,
     rng_for,
     seeded_fill,
+    seeded_fills,
     softmax_rows,
 )
+from conftest import on_cpus, watch_draws
 
 # closed-form softmax of (2, 1, 0) at tau = 1
 SOFTMAX_210 = np.exp([2.0, 1.0, 0.0]) / np.exp([2.0, 1.0, 0.0]).sum()
@@ -244,7 +249,9 @@ class TestSeededFill:
     @pytest.mark.parametrize("sigma", [0.0, -0.3])
     def test_nonpositive_sigma(self, sigma):
         with pytest.raises(DomainError, match="sigma"):
-            seeded_fill(0, 2, 3, sigma=sigma)
+            draw_into(np.empty((2, 3)), 0, sigma)
+        with pytest.raises(DomainError, match="sigma"):
+            seeded_fills([(1, 2, 3, 1.0), (0, 2, 3, sigma)])
 
     # rows x cols over several row chunks with a remainder, exactly two
     # chunks, one row per chunk, and a row wider than a chunk
@@ -253,12 +260,78 @@ class TestSeededFill:
         (5, FILL_CHUNK), (3, FILL_CHUNK + 17)])
     def test_chunked_draw_is_one_full_draw(self, rows, cols):
         want = rng_for(9).standard_normal((rows, cols)) * 0.3
-        got = seeded_fill(9, rows, cols, sigma=0.3)
-        assert got.dtype == np.float64
+        got = draw_into(np.empty((rows, cols)), 9, 0.3)
         assert got.tobytes() == want.tobytes()
-        image = seeded_fill(9, rows, cols, sigma=0.3, dtype=np.float32)
-        assert image.dtype == np.float32
+        image = draw_into(np.empty((rows, cols), dtype=np.float32), 9, 0.3)
         assert image.tobytes() == want.astype(np.float32).tobytes()
+        assert seeded_fill(9, rows, cols).tobytes() == \
+            rng_for(9).standard_normal((rows, cols)).tobytes()
+        (both,) = seeded_fills([(9, rows, cols, 0.3)])
+        assert both.dtype == np.float64
+        assert both.tobytes() == want.tobytes()
+        (both,) = seeded_fills([(9, rows, cols, 0.3)], np.float32)
+        assert both.dtype == np.float32
+        assert both.tobytes() == want.astype(np.float32).tobytes()
+
+    def test_float32_draw_holds_one_chunk_buffer(self):
+        # 20 chunks of 2 rows; the float64 buffer they share is the only
+        # allocation beyond the result
+        rows, cols = 40, FILL_CHUNK // 2
+        out = np.empty((rows, cols), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            draw_into(out, 3, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert FILL_CHUNK * 8 <= peak < FILL_CHUNK * 8 + (1 << 14)
+
+
+class TestSeededFills:
+    # several chunks each, one row wider than a chunk, and tiny ones
+    DRAWS = [(11, 300, 700, 0.5), (12, 3, FILL_CHUNK + 5, 2.0),
+             (13, 1, 1, 1.0), (14, 40, 9, 0.1), (15, 600, 300, 0.25)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_each_draw_is_its_serial_draw(self, monkeypatch, workers,
+                                          dtype):
+        on_cpus(monkeypatch, workers)
+        seen = watch_draws(monkeypatch)
+        outs = seeded_fills(self.DRAWS, dtype)
+        for out, (seed, rows, cols, sigma) in zip(outs, self.DRAWS):
+            want = rng_for(seed).standard_normal((rows, cols)) * sigma
+            assert out.dtype == dtype and out.flags.c_contiguous
+            assert out.tobytes() == want.astype(dtype).tobytes()
+        # each once, on a pool thread, at most one thread per CPU; one
+        # thread takes them largest first
+        seeds = [s for s, _ in seen]
+        assert sorted(seeds) == [11, 12, 13, 14, 15]
+        if workers == 1:
+            assert seeds == [d[0] for d in sorted(
+                self.DRAWS, key=lambda d: -d[1] * d[2])]
+        threads = {t for _, t in seen}
+        assert threading.get_ident() not in threads
+        assert 1 <= len(threads) <= workers
+
+    @pytest.mark.parametrize("error", [
+        MemoryError("Unable to allocate"), DomainError("bad sigma"),
+        ZeroDivisionError()], ids=lambda e: type(e).__name__)
+    def test_a_draw_error_surfaces_unchanged(self, monkeypatch, error):
+        on_cpus(monkeypatch, 2)
+        seen = watch_draws(monkeypatch, 11, error)
+        before = threading.active_count()
+        with pytest.raises(type(error)) as info:
+            seeded_fills(self.DRAWS)
+        assert info.value is error
+        assert threading.active_count() == before
+        assert threading.get_ident() not in {t for _, t in seen}
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        on_cpus(monkeypatch, 4)
+        before = threading.active_count()
+        seeded_fills(self.DRAWS)
+        assert threading.active_count() == before
 
 
 class TestFloat32Image:

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import math
 import pickle
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,9 @@ import pytest
 
 from qmop import pipeline, router, synth_bundle
 from qmop.branches import _blend, pool_local, prune_select, resample
-from qmop.linalg import ACTIVATIONS, NumericError, ShapeError, seeded_fill
+from qmop.linalg import (ACTIVATIONS, DomainError, NumericError, ShapeError,
+                         rng_for, seeded_fill)
+from conftest import on_cpus, watch_draws
 from test_trainer import params_to_vector
 from qmop.pipeline import (
     forward,
@@ -441,6 +445,67 @@ class TestStage1Head:
         head = sum(v for n, v in sizes.items() if n.startswith("stage1_mlp."))
         assert head > 1 << 20
         assert peak < sum(sizes.values()) - head + (1 << 19)
+
+
+def serial_weights(seed, dims):
+    """{name: weight} of every gaussian weight `init_projector_params`
+    draws, each as one serial Philox draw at its subseed and fan-in std."""
+    c, c2, d_llm, m = dims[2:6]
+    shapes = pipeline._weight_shapes(c, c2, d_llm, m, None)
+    return {name: rng_for(seed * 64 + i).standard_normal(shape)
+            * (1.0 / math.sqrt(shape[1]))
+            for i, (name, shape) in enumerate(shapes.items())}
+
+
+class TestConcurrentInit:
+    """The weights of one call are drawn on a pool of threads, one per CPU
+    the process may use, each bit for bit its serial draw."""
+
+    # desk dims, and dims whose head weights span 13 and 19 row chunks
+    @pytest.mark.parametrize("dims", [
+        (4, 4, 8, 6, 8, 4, 2), (8, 8, 256, 192, 512, 16, 2)],
+        ids=["desk", "chunks"])
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_every_weight_is_its_serial_draw(self, monkeypatch, dims,
+                                             workers):
+        on_cpus(monkeypatch, workers)
+        want = serial_weights(5, dims)
+        params = init_projector_params(*dims, seed=5)
+        # the head as its float32 image first, then drawn in float64
+        for head, dtype in ((params.digest_head(), np.float32),
+                            (None, np.float64)):
+            for name, arr in params.named_tensors(head):
+                cast = dtype if name.startswith("stage1_mlp.") else np.float64
+                expect = want.get(name, np.zeros(len(arr))).astype(cast)
+                assert arr.dtype == cast and arr.tobytes() == expect.tobytes()
+
+    # at seed 0, weight i is drawn at subseed i: 12 is out_mlp's w_out, 9
+    # the stage-1 head's w_in, which its float64 and float32 draws read
+    DRAWS = {
+        "init": (12, lambda: init_projector_params(4, 4, 8, 6, 8, 4, 2)),
+        "head": (9, lambda: init_projector_params(4, 4, 8, 6, 8, 4,
+                                                  2).stage1_mlp),
+        "image": (9, lambda: init_projector_params(4, 4, 8, 6, 8, 4,
+                                                   2).digest_head()),
+    }
+
+    @pytest.mark.parametrize("error", [
+        MemoryError("Unable to allocate"), DomainError("bad sigma")],
+        ids=lambda e: type(e).__name__)
+    @pytest.mark.parametrize("draw", DRAWS)
+    def test_a_draw_error_surfaces_unchanged(self, monkeypatch, error, draw):
+        bad_seed, run = self.DRAWS[draw]
+        before = threading.active_count()
+        seen = watch_draws(monkeypatch, bad_seed, error)
+        with pytest.raises(type(error)) as info:
+            run()
+        assert info.value is error
+        assert bad_seed in {s for s, _ in seen}
+        assert threading.get_ident() not in {t for _, t in seen}
+        assert threading.active_count() == before
+        monkeypatch.undo()
+        run()
+        assert threading.active_count() == before
 
 
 def unfolded(bundle, params, mode, monkeypatch):

@@ -136,8 +136,8 @@ def test_batch_rows_equal_one_row_calls(context, gumbel_scale):
     # batch: row i of a batch gated at seed s is a batch of one at s + i
     d = hidden_width(context, None)
     params = RouterParams(
-        w1=seeded_fill(1, d, context, sigma=context ** -0.5),
-        b1=seeded_fill(2, 1, d)[0], w2=seeded_fill(3, 3, d, sigma=d ** -0.5),
+        w1=seeded_fill(1, d, context) * context ** -0.5,
+        b1=seeded_fill(2, 1, d)[0], w2=seeded_fill(3, 3, d) * d ** -0.5,
         b2=seeded_fill(4, 1, 3)[0], activation="gelu")
     f = seeded_fill(5, 3, context)
     batch = gate_forward(f, params, 1.3, gumbel_scale, 7)
