@@ -254,10 +254,13 @@ class TestSeededFill:
             seeded_fills([(1, 2, 3, 1.0), (0, 2, 3, sigma)])
 
     # rows x cols over several row chunks with a remainder, exactly two
-    # chunks, one row per chunk, and a row wider than a chunk
+    # chunks, one row per chunk, and a row wider than a chunk; then fixed
+    # sizes, which at 2**15-element chunks give one row per chunk, exactly
+    # four chunks, a row two chunks wide, and a row wider than two chunks
     @pytest.mark.parametrize("rows,cols", [
         (7, FILL_CHUNK // 3 + 5), (2 * 64, FILL_CHUNK // 64),
-        (5, FILL_CHUNK), (3, FILL_CHUNK + 17)])
+        (5, FILL_CHUNK), (3, FILL_CHUNK + 17),
+        (7, 21850), (128, 1024), (5, 65536), (3, 65553)])
     def test_chunked_draw_is_one_full_draw(self, rows, cols):
         want = rng_for(9).standard_normal((rows, cols)) * 0.3
         got = draw_into(np.empty((rows, cols)), 9, 0.3)
