@@ -5,10 +5,16 @@ EOS token, class-attention vector) plus optional raw text for provenance. On
 disk it is the QMOPFT01 binary container: a fixed little-endian header
 followed by float32 payloads in a fixed order. In memory everything is
 float64.
+
+One table, `payload_shapes`, gives each payload's name, its shape from the
+four header dims, and its place: the file order, which is also the order of
+`synth_bundle`'s subseeds. Validation, writing, reading and synthesis all
+walk it.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import stat
 import struct
@@ -21,7 +27,14 @@ from .linalg import float32_image, seeded_fill, softmax_rows
 MAGIC = b"QMOPFT01"
 _HEADER = struct.Struct("<8s5I")  # magic, grid_h, grid_w, c_vis, c_txt, flags
 FLAG_TEXT = 1
-PAYLOADS = ("patches", "cls_token", "eos_token", "cls_attention")  # file order
+
+
+def payload_shapes(grid_h: int, grid_w: int, c_vis: int,
+                   c_txt: int) -> dict[str, tuple[int, ...]]:
+    """{name: shape} of a bundle's payloads, in file order."""
+    n = grid_h * grid_w
+    return {"patches": (n, c_vis), "cls_token": (c_vis,),
+            "eos_token": (c_txt,), "cls_attention": (n,)}
 
 
 class FormatError(ValueError):
@@ -52,21 +65,20 @@ class FeatureBundle:
     def n_tokens(self) -> int:
         return self.grid_h * self.grid_w
 
+    @property
+    def dims(self) -> tuple[int, int, int, int]:
+        """(grid_h, grid_w, c_vis, c_txt), the header's dims."""
+        return (self.grid_h, self.grid_w, self.c_vis, self.c_txt)
+
     def validate(self, attn_tol: float = 1e-6) -> None:
-        if min(self.grid_h, self.grid_w, self.c_vis, self.c_txt) < 1:
+        if min(self.dims) < 1:
             raise ValidationError("all bundle dimensions must be >= 1")
-        n = self.n_tokens
-        if self.patches.shape != (n, self.c_vis):
-            raise ValidationError(
-                f"patches shape {self.patches.shape} != ({n}, {self.c_vis})"
-            )
-        if self.cls_token.shape != (self.c_vis,):
-            raise ValidationError("cls_token length mismatch")
-        if self.eos_token.shape != (self.c_txt,):
-            raise ValidationError("eos_token length mismatch")
-        if self.cls_attention.shape != (n,):
-            raise ValidationError("cls_attention length mismatch")
-        for what in PAYLOADS:
+        shapes = payload_shapes(*self.dims)
+        for what, shape in shapes.items():
+            got = getattr(self, what).shape
+            if got != shape:
+                raise ValidationError(f"{what} shape {got} != {shape}")
+        for what in shapes:
             if not np.isfinite(getattr(self, what)).all():
                 raise ValidationError(f"{what} has non-finite entries")
         if np.any(self.cls_attention < 0):
@@ -80,24 +92,26 @@ def write_bundle(bundle: FeatureBundle, path) -> None:
     """Validate `bundle` and write it as QMOPFT01, each payload as its
     `float32_image`. A payload value beyond float32 range raises
     `ValidationError` before the file is opened, since `read_bundle` would
-    reject the inf it becomes."""
+    reject the inf it becomes; so does text that does not encode as UTF-8
+    (a lone surrogate, say). Every check runs before the open, so a bundle
+    it rejects leaves no file, and a file already at `path` keeps its
+    bytes."""
     bundle.validate()
     payloads = {what: float32_image(getattr(bundle, what))
-                for what in PAYLOADS}
+                for what in payload_shapes(*bundle.dims)}
     for what, image in payloads.items():
         if not np.isfinite(image).all():
             raise ValidationError(f"{what} has entries beyond float32 range")
-    flags = FLAG_TEXT if bundle.text_raw is not None else 0
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(
-            MAGIC, bundle.grid_h, bundle.grid_w, bundle.c_vis, bundle.c_txt, flags
-        ))
-        for image in payloads.values():
-            fh.write(image)
-        if bundle.text_raw is not None:
+    flags, text = 0, b""
+    if bundle.text_raw is not None:
+        try:
             raw = bundle.text_raw.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
+        except UnicodeEncodeError as exc:
+            raise ValidationError(f"text is not UTF-8: {exc}") from exc
+        flags, text = FLAG_TEXT, struct.pack("<I", len(raw)) + raw
+    with open(path, "wb") as fh:
+        fh.writelines([_HEADER.pack(MAGIC, *bundle.dims, flags),
+                       *payloads.values(), text])
 
 
 def _read_exact(fh, nbytes: int, what: str) -> bytes:
@@ -122,25 +136,20 @@ def _read_exact(fh, nbytes: int, what: str) -> bytes:
 
 def read_bundle(path) -> FeatureBundle:
     with open(path, "rb") as fh:
-        magic, gh, gw, cv, ct, flags = _HEADER.unpack(
+        magic, *dims, flags = _HEADER.unpack(
             _read_exact(fh, _HEADER.size, "header")
         )
         if magic != MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        if min(gh, gw, cv, ct) < 1:
+        if min(dims) < 1:
             raise FormatError("header carries a zero dimension")
-        n = gh * gw
-
-        def payload(count, what):
-            raw = _read_exact(fh, 4 * count, what)
+        payloads = []
+        for what, shape in payload_shapes(*dims).items():
+            raw = _read_exact(fh, 4 * math.prod(shape), what)
             # a signalling-NaN pattern warns in the cast; validate rejects it
             with np.errstate(invalid="ignore"):
-                return np.frombuffer(raw, dtype="<f4").astype(np.float64)
-
-        patches = payload(n * cv, "patches").reshape(n, cv)
-        cls_token = payload(cv, "cls_token")
-        eos_token = payload(ct, "eos_token")
-        cls_attention = payload(n, "cls_attention")
+                payloads.append(np.frombuffer(raw, dtype="<f4")
+                                .astype(np.float64).reshape(shape))
         text = None
         if flags & FLAG_TEXT:
             (tlen,) = struct.unpack("<I", _read_exact(fh, 4, "text length"))
@@ -148,29 +157,27 @@ def read_bundle(path) -> FeatureBundle:
                 text = _read_exact(fh, tlen, "text").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise FormatError(f"text is not UTF-8: {exc}") from exc
-    bundle = FeatureBundle(gh, gw, cv, ct, patches, cls_token,
-                           eos_token, cls_attention, text)
+    bundle = FeatureBundle(*dims, *payloads, text)
     bundle.validate(attn_tol=1e-3)
     return bundle
 
 
-# Per-field subseed offsets for synth_bundle; documented so golden values are
-# reproducible: field k of seed s draws from Philox key s*8+k.
-_FIELD_PATCHES, _FIELD_CLS, _FIELD_EOS, _FIELD_ATTN = 0, 1, 2, 3
-
-
 def synth_bundle(seed: int, grid_h: int, grid_w: int,
                  c_vis: int, c_txt: int) -> FeatureBundle:
-    """Deterministic gaussian stand-in for encoder features."""
-    if min(grid_h, grid_w, c_vis, c_txt) < 1:
+    """Deterministic gaussian stand-in for encoder features.
+
+    Payload k of `payload_shapes` (file order) is drawn as one row of its
+    element count from Philox key `seed * 8 + k`, so golden values are
+    reproducible: patches 0, cls_token 1, eos_token 2, and cls_attention 3,
+    the softmax of its draw. The stream does not depend on the row split,
+    so the (1, rows * cols) draw reshaped is the (rows, cols) draw."""
+    dims = (grid_h, grid_w, c_vis, c_txt)
+    if min(dims) < 1:
         raise ValidationError("all bundle dimensions must be >= 1")
-    n = grid_h * grid_w
-    patches = seeded_fill(seed * 8 + _FIELD_PATCHES, n, c_vis)
-    cls_token = seeded_fill(seed * 8 + _FIELD_CLS, 1, c_vis)[0]
-    eos_token = seeded_fill(seed * 8 + _FIELD_EOS, 1, c_txt)[0]
-    attn_logits = seeded_fill(seed * 8 + _FIELD_ATTN, 1, n)
-    cls_attention = softmax_rows(attn_logits)[0]
-    bundle = FeatureBundle(grid_h, grid_w, c_vis, c_txt,
-                           patches, cls_token, eos_token, cls_attention)
+    payloads = {
+        what: seeded_fill(seed * 8 + k, 1, math.prod(shape)).reshape(shape)
+        for k, (what, shape) in enumerate(payload_shapes(*dims).items())}
+    payloads["cls_attention"] = softmax_rows(payloads["cls_attention"][None])[0]
+    bundle = FeatureBundle(*dims, **payloads)
     bundle.validate()
     return bundle

@@ -288,8 +288,7 @@ def cmd_compress(features, cfg, mode_spec, out, no_timing, dump_tokens):
             bundle = read_bundle(path)
         except (FormatError, TruncatedFileError, ValidationError) as exc:
             _fail(EXIT_USAGE, f"bad bundle {path}: {exc}")
-        if (bundle.grid_h, bundle.grid_w) != (cfg.grid_h, cfg.grid_w) or \
-                (bundle.c_vis, bundle.c_txt) != (cfg.c_vis, cfg.c_txt):
+        if bundle.dims != (cfg.grid_h, cfg.grid_w, cfg.c_vis, cfg.c_txt):
             _fail(EXIT_DIMS,
                   f"bundle dims grid={bundle.grid_h}x{bundle.grid_w} "
                   f"c_vis={bundle.c_vis} c_txt={bundle.c_txt} vs config "

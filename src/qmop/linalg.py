@@ -265,9 +265,10 @@ def seeded_fills(draws: list[tuple[int, int, int, float]],
     This thread allocates every result first, since arrays the pool's
     threads allocated would come from their own malloc arenas and raise the
     process's peak memory. A pool of one thread per CPU the process may use
-    then draws them with `draw_into`, largest first. Each matrix is the
-    stream of its own Philox key, which no other draw advances, so which
-    thread draws it, and when, cannot change a bit of it. An error a draw
+    (per CPU of the host, where the OS cannot tell, as on macOS and
+    Windows) then draws them with `draw_into`, largest first. Each matrix
+    is the stream of its own Philox key, which no other draw advances, so
+    which thread draws it, and when, cannot change a bit of it. An error a draw
     raises is raised here, with its type unchanged, once every draw already
     started has ended; the draws not yet started are dropped, and no thread
     outlives the call.
@@ -276,6 +277,8 @@ def seeded_fills(draws: list[tuple[int, int, int, float]],
     jobs = sorted(((out, seed, sigma)
                    for out, (seed, _, _, sigma) in zip(outs, draws)),
                   key=lambda job: -job[0].size)
-    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    with ThreadPoolExecutor(cpus) as pool:
         list(pool.map(lambda job: draw_into(*job), jobs))
     return outs

@@ -310,7 +310,7 @@ def run_branches(bundles: list[FeatureBundle],
     with `query_products` computed afresh; a batch's rows must stack."""
     if not bundles:
         raise ShapeError("a batch needs at least one bundle")
-    dims = {(b.grid_h, b.grid_w, b.c_vis, b.c_txt) for b in bundles}
+    dims = {b.dims for b in bundles}
     if len(dims) > 1:
         raise ShapeError(f"bundles in one batch differ in dims: {sorted(dims)}")
     qk = query_products(params)

@@ -1,4 +1,6 @@
+import hashlib
 import os
+import re
 import struct
 import time
 import tracemalloc
@@ -254,12 +256,40 @@ class TestSynth:
         with pytest.raises(ValidationError):
             synth_bundle(0, 0, 2, 4, 3)
 
+    def test_format_is_pinned(self, tmp_path):
+        # one sha256 over the drawn arrays, the written bytes and the arrays
+        # and text read back, frozen from the QMOPFT01 layout and the Philox
+        # subseed scheme; a square grid with text and a non-square one
+        def arrays(b):
+            return b"".join(a.astype("<f8").tobytes() for a in (
+                b.patches, b.cls_token, b.eos_token, b.cls_attention))
+
+        h = hashlib.sha256()
+        path = tmp_path / "b.qmop"
+        for seed in (0, 2**64 - 1):
+            for dims, text in (((4, 4, 8, 6), "what color is the sky? naïve"),
+                               ((2, 6, 5, 3), None)):
+                b = synth_bundle(seed, *dims)
+                b.text_raw = text
+                write_bundle(b, path)
+                back = read_bundle(path)
+                h.update(arrays(b) + path.read_bytes() + arrays(back))
+                h.update(repr(back.text_raw).encode())
+        assert h.hexdigest() == ("11b39c098dae9014cf2f3f1215e1c07d"
+                                 "8600b9414532974e602e3b1ab5d6c25f")
+
 
 class TestValidate:
-    def test_mismatched_patch_shape(self):
+    @pytest.mark.parametrize("what,message", [
+        ("patches", "patches shape (3, 4) != (4, 4)"),
+        ("cls_token", "cls_token shape (3,) != (4,)"),
+        ("eos_token", "eos_token shape (2,) != (3,)"),
+        ("cls_attention", "cls_attention shape (3,) != (4,)")],
+        ids=["patches", "cls_token", "eos_token", "cls_attention"])
+    def test_mismatched_patch_shape(self, what, message):
         b = synth_bundle(0, 2, 2, 4, 3)
-        b.patches = b.patches[:3]
-        with pytest.raises(ValidationError):
+        setattr(b, what, getattr(b, what)[:-1])
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             b.validate()
 
     def test_negative_attention(self):
@@ -336,9 +366,9 @@ def test_hundred_random_round_trips(tmp_path):
 
 @pytest.mark.parametrize("changes,message", [
     (dict(c_txt=0, eos_token=np.zeros(0)), "dimensions must be >= 1"),
-    (dict(cls_token=np.zeros(3)), "cls_token length"),
-    (dict(eos_token=np.zeros(4)), "eos_token length"),
-    (dict(cls_attention=np.full(3, 1 / 3)), "cls_attention length")],
+    (dict(cls_token=np.zeros(3)), "cls_token shape"),
+    (dict(eos_token=np.zeros(4)), "eos_token shape"),
+    (dict(cls_attention=np.full(3, 1 / 3)), "cls_attention shape")],
     ids=["dims", "cls_token", "eos_token", "cls_attention"])
 def test_write_rejects_an_invalid_bundle(tmp_path, changes, message):
     b = synth_bundle(0, 2, 2, 4, 3)
@@ -348,3 +378,19 @@ def test_write_rejects_an_invalid_bundle(tmp_path, changes, message):
     with pytest.raises(ValidationError, match=message):
         write_bundle(b, path)
     assert not path.exists()
+
+
+def test_write_of_text_not_utf8_leaves_the_file(tmp_path):
+    # a lone surrogate has no UTF-8 encoding: the write fails before the
+    # file is opened, so neither a new path nor a valid file is touched
+    b = synth_bundle(0, 2, 2, 4, 3)
+    b.text_raw = "bad \ud800 text"
+    fresh, kept = tmp_path / "fresh.qmop", tmp_path / "kept.qmop"
+    write_bundle(synth_bundle(1, 2, 2, 4, 3), kept)
+    before = kept.read_bytes()
+    for path in (fresh, kept):
+        with pytest.raises(ValidationError, match="^text is not UTF-8: "):
+            write_bundle(b, path)
+    assert not fresh.exists()
+    assert kept.read_bytes() == before
+    read_bundle(kept)

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import os
 import pickle
 import threading
 import tracemalloc
@@ -478,6 +479,28 @@ class TestConcurrentInit:
                 cast = dtype if name.startswith("stage1_mlp.") else np.float64
                 expect = want.get(name, np.zeros(len(arr))).astype(cast)
                 assert arr.dtype == cast and arr.tobytes() == expect.tobytes()
+
+    # macOS and Windows have no os.sched_getaffinity: the pool takes a
+    # thread per CPU of the host, or one where even that count is unknown
+    @pytest.mark.parametrize("cpus", [4, None], ids=["4", "unknown"])
+    def test_init_runs_without_sched_getaffinity(self, monkeypatch, cpus):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        dims = (8, 8, 256, 192, 512, 16, 2)
+        want = serial_weights(5, dims)
+        before = threading.active_count()
+        seen = watch_draws(monkeypatch)
+        params = init_projector_params(*dims, seed=5)
+        eager = len(seen)
+        for name, arr in params.named_tensors(None):  # draws the head
+            expect = want.get(name, np.zeros(len(arr)))
+            assert arr.tobytes() == expect.tobytes()
+        # the eager weights and the head are two pools
+        for batch in (seen[:eager], seen[eager:]):
+            threads = {t for _, t in batch}
+            assert batch and len(threads) <= (cpus or 1)
+            assert threading.get_ident() not in threads
+        assert threading.active_count() == before
 
     # at seed 0, weight i is drawn at subseed i: 12 is out_mlp's w_out, 9
     # the stage-1 head's w_in, which its float64 and float32 draws read
