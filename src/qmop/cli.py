@@ -149,11 +149,15 @@ def _check_memory(cfg: PipelineConfig, head_itemsize: int, batch: int):
     need = pl.params_nbytes(cfg.c_vis, cfg.c_txt, cfg.d_llm, cfg.m_tokens,
                             cfg.router_hidden, head_itemsize)
     need += 8 * batch * (cfg.m_tokens * cfg.d_llm + cfg.n_tokens * cfg.c_vis)
+    _check_fits(need, f"the params and a batch of {batch}")
+
+
+def _check_fits(need: int, what: str):
+    """Exit 2 if `need` bytes, held by `what`, exceed `_mem_available`."""
     available = _mem_available()
     if available is not None and need > available:
-        _fail(EXIT_USAGE, f"out of memory: the params and a batch of {batch} "
-                          f"need {need / 2**20:.1f} MiB, "
-                          f"{available / 2**20:.1f} MiB available")
+        _fail(EXIT_USAGE, f"out of memory: {what} need {need / 2**20:.1f} "
+                          f"MiB, {available / 2**20:.1f} MiB available")
 
 
 def _fail(code: int, message: str):
@@ -230,9 +234,10 @@ def _emit(report: dict, out_path: str | None):
 class _Commands(click.Group):
     """Dims that pass the config rules but do not fit in memory exit 2 with
     one line from every command: before any work where `_check_memory`
-    finds the params and samples too large, and wherever numpy refuses
-    an allocation (in `build_params`, in the first read of the stage-1 head
-    or of its float32 image)."""
+    finds the params and samples too large (in `synth`, the patch grid and
+    its float32 image), and wherever numpy refuses an allocation (in
+    `build_params`, in the first read of the stage-1 head or of its float32
+    image)."""
 
     def invoke(self, ctx):
         try:
@@ -256,6 +261,9 @@ def main():
 @click.option("--out", type=click.Path(), required=True)
 def cmd_synth(seed, grid, cvis, ctxt, out):
     """Write a deterministic synthetic feature-bundle file."""
+    # the float64 patch grid and the float32 image `write_bundle` makes of it
+    _check_fits(12 * grid[0] * grid[1] * cvis,
+                "the patch grid and its float32 image")
     bundle = synth_bundle(seed, grid[0], grid[1], cvis, ctxt)
     try:
         write_bundle(bundle, out)

@@ -1,8 +1,12 @@
 """Dense float64 tensor primitives: batch row-stacking, last-axis softmax,
 activations and the error function GELU reads, a central-difference gradient
 checker that perturbs a tensor in place, deterministic seeded gaussian
-initialization, drawn in row chunks into float64 or float32, and the float32
-image that digests and files hold.
+initialization into float64 or float32, and the float32 image that digests
+and files hold.
+
+Every flat pass over an array's elements (GELU and its gradient, a seeded
+draw, a float32 digest) walks it through `chunks`, `CHUNK` elements at a
+time, so each piece stays in cache and a temporary holds at most one piece.
 
 `seeded_fills` draws a batch of gaussian matrices concurrently, one thread
 per CPU the process may use, into arrays the calling thread allocates. Each
@@ -26,7 +30,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -41,6 +45,19 @@ class DomainError(ValueError):
 
 class NumericError(ArithmeticError):
     """A computation produced a non-finite value."""
+
+
+CHUNK = 1 << 14   # elements of one piece of a flat pass
+
+
+def chunks(arr: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive `CHUNK`-element flat views of `arr`'s elements in C order,
+    the last one shorter. They are views of `arr` itself where it is
+    C-contiguous, and of one C-order copy where it is not, so a caller
+    that writes through them passes only C-contiguous arrays."""
+    flat = arr.reshape(-1)
+    for start in range(0, flat.size, CHUNK):
+        yield flat[start:start + CHUNK]
 
 
 def stack_rows(arrays: list[np.ndarray]) -> np.ndarray:
@@ -120,19 +137,14 @@ def erf(x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-ACT_CHUNK = 1 << 14   # elements `gelu` and `gelu_grad` take at a time
-
-
 def _by_chunk(fn: Callable, x: np.ndarray) -> np.ndarray:
-    """The elementwise `fn` over x, `ACT_CHUNK` elements at a time, so that
-    its ufunc passes over each chunk stay in cache."""
-    if x.size <= ACT_CHUNK:
+    """The elementwise `fn` over x, one `chunks` piece at a time."""
+    if x.size <= CHUNK:   # desk dims: one call, as call overhead binds them
         return fn(x)
-    flat = x.reshape(-1)
-    out = np.empty(flat.size)
-    for start in range(0, flat.size, ACT_CHUNK):
-        out[start:start + ACT_CHUNK] = fn(flat[start:start + ACT_CHUNK])
-    return out.reshape(x.shape)
+    out = np.empty(x.shape)
+    for dst, src in zip(chunks(out), chunks(x)):
+        dst[...] = fn(src)
+    return out
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
@@ -212,37 +224,29 @@ def rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-# elements `draw_into` draws at a time: a float32 draw's float64 buffer
-# holds this many (256 KiB) or one wider row, and each draw that
-# `seeded_fills` runs at once holds its own
-FILL_CHUNK = 1 << 15
-
-
 def draw_into(out: np.ndarray, seed: int, sigma: float) -> np.ndarray:
-    """Fill the C-order matrix `out` with a (seed, shape)-keyed gaussian at
-    std `sigma` and return it.
+    """Fill the C-contiguous array `out` with a (seed, shape)-keyed gaussian
+    at std `sigma` and return it; an `out` of any other layout raises
+    `ShapeError`.
 
     Uses the Philox 4x64 counter-based generator so streams are reproducible
     bit-for-bit on any platform for a fixed numpy major line. The float64
-    draw runs in chunks of whole rows, about `FILL_CHUNK` elements each (one
-    row if a row is wider), each scaled by `sigma`: in place in a float64
-    `out`, or in one float64 chunk buffer, reused for every chunk and cast
-    on assignment into an `out` of another dtype. The stream does not
-    depend on the chunking, so a float64 `out` ends as
-    `rng_for(seed).standard_normal(out.shape) * sigma` bit for bit, a
-    float32 one as that cast to float32, and no float64 copy of a float32
-    result is ever held.
+    stream is drawn over `out`'s `chunks` in turn, each scaled by `sigma`:
+    in place in a float64 `out`, or in one float64 buffer of at most
+    `CHUNK` elements, reused for every chunk and cast on assignment into an
+    `out` of another dtype. The stream does not depend on the chunking, so
+    a float64 `out` ends as `rng_for(seed).standard_normal(out.shape) *
+    sigma` bit for bit, a float32 one as that cast to float32, and no
+    float64 copy of a float32 result is ever held.
     """
     if sigma <= 0:
         raise DomainError(f"gaussian sigma must be > 0, got {sigma}")
+    if not out.flags.c_contiguous:
+        raise ShapeError(f"draw target {out.shape} is not C-contiguous")
     rng = rng_for(seed)
-    rows, cols = out.shape
-    step = max(1, FILL_CHUNK // max(cols, 1))
-    buf = (None if out.dtype == np.float64
-           else np.empty((min(step, rows), cols)))
-    for start in range(0, rows, step):
-        dst = out[start:start + step]
-        part = dst if buf is None else buf[:len(dst)]
+    buf = None if out.dtype == np.float64 else np.empty(min(out.size, CHUNK))
+    for dst in chunks(out):
+        part = dst if buf is None else buf[:dst.size]
         rng.standard_normal(out=part)
         part *= sigma
         if buf is not None:

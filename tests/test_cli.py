@@ -20,6 +20,7 @@ from qmop.cli import main
 from qmop.config import PipelineConfig
 from qmop.linalg import seeded_fill
 from qmop.router import BRANCHES
+import cli_identity
 from conftest import fed_fifo, on_cpus, watch_draws
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "qmop" / "schemas"
@@ -821,6 +822,39 @@ def test_params_beyond_available_memory_exit_2(runner, workspace, monkeypatch,
     assert res.output == (f"out of memory: the params and a batch of {batch} "
                           f"need {need / 2**20:.1f} MiB, "
                           f"{(need - 1) / 2**20:.1f} MiB available\n")
+
+
+@pytest.mark.parametrize("command", cli_identity.COMMANDS,
+                         ids=lambda command: command.name)
+def test_identity_commands_exit_as_listed(runner, tmp_path, monkeypatch,
+                                          command):
+    # the list `tests/cli_identity.py` hashes, in-process, so it cannot rot
+    monkeypatch.chdir(tmp_path)
+
+    def run(argv):
+        res = runner.invoke(main, argv)
+        return res.exit_code, res.stdout_bytes, res.stderr_bytes
+
+    assert cli_identity.play(command, run)[1] == []
+
+
+def test_synth_beyond_available_memory_exit_2(runner, tmp_path, monkeypatch):
+    # the float64 patch grid, and the float32 image of it that write_bundle
+    # makes
+    need = 12 * (6 * 5) * 7
+    out = tmp_path / "s.qmop"
+    args = ["synth", "--grid", "6x5", "--cvis", "7", "--out", str(out)]
+    monkeypatch.setattr(cli, "_mem_available", lambda: need)
+    assert runner.invoke(main, args).exit_code == 0, "a synth that fits"
+    out.unlink()
+    monkeypatch.setattr(cli, "_mem_available", lambda: need - 1)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == (f"out of memory: the patch grid and its float32 "
+                          f"image need {need / 2**20:.1f} MiB, "
+                          f"{(need - 1) / 2**20:.1f} MiB available\n")
+    assert not out.exists()
 
 
 def test_memory_check_counts_the_batch(runner, workspace, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import threading
 import tracemalloc
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qmop.linalg import (
-    ACT_CHUNK,
-    FILL_CHUNK,
+    CHUNK,
     DomainError,
     NumericError,
     ShapeError,
+    _gelu,
+    _gelu_grad,
     draw_into,
     erf,
     float32_image,
@@ -25,6 +27,7 @@ from qmop.linalg import (
     seeded_fills,
     softmax_rows,
 )
+from qmop.trainer import float32_digest
 from conftest import on_cpus, watch_draws
 
 # closed-form softmax of (2, 1, 0) at tau = 1
@@ -124,18 +127,37 @@ class TestErf:
         assert erf(np.asfortranarray(x[0])).tobytes() == erf(x[0]).tobytes()
 
 
-# three whole chunks and a remainder: flat, and as rows of 1024
-@pytest.mark.parametrize("shape", [(3 * ACT_CHUNK + 777,),
-                                   (3 * ACT_CHUNK // 1024 + 1, 1024)])
-@pytest.mark.parametrize("fn", [gelu, gelu_grad], ids=["gelu", "gelu_grad"])
-def test_activation_by_chunk_is_elementwise(shape, fn):
+# each flat pass that walks `chunks`, and its result computed in one piece:
+# GELU and its gradient unchunked, one full Philox draw in either dtype,
+# and the sha256 of the float32 bytes (the digest also reads a Fortran-order
+# copy, which `chunks` flattens once)
+FLAT_PASSES = {
+    "gelu": lambda x: (gelu(x), _gelu(x)),
+    "gelu_grad": lambda x: (gelu_grad(x), _gelu_grad(x)),
+    "draw-float64": lambda x: (draw_into(np.empty(x.shape), 9, 0.3),
+                               rng_for(9).standard_normal(x.shape) * 0.3),
+    "draw-float32": lambda x: (
+        draw_into(np.empty(x.shape, dtype=np.float32), 9, 0.3),
+        (rng_for(9).standard_normal(x.shape) * 0.3).astype(np.float32)),
+    "digest": lambda x: (
+        float32_digest([x, np.asfortranarray(x)]),
+        hashlib.sha256(2 * x.astype("<f4").tobytes()).hexdigest()),
+}
+
+
+# a chunk less one element, one chunk, a chunk and one element, three whole
+# chunks and a remainder, and rows wider than a chunk
+@pytest.mark.parametrize("shape", [
+    (CHUNK - 1,), (CHUNK,), (CHUNK + 1,), (3 * CHUNK + 777,),
+    (3, CHUNK + 17)], ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("flat_pass", FLAT_PASSES.values(), ids=FLAT_PASSES)
+def test_flat_pass_across_chunk_boundaries(flat_pass, shape):
     x = np.random.default_rng(5).standard_normal(shape) * 2.0
-    flat = x.ravel()
-    by_chunk = np.concatenate([fn(flat[i:i + ACT_CHUNK])
-                               for i in range(0, flat.size, ACT_CHUNK)])
-    got = fn(x)
-    assert got.shape == shape
-    assert got.tobytes() == by_chunk.tobytes()
+    got, want = flat_pass(x)
+    if isinstance(want, np.ndarray):
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        got, want = got.tobytes(), want.tobytes()
+    assert got == want
 
 
 class TestGradCheck:
@@ -253,13 +275,11 @@ class TestSeededFill:
         with pytest.raises(DomainError, match="sigma"):
             seeded_fills([(1, 2, 3, 1.0), (0, 2, 3, sigma)])
 
-    # rows x cols over several row chunks with a remainder, exactly two
-    # chunks, one row per chunk, and a row wider than a chunk; then fixed
-    # sizes, which at 2**15-element chunks give one row per chunk, exactly
-    # four chunks, a row two chunks wide, and a row wider than two chunks
+    # fixed sizes: chunk boundaries inside rows, exactly four and eight
+    # chunks, rows two and four chunks wide, and rows wider than two and
+    # four chunks
     @pytest.mark.parametrize("rows,cols", [
-        (7, FILL_CHUNK // 3 + 5), (2 * 64, FILL_CHUNK // 64),
-        (5, FILL_CHUNK), (3, FILL_CHUNK + 17),
+        (7, 10927), (128, 512), (5, 32768), (3, 32785),
         (7, 21850), (128, 1024), (5, 65536), (3, 65553)])
     def test_chunked_draw_is_one_full_draw(self, rows, cols):
         want = rng_for(9).standard_normal((rows, cols)) * 0.3
@@ -277,9 +297,9 @@ class TestSeededFill:
         assert both.tobytes() == want.astype(np.float32).tobytes()
 
     def test_float32_draw_holds_one_chunk_buffer(self):
-        # 20 chunks of 2 rows; the float64 buffer they share is the only
-        # allocation beyond the result
-        rows, cols = 40, FILL_CHUNK // 2
+        # 20 chunks; the float64 buffer they share is the only allocation
+        # beyond the result
+        rows, cols = 40, CHUNK // 2
         out = np.empty((rows, cols), dtype=np.float32)
         tracemalloc.start()
         try:
@@ -287,12 +307,23 @@ class TestSeededFill:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert FILL_CHUNK * 8 <= peak < FILL_CHUNK * 8 + (1 << 14)
+        assert CHUNK * 8 <= peak < CHUNK * 8 + (1 << 14)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_draw_into_needs_c_order(self, layout, dtype):
+        # the draw is the C-order stream: a Fortran-order target filled in
+        # memory order would hold the transpose's draw
+        base = np.zeros((6, 4), dtype=dtype)
+        out = np.asfortranarray(base) if layout == "fortran" else base[:, ::2]
+        with pytest.raises(ShapeError, match="not C-contiguous"):
+            draw_into(out, 0, 1.0)
+        assert not out.any()
 
 
 class TestSeededFills:
     # several chunks each, one row wider than a chunk, and tiny ones
-    DRAWS = [(11, 300, 700, 0.5), (12, 3, FILL_CHUNK + 5, 2.0),
+    DRAWS = [(11, 300, 700, 0.5), (12, 3, CHUNK + 5, 2.0),
              (13, 1, 1, 1.0), (14, 40, 9, 0.1), (15, 600, 300, 0.25)]
 
     @pytest.mark.parametrize("workers", [1, 2, 4])

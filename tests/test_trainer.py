@@ -12,7 +12,6 @@ from qmop.linalg import ShapeError, grad_check, seeded_fill
 from qmop.pipeline import forward
 from qmop.router import BRANCHES
 from qmop.trainer import (
-    DIGEST_CHUNK,
     AnnealSchedule,
     DivergenceError,
     GradDict,
@@ -1059,18 +1058,6 @@ def test_params_digest_changes_with_params(tiny_params):
 
 def test_params_digest_hashes_the_float32_vector(tiny_params):
     tiny_params.pool.phi_k = np.asfortranarray(tiny_params.pool.phi_k)
-    vec, _ = params_to_vector(tiny_params)
-    expected = hashlib.sha256(vec.astype("<f4").tobytes()).hexdigest()
-    assert params_digest(tiny_params) == expected
-
-
-def test_params_digest_across_chunk_boundaries(tiny_params):
-    rng = np.random.default_rng(0)
-    # C order over two chunk boundaries with a remainder, and Fortran order
-    # over one boundary
-    tiny_params.out_mlp.w_out = rng.standard_normal(2 * DIGEST_CHUNK + 5)
-    tiny_params.stage1_mlp.w_out = np.asfortranarray(
-        rng.standard_normal((3, DIGEST_CHUNK // 2 + 41)))
     vec, _ = params_to_vector(tiny_params)
     expected = hashlib.sha256(vec.astype("<f4").tobytes()).hexdigest()
     assert params_digest(tiny_params) == expected
