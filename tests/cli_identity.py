@@ -33,17 +33,19 @@ MODES = ("topk:1", "topk:2", "topk:3", "threshold:0.3", "train", "stage1")
 SYNTH = ["synth", "--seed", "1", "--out", "b.qmop"]   # the desk dims
 
 
-def _cut(path: str = "b.qmop", keep: int = 40) -> None:
-    Path(path).write_bytes(Path(path).read_bytes()[:keep])
+def _cut() -> None:
+    """Truncate `SYNTH`'s bundle inside its header."""
+    Path("b.qmop").write_bytes(Path("b.qmop").read_bytes()[:40])
 
 
-def _bad_magic(path: str = "b.qmop") -> None:
-    Path(path).write_bytes(b"XXXX" + Path(path).read_bytes()[4:])
+def _bad_magic() -> None:
+    Path("b.qmop").write_bytes(b"XXXX" + Path("b.qmop").read_bytes()[4:])
 
 
 class Command(NamedTuple):
-    """`steps` run in order: a `qmop` argv, which exits 0 unless it is the
-    last, which exits `exit`, or a function that edits a file in place."""
+    """`steps` run in order: a `qmop` argv, which exits 0, or a function
+    that edits a file in place; the last step is an argv that exits
+    `exit`."""
     name: str
     steps: list
     exit: int = 0
@@ -89,13 +91,12 @@ def play(command: Command,
     for name, cfg in CONFIGS.items():
         Path(name).write_text(json.dumps(cfg))
     digest, wrong = hashlib.sha256(), []
-    argvs = [step for step in command.steps if isinstance(step, list)]
-    for step in command.steps:
+    for i, step in enumerate(command.steps, 1):
         if callable(step):
             step()
             continue
         code, out, err = run(step)
-        if code != (command.exit if step is argvs[-1] else 0):
+        if code != (command.exit if i == len(command.steps) else 0):
             wrong.append(f"{command.name}: {' '.join(step)} exited {code}")
         for part in (str(code).encode(), out, err):
             digest.update(len(part).to_bytes(8, "little") + part)
